@@ -9,6 +9,7 @@ error, 4 I/O error. Set QWAVE_LOG=debug|info|warning for logging.
 
 from __future__ import annotations
 
+import cmath
 import json
 import logging
 import os
@@ -48,22 +49,20 @@ class ParamSpec:
     def parse(self, raw):
         try:
             if self.kind == "float":
-                return float(raw)
+                return _finite(float(raw))
             if self.kind == "int":
-                value = int(raw)
-                return value
+                return int(raw)
             if self.kind == "complex":
-                z = complex(str(raw).replace(" ", ""))
-                return z
+                return _finite(complex(str(raw).replace(" ", "")))
             if self.kind == "choice":
                 value = str(raw).lower()
                 if value not in self.choices:
                     raise ValueError(f"must be one of {self.choices}")
                 return value
             if self.kind == "float_list":
-                if isinstance(raw, (list, tuple)):
-                    return [float(x) for x in raw]
-                return [float(x) for x in str(raw).split(",") if x.strip()]
+                if not isinstance(raw, (list, tuple)):
+                    raw = [x for x in str(raw).split(",") if x.strip()]
+                return [_finite(float(x)) for x in raw]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"parameter {self.name!r}: {exc}") from exc
         raise ConfigError(f"parameter {self.name!r}: unknown kind {self.kind!r}")
@@ -75,6 +74,12 @@ class ParamSpec:
         if self.choices:
             entry["choices"] = list(self.choices)
         return entry
+
+
+def _finite(x):
+    if not cmath.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -264,6 +269,9 @@ class RunConfig:
                 parsed[pname] = pspec.default
         if self.seed is None:
             raise ConfigError("seed is required (no wall-clock default)")
+        # seeds key a Philox generator, whose key range is [0, 2**128)
+        if isinstance(self.seed, int) and not 0 <= self.seed < 2**128:
+            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.shots is None or self.shots < 0:
             raise ConfigError("shots must be >= 0")
         if self.format not in ("json", "csv"):

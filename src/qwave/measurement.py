@@ -28,14 +28,10 @@ from .fock import (
     StateVector,
     _check_same_register,
 )
-from .operators import (
-    OperatorMatrix,
-    annihilation,
-    pair_exchange,
-    quadrature,
-)
+from .operators import OperatorMatrix, embed, pair_exchange, quadrature
 
-#: Projector algebra tolerance (idempotence, orthogonality, completeness).
+#: Projector algebra tolerance (hermiticity, idempotence, orthogonality,
+#: completeness, site locality).
 PROJECTOR_ATOL = 1e-10
 
 
@@ -43,7 +39,9 @@ PROJECTOR_ATOL = 1e-10
 class MeasurementSpec:
     """Labeled complete set of orthogonal projectors, optionally site-tagged.
 
-    When ``site`` is set the projectors are guaranteed to act as the
+    Validation: every projector is hermitian and idempotent, distinct
+    projectors are orthogonal and together they sum to the identity. When
+    ``site`` is set the projectors are also guaranteed to act as the
     identity on every mode outside that site; constructors leave the tag
     unset for constructions that fail this check (fermionic sign strings
     can reach across sites).
@@ -63,6 +61,8 @@ class MeasurementSpec:
         mats = [p.elements for _, p in self.projectors]
         for (label, p), m in zip(self.projectors, mats):
             _check_same_register(reg, p.register)
+            if np.abs(m - m.conj().T).max() > PROJECTOR_ATOL:
+                raise ValueError(f"projector {label!r} of {self.name!r} not hermitian")
             if np.abs(m @ m - m).max() > PROJECTOR_ATOL:
                 raise ValueError(f"projector {label!r} of {self.name!r} not idempotent")
         for i in range(len(mats)):
@@ -101,53 +101,46 @@ class ShotRecord:
     """One sampled shot: outcome label per measurement name."""
 
     outcomes: dict[str, str]
-    pre_measurement_seed: int
     shot_index: int
 
 
-def _stringless_shift(reg: ModeRegister, position: int) -> np.ndarray:
-    """Occupation-lowering matrix unit on one mode, identity elsewhere and
-    no sign string: probes tensor-factor structure, not operator algebra.
-    A projector commuting with this shift (and its dagger) for every mode
-    outside a site acts as the identity on those modes."""
-    occ = reg.occupation_table()[:, position]
-    stride = int(np.prod(reg.dims[position + 1 :], initial=1))
-    src = np.nonzero(occ > 0)[0]
-    mat = np.zeros((reg.dim, reg.dim), dtype=complex)
-    mat[src - stride, src] = 1.0
-    return mat
-
-
 def site_locality_gap(spec: MeasurementSpec) -> float:
-    """Max commutator norm of the spec's projectors with matrix units of
-    modes outside the spec's site. Zero means the projectors factorize as
-    identity on everything outside the site; a fermionic sign string
-    crossing the site boundary shows up as a positive gap."""
+    """Max-norm distance of the spec's projectors P from
+    Tr_out(P)/d_out (x) I_out, "out" being the modes outside the spec's
+    site. Zero means the projectors act as the identity on everything
+    outside the site; a fermionic sign string crossing the site boundary
+    shows up as a positive gap."""
     if spec.site is None:
         raise ValueError("spec has no site tag")
-    return _raw_gap(spec.projectors, spec.site)
+    return _site_gap(spec.projectors, spec.site)
 
 
 def _maybe_site(
     name: str, projectors: tuple[tuple[str, OperatorMatrix], ...], site: Site
 ) -> MeasurementSpec:
     """Tag the spec with the site only if the construction is actually local."""
-    if _raw_gap(projectors, site) <= PROJECTOR_ATOL:
+    if _site_gap(projectors, site) <= PROJECTOR_ATOL:
         return MeasurementSpec(name, projectors, site)
     return MeasurementSpec(name, projectors)
 
 
-def _raw_gap(projectors, site: Site) -> float:
+def _site_gap(projectors, site: Site) -> float:
     reg = projectors[0][1].register
-    gap = 0.0
-    for pos, m in enumerate(reg.modes):
-        if m.site is site:
-            continue
-        shift = _stringless_shift(reg, pos)
-        for _, p in projectors:
-            c = p.elements @ shift - shift @ p.elements
-            gap = max(gap, float(np.abs(c).max()))
-    return gap
+    inside = [q for q, m in enumerate(reg.modes) if m.site is site]
+    order = inside + [q for q in range(len(reg.modes)) if q not in inside]
+    d_in = int(np.prod([reg.dims[q] for q in inside], initial=1))
+    d_out = reg.dim // d_in
+    # one copy of the stacked projectors, regrouped as (k, in, out, in, out)
+    stack = np.array([p.elements for _, p in projectors])
+    axes = [0] + [1 + q for q in order] + [1 + len(order) + q for q in order]
+    t = stack.reshape((-1,) + reg.dims * 2).transpose(axes)
+    t = t.reshape(-1, d_in, d_out, d_in, d_out)
+    # subtract Tr_out(P)/d_out from the out-diagonal blocks; what is left
+    # is P - Tr_out(P)/d_out (x) I_out
+    out = np.arange(d_out)
+    blocks = t[:, :, out, :, out]
+    t[:, :, out, :, out] = blocks - blocks.sum(axis=0) / d_out
+    return float(np.abs(t).max())
 
 
 def spin_direction_measurement(
@@ -161,15 +154,13 @@ def spin_direction_measurement(
         raise KindMismatchError(
             f"{twolevel_mode!r} must be two-level, is {spec.kind.value}"
         )
-    lower = annihilation(register, twolevel_mode).elements
-    sx = lower + lower.conj().T
-    n = np.diag(register.occupation_table()[:, register.position(twolevel_mode)])
-    sz = 2.0 * n - np.eye(register.dim)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sz = np.diag([-1.0, 1.0])
     sigma = np.cos(theta) * sz + np.sin(theta) * sx
-    eye = np.eye(register.dim)
-    projectors = (
-        ("+1", OperatorMatrix(register, (eye + sigma) / 2.0)),
-        ("-1", OperatorMatrix(register, (eye - sigma) / 2.0)),
+    eye = np.eye(2)
+    projectors = tuple(
+        (label, OperatorMatrix(register, embed(register, {twolevel_mode: local})))
+        for label, local in (("+1", (eye + sigma) / 2.0), ("-1", (eye - sigma) / 2.0))
     )
     return _maybe_site(name or f"spin({twolevel_mode})", projectors, spec.site)
 
@@ -205,31 +196,22 @@ def vacuum_one_superposition_basis(
     """Measurement of (|0> +/- |1>)/sqrt(2) on one mode's lowest two levels,
     plus an "other" outcome for occupations >= 2 when the cutoff allows them.
 
-    Built directly from occupation amplitudes: for a fermion mode this is
-    the idealized construction that ignores sign strings (physically
+    Built from blocks on this mode alone: for a fermion mode this is the
+    idealized construction that ignores sign strings (physically
     implementable only for bosons; see quadrature_basis for the honest
     fermionic counterpart)."""
-    p = register.position(mode)
-    spec = register.modes[p]
-    occ = register.occupation_table()[:, p]
-    stride = int(np.prod(register.dims[p + 1 :], initial=1))
-    idx0 = np.nonzero(occ == 0)[0]
-    idx1 = idx0 + stride
-    dim = register.dim
-    plus = np.zeros((dim, dim), dtype=complex)
-    minus = np.zeros((dim, dim), dtype=complex)
-    for sign, mat in ((1.0, plus), (-1.0, minus)):
-        mat[idx0, idx0] = 0.5
-        mat[idx1, idx1] = 0.5
-        mat[idx0, idx1] = sign * 0.5
-        mat[idx1, idx0] = sign * 0.5
-    projectors = [
-        ("+", OperatorMatrix(register, plus)),
-        ("-", OperatorMatrix(register, minus)),
-    ]
+    spec = register.mode(mode)
+    blocks = []
+    for label, sign in (("+", 1.0), ("-", -1.0)):
+        block = np.zeros((spec.dim, spec.dim))
+        block[:2, :2] = [[0.5, sign * 0.5], [sign * 0.5, 0.5]]
+        blocks.append((label, block))
     if spec.cutoff > 1:
-        rest = np.diag((occ >= 2).astype(complex))
-        projectors.append(("other", OperatorMatrix(register, rest)))
+        blocks.append(("other", np.diag(np.arange(spec.dim) >= 2).astype(float)))
+    projectors = [
+        (label, OperatorMatrix(register, embed(register, {mode: block})))
+        for label, block in blocks
+    ]
     return _maybe_site(name or f"vac1({mode})", tuple(projectors), spec.site)
 
 
@@ -295,19 +277,28 @@ def joint_distribution(
     return dist
 
 
-def _draw_picks(
-    dist: dict[tuple[str, ...], float], shots: int, seed: int
-) -> np.ndarray:
-    """Outcome indices for each shot: cumulative inversion of the joint law
+def _draw(
+    state: StateVector, specs: list[MeasurementSpec], shots: int, seed: int
+) -> tuple[list[str], list[tuple[str, ...]], np.ndarray]:
+    """Validate a sampling request and draw it: spec names, joint outcomes
+    and each shot's outcome index. Shots invert the cumulative joint law
     against a Philox counter stream keyed by the seed (shot i uses counter
     position i, so streams are reproducible and parallelizable)."""
+    if shots < 0:
+        raise ValueError("shots must be >= 0")
+    names = [s.name for s in specs]
+    if len(set(names)) != len(names):
+        raise ValueError("measurement specs must have unique names for sampling")
+    dist = joint_distribution(state, specs)
     combos = list(dist.keys())
+    if shots == 0:
+        return names, combos, np.zeros(0, dtype=np.intp)
     probs = np.clip(np.array([dist[c] for c in combos]), 0.0, None)
     cum = np.cumsum(probs)
     cum /= cum[-1]
     rng = np.random.Generator(np.random.Philox(key=seed))
     picks = np.searchsorted(cum, rng.random(shots), side="right")
-    return np.minimum(picks, len(combos) - 1)
+    return names, combos, np.minimum(picks, len(combos) - 1)
 
 
 def sample(
@@ -319,22 +310,9 @@ def sample(
     inversion in declaration order. ``sample_counts`` draws from the same
     stream when only the histogram is needed.
     """
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ValueError("measurement specs must have unique names for sampling")
-    dist = joint_distribution(state, specs)
-    if shots == 0:
-        return []
-    combos = list(dist.keys())
-    picks = _draw_picks(dist, shots, seed)
+    names, combos, picks = _draw(state, specs, shots, seed)
     return [
-        ShotRecord(
-            outcomes=dict(zip(names, combos[k])),
-            pre_measurement_seed=seed,
-            shot_index=i,
-        )
+        ShotRecord(outcomes=dict(zip(names, combos[k])), shot_index=i)
         for i, k in enumerate(picks)
     ]
 
@@ -343,16 +321,7 @@ def sample_counts(
     state: StateVector, specs: list[MeasurementSpec], shots: int, seed: int
 ) -> dict[tuple[str, ...], int]:
     """Histogram of ``sample`` outcomes, drawn from the identical stream."""
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ValueError("measurement specs must have unique names for sampling")
-    dist = joint_distribution(state, specs)
-    combos = list(dist.keys())
-    if shots == 0:
-        return {c: 0 for c in combos}
-    picks = _draw_picks(dist, shots, seed)
+    _, combos, picks = _draw(state, specs, shots, seed)
     counts = np.bincount(picks, minlength=len(combos))
     return {c: int(k) for c, k in zip(combos, counts)}
 

@@ -68,6 +68,7 @@ from .operators import (
     coherent_state,
     commutator_norm,
     creation,
+    embed,
     evolve,
     number_operator,
     phase_kick,
@@ -841,18 +842,8 @@ def _pair_occ(sub, label: str) -> list[int]:
 def _superposition_reset(reg: ModeRegister, mode: str) -> OperatorMatrix:
     """Unitary taking (|0> +/- |1>)/sqrt(2) to |0> and |1> on a cutoff-1
     mode: resets a mode collapsed by a superposition-basis measurement."""
-    p = reg.position(mode)
-    occ = reg.occupation_table()[:, p]
-    stride = int(np.prod(reg.dims[p + 1 :], initial=1))
-    idx0 = np.nonzero(occ == 0)[0]
-    idx1 = idx0 + stride
-    mat = np.zeros((reg.dim, reg.dim), dtype=complex)
     s = 1.0 / math.sqrt(2.0)
-    mat[idx0, idx0] = s
-    mat[idx0, idx1] = s
-    mat[idx1, idx0] = s
-    mat[idx1, idx1] = -s
-    return OperatorMatrix(reg, mat, True)
+    return OperatorMatrix(reg, embed(reg, {mode: np.array([[s, s], [s, -s]])}), True)
 
 
 def collective_chain(phi: float, shots: int, seed: int) -> ExperimentReport:

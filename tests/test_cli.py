@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+
+import qwave
 
 from qwave.cli import (
     EXIT_CONFIG,
@@ -224,11 +228,63 @@ def test_canonical_json_float_formatting():
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cli.json"
+    # the child process imports the same qwave, installed or not
+    package_root = str(Path(qwave.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "qwave.cli", "run", "photon-swap",
          "--phi", "0.25", "--shots", "0", "--seed", "4", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["experiment"] == "photon-swap"
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_non_finite_float_parameter_exits_config_error(phi):
+    result = _run_cli(["run", "photon-swap", "--phi", phi, "--seed", "1"])
+    assert result.exit_code == EXIT_CONFIG
+    assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
+
+
+def test_non_finite_complex_and_list_parameters_rejected():
+    bad = [
+        {"alpha": "nan+1j", "cutoff": 10},
+        {"alpha": "1+infj", "cutoff": 10},
+        {"alpha": "1", "cutoff": 10, "times": "0.1,inf"},
+        {"alpha": "1", "cutoff": 10, "times": [0.1, float("nan")]},
+    ]
+    for params in bad:
+        with pytest.raises(ConfigError):
+            RunConfig("rabi", params, shots=0, seed=1).resolve()
+
+
+def test_seed_outside_philox_key_range_exits_config_error(tmp_path):
+    result = _run_cli(
+        ["run", "photon-swap", "--phi", "0", "--shots", "10", "--seed", "-1"]
+    )
+    assert result.exit_code == EXIT_CONFIG
+    assert "seed" in json.loads(result.stderr)["error"]["message"]
+    with pytest.raises(ConfigError):
+        RunConfig("photon-swap", {"phi": 0}, shots=10, seed=2**128).resolve()
+    # the whole key range stays usable
+    out = tmp_path / "big.json"
+    big = RunConfig("photon-swap", {"phi": 0}, shots=10, seed=2**64,
+                    output_path=str(out))
+    assert run(big) == EXIT_OK
+    assert json.loads(out.read_text())["seed"] == 2**64
+
+
+def test_batch_with_negative_seed_exits_config_error(tmp_path):
+    entries = [{"experiment": "photon-swap", "params": {"phi": 0.5},
+                "shots": 100, "seed": -1, "out": str(tmp_path / "x.json")}]
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps(entries))
+    result = _run_cli(["batch", str(batch_file)])
+    assert result.exit_code == EXIT_CONFIG
+    assert not (tmp_path / "x.json").exists()

@@ -194,6 +194,23 @@ def test_spec_validation_rejects_bad_projectors():
     half = OperatorMatrix(reg, 0.5 * np.eye(reg.dim))
     with pytest.raises(ValueError):
         MeasurementSpec("bad", (("h", half),))
+    # oblique: idempotent, mutually annihilating and complete, not hermitian
+    p = OperatorMatrix(reg, np.array([[1.0, 1.0], [0.0, 0.0]]))
+    q = OperatorMatrix(reg, np.array([[0.0, -1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not hermitian"):
+        MeasurementSpec("oblique", (("p", p), ("q", q)))
+
+
+def test_spec_tagged_with_wrong_site_rejected():
+    reg = build_register([fermion("a", Site.A), fermion("b", Site.B)])
+    untagged = quadrature_basis(reg, "b")
+    with pytest.raises(ValueError, match="act outside"):
+        MeasurementSpec("quad_b", untagged.projectors, Site.B)
+    local = vacuum_one_superposition_basis(
+        build_register([boson("a", 1, Site.A), boson("b", 1, Site.B)]), "a"
+    )
+    with pytest.raises(ValueError, match="act outside"):
+        MeasurementSpec("vac1_a", local.projectors, Site.B)
 
 
 def test_completeness_on_random_states():
@@ -384,3 +401,47 @@ def test_fermionic_quadrature_basis_is_not_local():
     breg = build_register([boson("a", 1, Site.A), boson("b", 1, Site.B)])
     bspec = quadrature_basis(breg, "b")
     assert bspec.site is Site.B
+
+
+def test_site_locality_gap_zero_for_local_projectors_on_split_site():
+    # site A modes are declared non-contiguously; projectors P_S (x) I
+    # built from a random hermitian matrix on them have no gap
+    reg = build_register(
+        [boson("a1", 2, Site.A), fermion("b1", Site.B), two_level("a2", Site.A),
+         boson("o", 1, Site.O), fermion("a3", Site.A)]
+    )
+    inside = [q for q, m in enumerate(reg.modes) if m.site is Site.A]
+    outside = [q for q, m in enumerate(reg.modes) if m.site is not Site.A]
+    d_in = int(np.prod([reg.dims[q] for q in inside]))
+    d_out = reg.dim // d_in
+    rng = np.random.default_rng(4)
+    h = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+    _, v = np.linalg.eigh(h + h.conj().T)
+    # back from (inside, outside) order to declaration order
+    dims = [reg.dims[q] for q in inside + outside]
+    back = np.argsort(inside + outside)
+    projectors = []
+    for k, cols in enumerate((v[:, :5], v[:, 5:])):
+        p_full = np.kron(cols @ cols.conj().T, np.eye(d_out)).reshape(dims * 2)
+        p_full = p_full.transpose(list(back) + [len(dims) + q for q in back])
+        projectors.append((str(k), OperatorMatrix(reg, p_full.reshape(reg.dim, -1))))
+    spec = MeasurementSpec("local", tuple(projectors), Site.A)
+    assert site_locality_gap(spec) < 1e-12
+
+
+def test_site_gap_of_boundary_crossing_fermion_quadrature():
+    from qwave.measurement import PROJECTOR_ATOL, _site_gap
+
+    reg = build_register(
+        [fermion("a", Site.A), boson("o", 1, Site.O), fermion("b", Site.B)]
+    )
+    spec = quadrature_basis(reg, "b")
+    assert spec.site is None
+    assert _site_gap(spec.projectors, Site.B) >= 0.5
+    # the bosonic quadrature has no string and stays local
+    breg = build_register(
+        [boson("a", 1, Site.A), boson("o", 1, Site.O), boson("b", 1, Site.B)]
+    )
+    bspec = quadrature_basis(breg, "b")
+    assert bspec.site is Site.B
+    assert site_locality_gap(bspec) <= PROJECTOR_ATOL

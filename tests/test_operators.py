@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qwave.operators import embed
+
 from qwave import (
     CoherentSpec,
     KindMismatchError,
@@ -107,6 +109,8 @@ def test_swap_coupler_kind_checks():
     reg = build_register([boson("field", 1), two_level("atom")])
     with pytest.raises(KindMismatchError):
         swap_coupler(reg, "atom", "field", 1.0)
+    with pytest.raises(KindMismatchError, match="'atom' must be bosonic"):
+        nucleon_coupler(reg, "atom", "field", 1.0)
 
 
 def test_swap_coupler_conserves_total_excitation():
@@ -315,3 +319,32 @@ def test_canonical_relations_random_registers():
                 elif mi.label != mj.label:
                     comm = ai @ aj.conj().T - aj.conj().T @ ai
                     assert np.abs(comm).max() < 1e-12
+
+
+# --- embed -------------------------------------------------------------------
+
+def _random_local(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m[rng.random((d, d)) < 0.3] = 0.0  # some structural zeros
+    return m
+
+
+def test_embed_matches_kron_in_declaration_order():
+    reg = build_register(
+        [boson("b", 2), fermion("f1"), two_level("t"), fermion("f2")]
+    )
+    rng = np.random.default_rng(11)
+    for labels in (["f2", "b"], ["t", "b", "f2"], ["f1"], ["f2", "f1", "t", "b"]):
+        # dict order differs from declaration order on purpose
+        factors = {l: _random_local(rng, reg.mode(l).dim) for l in labels}
+        ref = np.ones((1, 1))
+        for m in reg.modes:
+            ref = np.kron(ref, factors.get(m.label, np.eye(m.dim)))
+        assert np.abs(embed(reg, factors) - ref).max() < 1e-14
+    assert np.array_equal(embed(reg, {}), np.eye(reg.dim))
+
+
+def test_embed_rejects_wrong_factor_shape():
+    reg = build_register([boson("b", 2), two_level("t")])
+    with pytest.raises(ValueError):
+        embed(reg, {"b": np.eye(2)})
