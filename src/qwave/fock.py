@@ -127,11 +127,6 @@ class ModeRegister:
     def mode(self, label: str) -> ModeSpec:
         return self.modes[self.position(label)]
 
-    def fermion_positions(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, m in enumerate(self.modes) if m.kind is ModeKind.FERMION
-        )
-
     def index_of(self, occ: Sequence[int]) -> int:
         """Flat basis index of an occupation tuple (first mode most significant)."""
         occ = tuple(occ)
