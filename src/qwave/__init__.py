@@ -10,6 +10,7 @@ post-selection chains) as reproducible protocol runs.
 
 from .errors import (
     ConfigError,
+    DimensionBudgetError,
     DuplicateLabelError,
     ImpossibleOutcomeError,
     InvalidCutoffError,

@@ -18,6 +18,10 @@ class InvalidCutoffError(SimulationError):
     """Mode cutoff incompatible with its kind (fermion/two-level need 1)."""
 
 
+class DimensionBudgetError(SimulationError):
+    """Register dimension exceeds the dense-simulation budget."""
+
+
 class UnknownModeError(SimulationError):
     """Referenced mode label is not part of the register."""
 

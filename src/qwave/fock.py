@@ -10,6 +10,7 @@ depend on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
@@ -17,6 +18,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import (
+    DimensionBudgetError,
     DuplicateLabelError,
     InvalidCutoffError,
     OccupationOutOfRangeError,
@@ -26,6 +28,10 @@ from .errors import (
 
 #: Tolerance for state normalization and hermiticity checks.
 NORM_ATOL = 1e-10
+
+#: Largest register dimension accepted. Operators are dense complex
+#: matrices, so a register of this dimension needs 256 MiB per operator.
+MAX_REGISTER_DIM = 4096
 
 Occupation = tuple[int, ...]
 
@@ -98,9 +104,16 @@ class ModeRegister:
         if len(set(labels)) != len(labels):
             dupes = sorted({l for l in labels if labels.count(l) > 1})
             raise DuplicateLabelError(f"duplicate mode labels: {dupes}")
+        dims = tuple(m.dim for m in modes)
+        dim = math.prod(dims)
+        if dim > MAX_REGISTER_DIM:
+            raise DimensionBudgetError(
+                f"register dimension {dim} exceeds the budget of "
+                f"{MAX_REGISTER_DIM}"
+            )
         self.modes = modes
-        self.dims = tuple(m.dim for m in modes)
-        self.dim = int(np.prod(self.dims, initial=1))
+        self.dims = dims
+        self.dim = dim
         self._position = {m.label: i for i, m in enumerate(modes)}
         self._occupations: np.ndarray | None = None
 

@@ -19,6 +19,7 @@ from .errors import (
     InvalidCutoffError,
     KindMismatchError,
     NonCommutingSpecsError,
+    SimulationError,
     SiteMismatchError,
 )
 from .fock import (
@@ -33,6 +34,10 @@ from .operators import OperatorMatrix, embed, pair_exchange, quadrature
 #: Projector algebra tolerance (hermiticity, idempotence, orthogonality,
 #: completeness, site locality).
 PROJECTOR_ATOL = 1e-10
+
+#: Allowed drift of a joint distribution's total from 1 before sampling.
+#: States are normalized to NORM_ATOL, so a valid total is within ~2e-10.
+_TOTAL_PROBABILITY_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -293,8 +298,17 @@ def _draw(
     combos = list(dist.keys())
     if shots == 0:
         return names, combos, np.zeros(0, dtype=np.intp)
-    probs = np.clip(np.array([dist[c] for c in combos]), 0.0, None)
-    cum = np.cumsum(probs)
+    probs = np.array([dist[c] for c in combos])
+    if probs.min() < -PROJECTOR_ATOL:
+        raise SimulationError(
+            f"joint probability {probs.min():.3e} is below -{PROJECTOR_ATOL:.0e}"
+        )
+    if abs(probs.sum() - 1.0) > _TOTAL_PROBABILITY_ATOL:
+        raise SimulationError(
+            f"joint probabilities sum to 1 + {probs.sum() - 1.0:.3e}, beyond "
+            f"the bound {_TOTAL_PROBABILITY_ATOL:.0e}"
+        )
+    cum = np.cumsum(np.clip(probs, 0.0, None))
     cum /= cum[-1]
     rng = np.random.Generator(np.random.Philox(key=seed))
     picks = np.searchsorted(cum, rng.random(shots), side="right")

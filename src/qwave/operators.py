@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from .errors import (
     KindMismatchError,
@@ -238,8 +237,12 @@ class CoherentSpec:
 
 
 def poisson_tail(alpha: complex, cutoff: int) -> float:
-    """Probability mass of a coherent state's occupation above the cutoff."""
-    return float(stats.poisson.sf(cutoff, abs(alpha) ** 2))
+    """Probability mass of a coherent state's occupation above the cutoff.
+
+    ``pdtrc`` is the Poisson survival function ``scipy.stats.poisson.sf``
+    computes; calling it directly keeps ``scipy.stats`` off the import path.
+    """
+    return float(pdtrc(cutoff, abs(alpha) ** 2))
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:

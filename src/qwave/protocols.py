@@ -295,14 +295,20 @@ def rabi_rotation(
     w, v = h.eigh()
     coeffs = v.conj().T @ psi0.amplitudes
     atom_excited = reg.occupation_table()[:, reg.position("atom")] == 1
+    # |n, g> couples only to |n-1, e>, at rate sqrt(n)
+    p_n = np.abs(psi0.amplitudes.reshape(cutoff + 1, 2)[:, 0]) ** 2
+    sqrt_n = np.sqrt(np.arange(cutoff + 1.0))
 
     max_dev = 0.0
+    closed_form_gap = 0.0
     norm_drift = 0.0
     pe_end = 0.0
     for t in times:
         amps = v @ (np.exp(-1j * w * t) * coeffs)
         norm_drift = max(norm_drift, abs(np.linalg.norm(amps) - 1.0))
         pe = float(np.sum(np.abs(amps[atom_excited]) ** 2))
+        closed_form = float(np.sum(p_n * np.sin(sqrt_n * t) ** 2))
+        closed_form_gap = max(closed_form_gap, abs(pe - closed_form))
         if t <= t_end + 1e-12:
             max_dev = max(max_dev, abs(pe - math.sin(mag * t) ** 2))
         pe_end = pe
@@ -323,7 +329,7 @@ def rabi_rotation(
             "rotation_formula_final": math.sin(mag * times[-1]) ** 2,
             "tail_mass": poisson_tail(alpha, cutoff),
         },
-        passed=norm_drift < 1e-9,
+        passed=norm_drift < 1e-9 and closed_form_gap < 1e-10,
     )
     return report
 

@@ -12,6 +12,7 @@ import qwave
 from qwave.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_PROTOCOL,
     EXPERIMENTS,
     RunConfig,
     canonical_json,
@@ -226,23 +227,50 @@ def test_canonical_json_float_formatting():
         canonical_json({"bad": float("nan")})
 
 
-def test_console_script_entry_point(tmp_path):
-    out = tmp_path / "cli.json"
-    # the child process imports the same qwave, installed or not
+def _child_env():
+    """Environment under which a child process imports the same qwave,
+    installed or not."""
     package_root = str(Path(qwave.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_console_script_entry_point(tmp_path):
+    out = tmp_path / "cli.json"
     proc = subprocess.run(
         [sys.executable, "-m", "qwave.cli", "run", "photon-swap",
          "--phi", "0.25", "--shots", "0", "--seed", "4", "--out", str(out)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["experiment"] == "photon-swap"
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about 1 s of a cold start; qwave needs only scipy.special
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qwave.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_register_over_dimension_budget_exits_protocol_error():
+    result = _run_cli(["run", "rabi", "--alpha", "1", "--cutoff", "100000",
+                       "--seed", "1"])
+    assert result.exit_code == EXIT_PROTOCOL
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "DimensionBudgetError"
+    assert "200002" in error["message"] and "4096" in error["message"]
 
 
 @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])

@@ -3,6 +3,7 @@ import pytest
 
 from qwave import (
     DensityMatrix,
+    DimensionBudgetError,
     DuplicateLabelError,
     InvalidCutoffError,
     ModeKind,
@@ -27,6 +28,15 @@ def test_register_dimensions():
     assert build_register([boson("a", 1, Site.A), boson("b", 1, Site.B)]).dim == 4
     assert build_register([boson("a", 3, Site.A)]).dim == 4
     assert build_register([fermion(l) for l in "abcd"]).dim == 16
+
+
+def test_dimension_budget():
+    assert build_register([boson("a", 4095)]).dim == 4096
+    with pytest.raises(DimensionBudgetError, match="4097 exceeds the budget of 4096"):
+        build_register([boson("a", 4096)])
+    # 2**64 wraps to 0 in int64; the budget must see the exact product
+    with pytest.raises(DimensionBudgetError, match=str(2**64)):
+        build_register([fermion(f"f{i}") for i in range(64)])
 
 
 def test_duplicate_labels_rejected():

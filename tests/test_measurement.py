@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
+from qwave import measurement
 from qwave import (
     MeasurementSpec,
     ImpossibleOutcomeError,
     NonCommutingSpecsError,
     OperatorMatrix,
+    SimulationError,
     Site,
     SiteMismatchError,
     basis_state,
@@ -22,6 +26,7 @@ from qwave import (
     prepare_superposition,
     quadrature_basis,
     sample,
+    sample_counts,
     site_locality_gap,
     spin_direction_measurement,
     two_level,
@@ -259,6 +264,22 @@ def test_sample_counts_matches_sample_stream():
     assert counts == {k: hist.get(k, 0) for k in counts}
     empty = sample_counts(psi, [spec], 0, seed=1)
     assert set(empty.values()) == {0}
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ((1.2, -0.2), "joint probability -2.000e-01 is below -1e-10"),
+        ((0.5, 0.49), "sum to 1 + -1.000e-02, beyond the bound 1e-09"),
+    ],
+)
+def test_sample_rejects_invalid_distribution(monkeypatch, probs, message):
+    reg = build_register([two_level("s")])
+    spec = spin_direction_measurement(reg, "s", 0.0)
+    bad = {("+1",): probs[0], ("-1",): probs[1]}
+    monkeypatch.setattr(measurement, "joint_distribution", lambda state, specs: bad)
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        sample_counts(vacuum_state(reg), [spec], 10, seed=1)
 
 
 def test_sample_rejects_noncommuting():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from qwave.operators import embed
 
@@ -181,6 +182,21 @@ def test_coherent_state_tail_bound():
         coherent_state(
             build_register([two_level("t")]), CoherentSpec(0.1, "t")
         )
+
+
+@pytest.mark.parametrize(
+    "alpha, cutoff",
+    [
+        (0.0, 0), (0.0, 5), (1.0, 0), (2.5j, 0),
+        # acceptance, golden and benchmark (alpha, cutoff) pairs
+        (10.0, 160), (2.0, 24), (3.0, 30), (3.0, 40),
+        (15.0, 330), (20.0, 540), (25.0, 800), (1 + 1j, 30),
+        # |alpha|^2 far above the cutoff: the tail is (almost) all the mass
+        (30.0, 5), (50.0, 100), (12.0, 1),
+    ],
+)
+def test_poisson_tail_matches_scipy_stats_bit_for_bit(alpha, cutoff):
+    assert poisson_tail(alpha, cutoff) == stats.poisson.sf(cutoff, abs(alpha) ** 2)
 
 
 def test_phase_kick_identity_and_composition():

@@ -19,6 +19,7 @@ from qwave import (
     photon_swap_experiment,
     rabi_rotation,
 )
+from qwave import protocols
 
 PHI_GRID = [0.0, math.pi / 3.0, math.pi / 2.0, math.pi, 4.0]
 
@@ -72,6 +73,16 @@ def test_rabi_large_amplitude_tracks_rotation_formula():
         r10.analytic["max_deviation_from_rotation_formula"]
         < r2.analytic["max_deviation_from_rotation_formula"]
     )
+
+
+def test_rabi_fails_when_simulation_leaves_closed_form(monkeypatch):
+    assert rabi_rotation(2.0, 24).passed
+    swap = protocols.swap_coupler
+    monkeypatch.setattr(
+        protocols, "swap_coupler", lambda reg, b, t, strength: swap(reg, b, t, 1.01)
+    )
+    # still unitary, so only the closed-form check can catch the wrong rate
+    assert not rabi_rotation(2.0, 24).passed
 
 
 def test_rabi_tail_guard():
