@@ -164,7 +164,7 @@ _register(ExperimentDef(
     runner=protocols.fermion_nogo,
     params=(),
     uses_shots=False,
-    uses_seed=True,
+    uses_seed=False,
     description="Quadrature commutators, the fermion-pair loophole and the "
                 "signaling cost of pretending fermionic quadratures are local.",
     topic="fermionic phase obstruction",
@@ -403,17 +403,26 @@ def main():
     _configure_logging()
 
 
+def _parameter_options(command):
+    """One option per parameter name in the registry, ``--`` plus the name
+    with ``_`` as ``-``. Values stay raw strings: the chosen experiment's
+    ParamSpec parses them."""
+    helps: dict[str, list[str]] = {}
+    for defn in EXPERIMENTS.values():
+        for spec in defn.params:
+            texts = helps.setdefault(spec.name, [])
+            if spec.help not in texts:
+                texts.append(spec.help)
+    # click lists options in reverse order of application
+    for name, texts in reversed(helps.items()):
+        command = click.option("--" + name.replace("_", "-"), name,
+                               default=None, help="; ".join(texts))(command)
+    return command
+
+
 @main.command(name="run")
 @click.argument("experiment")
-@click.option("--phi", default=None, help="relative phase (radians)")
-@click.option("--n", default=None, help="chain length parameter")
-@click.option("--alpha", default=None, help="coherent amplitude (complex ok)")
-@click.option("--cutoff", default=None, help="bosonic occupation cutoff")
-@click.option("--kick", default=None, help="phase kick (radians)")
-@click.option("--statistics", default=None, help="boson or fermion")
-@click.option("--times", default=None, help="comma-separated times")
-@click.option("--tail-bound", "tail_bound", default=None,
-              help="allowed coherent tail mass")
+@_parameter_options
 @click.option("--shots", default=0, type=int, show_default=True,
               help="number of sampled shots (0 = analytic only)")
 @click.option("--seed", default=None, type=int, help="experiment seed (required)")

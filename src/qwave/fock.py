@@ -11,6 +11,7 @@ depend on it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
@@ -61,6 +62,14 @@ class ModeSpec:
     site: Site = Site.GLOBAL
 
     def __post_init__(self):
+        # operator.index accepts Python and numpy integers, nothing else
+        try:
+            object.__setattr__(self, "cutoff", operator.index(self.cutoff))
+        except TypeError:
+            raise InvalidCutoffError(
+                f"mode {self.label!r}: cutoff must be an integer, "
+                f"got {self.cutoff!r}"
+            ) from None
         if self.kind in (ModeKind.FERMION, ModeKind.TWO_LEVEL):
             if self.cutoff != 1:
                 raise InvalidCutoffError(
@@ -223,9 +232,6 @@ class StateVector:
     def fidelity(self, other: "StateVector") -> float:
         """|<self|other>|^2, i.e. agreement up to a global phase."""
         return float(abs(self.overlap(other)) ** 2)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
     def amplitude(self, occ: Sequence[int]) -> complex:
         return complex(self.amplitudes[self.register.index_of(occ)])

@@ -23,6 +23,10 @@ consequences that naive occupation bookkeeping (valid for bosons) misses:
   known-phase photon superposition has relative phase pi rather than 0.
   It remains independent of the input phase, which is the operational
   point, and both facts are declaration-order invariant.
+
+ab_gauge_check runs the bosonic aux_particle_phase experiment itself: the
+charged reference whose phase the test particle is read against is the
+auxiliary particle.
 """
 
 from __future__ import annotations
@@ -111,10 +115,6 @@ class ExperimentReport:
             if k in self.empirical
         }
 
-    def exact_only(self) -> list[str]:
-        """Analytic entries with no sampled counterpart."""
-        return sorted(k for k in self.analytic if k not in self.empirical)
-
     def to_dict(self) -> dict:
         # coerce to plain Python scalars: numpy types must never leak into
         # serialized reports
@@ -140,6 +140,23 @@ def _within_binomial(freq: float, p: float, count: int, n_sigma: float = 5.0) ->
         return False
     sigma = math.sqrt(max(p * (1.0 - p), 0.0) / count)
     return abs(freq - p) <= n_sigma * sigma + 1e-15
+
+
+def _record(
+    report: ExperimentReport, name: str, hits: int, count: int, p: float
+) -> None:
+    """Store the sampled frequency hits / count under ``name`` and require
+    it within 5 sigma of the predicted probability p."""
+    freq = hits / count
+    report.empirical[name] = EmpiricalStat(freq, count)
+    report.passed = report.passed and _within_binomial(freq, p, count)
+
+
+def _one_per_site(table: dict) -> tuple:
+    """Total and entries of a joint distribution or of sampled counts that
+    find one particle at each site, i.e. no "other" outcome anywhere."""
+    kept = {k: v for k, v in table.items() if "other" not in k}
+    return sum(kept.values()), kept
 
 
 def coincidence_rate(phi: float, exchange_sign: float = 1.0) -> float:
@@ -168,6 +185,22 @@ def _split_particle_op(
     equal-weight two-site superposition when applied to an empty pair."""
     op = creation(reg, mode_a) + np.exp(1j * phi) * creation(reg, mode_b)
     return (1.0 / math.sqrt(2.0)) * op
+
+
+def _split_pair(reg: ModeRegister, outer: str, inner: str, phi: float) -> StateVector:
+    """Two split particles from the vacuum: first ``inner`` over the modes
+    inner_a, inner_b at phase zero, then ``outer`` over outer_a, outer_b at
+    phase phi."""
+    psi = apply(
+        _split_particle_op(reg, inner + "_a", inner + "_b", 0.0),
+        vacuum_state(reg),
+        renormalize=True,
+    )
+    return apply(
+        _split_particle_op(reg, outer + "_a", outer + "_b", phi),
+        psi,
+        renormalize=True,
+    )
 
 
 def _absence_measurement(
@@ -212,11 +245,7 @@ def photon_swap_experiment(phi: float, shots: int, seed: int) -> ExperimentRepor
         reg, "light_b", "atom_b", 1.0
     )
     psi1 = evolve(psi0, h, math.pi / 2.0)
-
-    amps = np.zeros(reg.dim, dtype=complex)
-    amps[reg.index_of((0, 0, 1, 0))] = 1.0 / math.sqrt(2.0)
-    amps[reg.index_of((0, 0, 0, 1))] = np.exp(1j * phi) / math.sqrt(2.0)
-    target = from_amplitudes(reg, amps)
+    target = prepare_superposition(reg, "atom_a", "atom_b", phi)
     swap_fidelity = psi1.fidelity(target)
 
     specs = [
@@ -250,11 +279,10 @@ def photon_swap_experiment(phi: float, shots: int, seed: int) -> ExperimentRepor
     if shots > 0:
         counts = sample_counts(psi1, specs, shots, seed)
         n_coinc = counts[("+1", "+1")] + counts[("-1", "-1")]
-        freq_c = n_coinc / shots
-        freq_a = 1.0 - freq_c
-        report.empirical["coincidence"] = EmpiricalStat(freq_c, shots)
-        report.empirical["anticoincidence"] = EmpiricalStat(freq_a, shots)
-        report.passed = report.passed and _within_binomial(freq_c, coinc, shots)
+        _record(report, "coincidence", n_coinc, shots, coinc)
+        report.empirical["anticoincidence"] = EmpiricalStat(
+            1.0 - n_coinc / shots, shots
+        )
     return report
 
 
@@ -412,7 +440,6 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
         relations.append((2 * m, 2 * m + 1))
         relations.append((2 * m + 2, 2 * m + 1))
 
-    passed = True
     report = ExperimentReport(
         experiment="bell-chain",
         params={"n": n},
@@ -426,22 +453,18 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
         ]
         dist = joint_distribution(singlet, specs)
         p_exact = dist[("+1", "-1")] + dist[("-1", "+1")]
-        passed = passed and abs(p_exact - p_formula) < 1e-12
+        report.passed = report.passed and abs(p_exact - p_formula) < 1e-12
         if shots > 0:
             counts = sample_counts(singlet, specs, shots, seed + k)
             n_sat = counts[("+1", "-1")] + counts[("-1", "+1")]
-            freq = n_sat / shots
-            report.empirical[f"relation_{k:02d}_satisfied"] = EmpiricalStat(
-                freq, shots
-            )
-            passed = passed and _within_binomial(freq, p_formula, shots)
+            _record(report, f"relation_{k:02d}_satisfied", n_sat, shots, p_formula)
         report.analytic[f"relation_{k:02d}_satisfied"] = p_formula
 
     lhv_max = lhv_max_satisfied(n)
     bound = 2.0 * n * (1.0 - p_formula)
     approx = math.pi**2 / (8.0 * n)
-    passed = passed and lhv_max == 2 * n - 1
-    passed = passed and p_formula > (2.0 * n - 1.0) / (2.0 * n)
+    report.passed = report.passed and lhv_max == 2 * n - 1
+    report.passed = report.passed and p_formula > (2.0 * n - 1.0) / (2.0 * n)
 
     report.analytic["satisfaction_probability"] = p_formula
     report.analytic["lhv_max_satisfied"] = float(lhv_max)
@@ -449,7 +472,6 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
     report.analytic["failure_probability_bound"] = bound
     report.analytic["large_chain_approximation"] = approx
     report.analytic["bound_to_approximation_ratio"] = bound / approx
-    report.passed = passed
     return report
 
 
@@ -474,20 +496,14 @@ def _aux_phase_exact(phi: float, kind: ModeKind, order: str):
         make = lambda label, site: boson(label, 1, site)
     site_of = {"test_a": Site.A, "aux_a": Site.A, "test_b": Site.B, "aux_b": Site.B}
     reg = build_register([make(l, site_of[l]) for l in labels])
-    aux_op = _split_particle_op(reg, "aux_a", "aux_b", 0.0)
-    test_op = _split_particle_op(reg, "test_a", "test_b", phi)
-    psi = apply(test_op, apply(aux_op, vacuum_state(reg), renormalize=True),
-                renormalize=True)
+    psi = _split_pair(reg, "test", "aux", phi)
     specs = [
         plus_minus_basis(reg, "test_a", "aux_a", "site_a"),
         plus_minus_basis(reg, "test_b", "aux_b", "site_b"),
     ]
-    dist = joint_distribution(psi, specs)
-    cond = sum(
-        p for (sa, sb), p in dist.items() if sa != "other" and sb != "other"
-    )
-    coinc = (dist[("+", "+")] + dist[("-", "-")]) / cond
-    anti = (dist[("+", "-")] + dist[("-", "+")]) / cond
+    cond, kept = _one_per_site(joint_distribution(psi, specs))
+    coinc = (kept[("+", "+")] + kept[("-", "-")]) / cond
+    anti = (kept[("+", "-")] + kept[("-", "+")]) / cond
     return reg, psi, specs, cond, coinc, anti
 
 
@@ -538,28 +554,13 @@ def aux_particle_phase(
         passed=passed,
     )
     if shots > 0:
-        counts = sample_counts(psi, specs, shots, seed)
-        n_kept = sum(
-            c for (sa, sb), c in counts.items()
-            if sa != "other" and sb != "other"
-        )
-        n_coinc = counts[("+", "+")] + counts[("-", "-")]
-        report.empirical["conditioning_probability"] = EmpiricalStat(
-            n_kept / shots, shots
-        )
-        report.passed = report.passed and _within_binomial(
-            n_kept / shots, 0.5, shots
-        )
+        n_kept, kept = _one_per_site(sample_counts(psi, specs, shots, seed))
+        _record(report, "conditioning_probability", n_kept, shots, 0.5)
         if n_kept > 0:
-            freq = n_coinc / n_kept
-            report.empirical["conditional_coincidence"] = EmpiricalStat(
-                freq, n_kept
-            )
+            n_coinc = kept[("+", "+")] + kept[("-", "-")]
+            _record(report, "conditional_coincidence", n_coinc, n_kept, coinc)
             report.empirical["conditional_anticoincidence"] = EmpiricalStat(
-                1.0 - freq, n_kept
-            )
-            report.passed = report.passed and _within_binomial(
-                freq, coinc, n_kept
+                1.0 - n_coinc / n_kept, n_kept
             )
     return report
 
@@ -568,7 +569,7 @@ def aux_particle_phase(
 # why the trick above is the only option for fermions
 # ---------------------------------------------------------------------------
 
-def fermion_nogo(seed: int) -> ExperimentReport:
+def fermion_nogo() -> ExperimentReport:
     """Quantify the obstruction to measuring a fermion's split-particle
     phase with single-site quadrature measurements.
 
@@ -643,7 +644,7 @@ def fermion_nogo(seed: int) -> ExperimentReport:
     return ExperimentReport(
         experiment="fermion-nogo",
         params={},
-        seed=seed,
+        seed=0,
         shots=0,
         analytic=results,
         passed=passed,
@@ -754,44 +755,26 @@ def _collective_setup(order: str):
     return reg, h_total, lepton_spec
 
 
-def _collective_direct_state(reg, h_total, phi: float) -> StateVector:
-    """Both species split with the positron at phase zero, then annihilated
-    for a quarter period at each site."""
-    psi = apply(
-        _split_particle_op(reg, "el_a", "el_b", phi),
-        apply(
-            _split_particle_op(reg, "pos_a", "pos_b", 0.0),
-            vacuum_state(reg),
-            renormalize=True,
-        ),
-        renormalize=True,
-    )
-    return evolve(psi, h_total, math.pi / 2.0)
-
-
-def _collective_exact(phi: float, order: str) -> dict[str, float]:
-    """Exact quantities of the collective chain for one declaration order."""
+def _collective_exact(
+    phi: float, order: str
+) -> tuple[dict[str, float], StateVector, MeasurementSpec]:
+    """Exact quantities of the collective chain for one declaration order,
+    with the direct variant's state before post-selection and the
+    lepton-absence measurement that post-selects it."""
     reg, h_total, lepton_spec = _collective_setup(order)
     quarter = math.pi / 2.0
     vac = vacuum_state(reg)
-
-    def photon_target(rel_phase: float) -> StateVector:
-        amps = np.zeros(reg.dim, dtype=complex)
-        occ_a = [0] * 6
-        occ_a[reg.position("ph_a")] = 1
-        occ_b = [0] * 6
-        occ_b[reg.position("ph_b")] = 1
-        amps[reg.index_of(occ_a)] = 1.0 / math.sqrt(2.0)
-        amps[reg.index_of(occ_b)] = np.exp(1j * rel_phase) / math.sqrt(2.0)
-        return from_amplitudes(reg, amps)
-
     out: dict[str, float] = {}
 
-    # direct variant: both species split, post-select all leptons gone
-    psi = _collective_direct_state(reg, h_total, phi)
-    photon_state, p_direct = post_select(psi, lepton_spec, "absent")
+    # direct variant: both species split with the positron at phase zero,
+    # annihilated for a quarter period at each site, post-select all
+    # leptons gone
+    direct = evolve(_split_pair(reg, "el", "pos", phi), h_total, quarter)
+    photon_state, p_direct = post_select(direct, lepton_spec, "absent")
     out["direct_postselection_probability"] = p_direct
-    out["direct_photon_fidelity"] = photon_state.fidelity(photon_target(phi))
+    out["direct_photon_fidelity"] = photon_state.fidelity(
+        prepare_superposition(reg, "ph_a", "ph_b", phi)
+    )
 
     # stage 1: one positron per site, electron split
     psi1 = apply(
@@ -814,11 +797,10 @@ def _collective_exact(phi: float, order: str) -> dict[str, float]:
 
     rho_pos = partial_trace(psi2, {"pos_a", "pos_b"})
     sub = rho_pos.register
-    naive = np.zeros(sub.dim, dtype=complex)
-    naive[sub.index_of(_pair_occ(sub, "pos_b"))] = 1.0 / math.sqrt(2.0)
-    naive[sub.index_of(_pair_occ(sub, "pos_a"))] = np.exp(1j * phi) / math.sqrt(2.0)
-    exchange = naive.copy()
-    exchange[sub.index_of(_pair_occ(sub, "pos_a"))] *= -1.0
+    naive = prepare_superposition(sub, "pos_b", "pos_a", phi).amplitudes
+    # the exchange minus sign rides on the branch with the positron at A
+    pos_a_branch = sub.occupation_table()[:, sub.position("pos_a")] == 1
+    exchange = np.where(pos_a_branch, -naive, naive)
     out["positron_fidelity_naive"] = rho_pos.expectation(naive)
     out["positron_fidelity_exchange"] = rho_pos.expectation(exchange)
 
@@ -832,17 +814,13 @@ def _collective_exact(phi: float, order: str) -> dict[str, float]:
     psi5 = evolve(psi4, h_total, quarter)
     psi6, p_nolep = post_select(psi5, lepton_spec, "absent")
     out["stage3_postselection_probability"] = p_nolep
-    out["stage3_phase_pi_fidelity"] = psi6.fidelity(photon_target(math.pi))
+    out["stage3_phase_pi_fidelity"] = psi6.fidelity(
+        prepare_superposition(reg, "ph_a", "ph_b", math.pi)
+    )
     dist3 = joint_distribution(psi6, [spec_pa, spec_pb])
     for (sa, sb), p in dist3.items():
         out[f"stage3_joint_{sa}{sb}"] = p
-    return out
-
-
-def _pair_occ(sub, label: str) -> list[int]:
-    occ = [0] * len(sub.modes)
-    occ[sub.position(label)] = 1
-    return occ
+    return out, direct, lepton_spec
 
 
 def _superposition_reset(reg: ModeRegister, mode: str) -> OperatorMatrix:
@@ -869,8 +847,8 @@ def collective_chain(phi: float, shots: int, seed: int) -> ExperimentReport:
     post-selection probability 1/2.
     """
     phi = phi % TWO_PI
-    out = _collective_exact(phi, "site")
-    alt = _collective_exact(phi, "species")
+    out, direct, lepton_spec = _collective_exact(phi, "site")
+    alt, _, _ = _collective_exact(phi, "species")
     ordering_gap = max(abs(out[k] - alt[k]) for k in out)
 
     passed = (
@@ -894,14 +872,11 @@ def collective_chain(phi: float, shots: int, seed: int) -> ExperimentReport:
     )
     if shots > 0:
         # sample the direct variant's post-selection rate
-        reg, h_total, lepton_spec = _collective_setup("site")
-        psi = _collective_direct_state(reg, h_total, phi)
-        counts = sample_counts(psi, [lepton_spec], shots, seed)
-        freq = counts[("absent",)] / shots
-        report.empirical["direct_postselection_probability"] = EmpiricalStat(
-            freq, shots
+        counts = sample_counts(direct, [lepton_spec], shots, seed)
+        _record(
+            report, "direct_postselection_probability",
+            counts[("absent",)], shots, 0.5,
         )
-        report.passed = report.passed and _within_binomial(freq, 0.5, shots)
     return report
 
 
@@ -925,45 +900,14 @@ def ab_gauge_check(
     """
     phi = phi % TWO_PI
     kick = kick % TWO_PI
-    reg = build_register(
-        [
-            boson("test_a", 1, Site.A),
-            boson("ref_a", 1, Site.A),
-            boson("test_b", 1, Site.B),
-            boson("ref_b", 1, Site.B),
-        ]
-    )
-    baseline = apply(
-        _split_particle_op(reg, "test_a", "test_b", phi),
-        apply(
-            _split_particle_op(reg, "ref_a", "ref_b", 0.0),
-            vacuum_state(reg),
-            renormalize=True,
-        ),
-        renormalize=True,
-    )
-    kick_test = phase_kick(reg, "test_b", kick)
-    kick_ref = phase_kick(reg, "ref_b", kick)
-    kicked_both = apply(kick_ref, apply(kick_test, baseline))
-    kicked_test_only = apply(kick_test, baseline)
-
-    specs = [
-        plus_minus_basis(reg, "test_a", "ref_a", "site_a"),
-        plus_minus_basis(reg, "test_b", "ref_b", "site_b"),
-    ]
+    # the charged reference is the auxiliary particle
+    reg, baseline, specs, _, _, _ = _aux_phase_exact(phi, ModeKind.BOSON, "site")
+    kicked_test_only = apply(phase_kick(reg, "test_b", kick), baseline)
+    kicked_both = apply(phase_kick(reg, "aux_b", kick), kicked_test_only)
 
     def conditional(state: StateVector):
-        dist = joint_distribution(state, specs)
-        cond = sum(
-            p for (sa, sb), p in dist.items()
-            if sa != "other" and sb != "other"
-        )
-        table = {
-            (sa, sb): p / cond
-            for (sa, sb), p in dist.items()
-            if sa != "other" and sb != "other"
-        }
-        return cond, table
+        cond, kept = _one_per_site(joint_distribution(state, specs))
+        return cond, {k: p / cond for k, p in kept.items()}
 
     cond0, table0 = conditional(baseline)
     cond1, table1 = conditional(kicked_both)
@@ -997,27 +941,19 @@ def ab_gauge_check(
         passed=passed,
     )
     if shots > 0:
-        stats = {}
         runs = (
             ("baseline_coincidence", baseline, pred0),
             ("kicked_both_coincidence", kicked_both, pred0),
             ("kicked_test_only_coincidence", kicked_test_only, pred2),
         )
         for offset, (name, state, pred) in enumerate(runs):
-            counts = sample_counts(state, specs, shots, seed + offset)
-            n_kept = sum(
-                c for (sa, sb), c in counts.items()
-                if sa != "other" and sb != "other"
+            n_kept, kept = _one_per_site(
+                sample_counts(state, specs, shots, seed + offset)
             )
-            if n_kept == 0:
-                continue
-            freq = (counts[("+", "+")] + counts[("-", "-")]) / n_kept
-            stats[name] = EmpiricalStat(freq, n_kept)
-            report.passed = report.passed and _within_binomial(
-                freq, pred, n_kept
-            )
-        report.empirical.update(stats)
-        if "kicked_both_coincidence" in stats:
+            if n_kept > 0:
+                n_coinc = kept[("+", "+")] + kept[("-", "-")]
+                _record(report, name, n_coinc, n_kept, pred)
+        if "kicked_both_coincidence" in report.empirical:
             report.analytic["kicked_both_coincidence"] = pred0
     return report
 

@@ -118,7 +118,7 @@ def test_criterion_05_coherent_factorization():
 
 def test_criterion_06_fermion_nogo():
     t0 = time.monotonic()
-    r = fermion_nogo(seed=0)
+    r = fermion_nogo()
     assert r.analytic["boson_quadrature_commutator"] < 1e-12
     assert r.analytic["fermion_quadrature_commutator"] >= 0.5
     assert r.analytic["fermion_pair_commutator"] < 1e-12

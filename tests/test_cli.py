@@ -134,6 +134,20 @@ def test_catalog_schema_round_trips_through_config_parsing():
         assert set(parsed) >= set(params)
 
 
+def test_run_accepts_every_registered_parameter(monkeypatch):
+    # each ParamSpec name reaches the run configuration as an option
+    seen = []
+    monkeypatch.setattr("qwave.cli.run", lambda config: seen.append(config) or EXIT_OK)
+    for name, defn in EXPERIMENTS.items():
+        params = {p.name: f"{p.name}-value" for p in defn.params}
+        args = ["run", name, "--seed", "1"]
+        for pname, value in params.items():
+            args += ["--" + pname.replace("_", "-"), value]
+        result = _run_cli(args)
+        assert result.exit_code == EXIT_OK, result.output
+        assert seen.pop().params == params
+
+
 def test_run_config_validation_direct():
     with pytest.raises(ConfigError):
         RunConfig("bell-chain", {"n": "not-an-int"}, shots=0, seed=1).resolve()

@@ -53,6 +53,15 @@ def test_invalid_cutoffs_rejected():
         ModeSpec("b", ModeKind.BOSON, cutoff=0)
 
 
+def test_non_integer_cutoff_rejected_numpy_integer_accepted():
+    for cutoff in (2.5, 2.0, "2", None):
+        with pytest.raises(InvalidCutoffError, match="integer"):
+            boson("a", cutoff)
+    reg = build_register([boson("a", np.int64(2))])
+    assert reg.dim == 3 and type(reg.dim) is int
+    assert vacuum_state(reg).amplitudes[0] == 1.0
+
+
 def test_empty_register_rejected():
     with pytest.raises(ValueError):
         build_register([])

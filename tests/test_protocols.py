@@ -257,14 +257,14 @@ def test_signaling_chain_is_declaration_order_invariant():
 
 
 def test_fermion_nogo_report():
-    r = fermion_nogo(seed=0)
+    r = fermion_nogo()
     assert r.passed
     assert r.analytic["boson_quadrature_commutator"] < 1e-12
     assert r.analytic["fermion_quadrature_commutator"] >= 0.5
     assert r.analytic["fermion_pair_commutator"] < 1e-12
     assert r.analytic["boson_signaling_tvd"] < 1e-10
     assert r.analytic["fermion_signaling_tvd"] > 0.1
-    assert r.exact_only()  # analytic-only protocol
+    assert set(r.analytic) - set(r.empirical)  # analytic-only protocol
 
 
 # --- coherent factorization ------------------------------------------------------
@@ -361,7 +361,7 @@ def test_report_schema_and_flags():
         "analytic", "empirical", "discrepancies", "pass",
     }
     assert d["pass"] is True
-    assert "swap_fidelity" in r.exact_only()
+    assert "swap_fidelity" in set(r.analytic) - set(r.empirical)
     for key, gap in r.discrepancies.items():
         assert gap == abs(r.analytic[key] - r.empirical[key].value)
 
