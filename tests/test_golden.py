@@ -6,14 +6,18 @@ any of them changes the reports users get; if that is intended, say so and
 regenerate every file from the repository root with::
 
     qwave batch tests/golden/batch.json
+
+``catalog.json`` pins the ``qwave list`` output the same way; regenerate it
+with ``qwave list > tests/golden/catalog.json``.
 """
 
 import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
-from qwave.cli import EXIT_OK, RunConfig, run
+from qwave.cli import EXIT_OK, RunConfig, main, run
 
 GOLDEN = Path(__file__).parent / "golden"
 ENTRIES = json.loads((GOLDEN / "batch.json").read_text())
@@ -33,3 +37,9 @@ def test_report_matches_golden_bytes(entry, tmp_path):
     )
     assert run(config) == EXIT_OK
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_catalog_matches_golden_bytes():
+    result = CliRunner().invoke(main, ["list"])
+    assert result.exit_code == EXIT_OK
+    assert result.stdout_bytes == (GOLDEN / "catalog.json").read_bytes()
