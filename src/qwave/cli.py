@@ -10,8 +10,10 @@ error, 4 I/O error. Set QWAVE_LOG=debug|info|warning for logging.
 from __future__ import annotations
 
 import cmath
+import inspect
 import json
 import logging
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -41,8 +43,6 @@ EXIT_IO = 4
 class ParamSpec:
     name: str
     kind: str  # "float" | "int" | "complex" | "choice" | "float_list"
-    required: bool = True
-    default: object = None
     choices: tuple[str, ...] = ()
     help: str = ""
 
@@ -51,7 +51,10 @@ class ParamSpec:
             if self.kind == "float":
                 return _finite(float(raw))
             if self.kind == "int":
-                return int(raw)
+                # int() would truncate 2.9 and accept True; only strings use it
+                if isinstance(raw, bool):
+                    raise TypeError(f"must be an integer, got {raw}")
+                return int(raw) if isinstance(raw, str) else operator.index(raw)
             if self.kind == "complex":
                 return _finite(complex(str(raw).replace(" ", "")))
             if self.kind == "choice":
@@ -67,10 +70,10 @@ class ParamSpec:
             raise ConfigError(f"parameter {self.name!r}: {exc}") from exc
         raise ConfigError(f"parameter {self.name!r}: unknown kind {self.kind!r}")
 
-    def schema(self) -> dict:
-        entry = {"type": self.kind, "required": self.required}
-        if not self.required:
-            entry["default"] = self.default
+    def schema(self, defaults: dict) -> dict:
+        entry = {"type": self.kind, "required": self.name not in defaults}
+        if self.name in defaults:
+            entry["default"] = defaults[self.name]
         if self.choices:
             entry["choices"] = list(self.choices)
         return entry
@@ -84,21 +87,28 @@ def _finite(x):
 
 @dataclass(frozen=True)
 class ExperimentDef:
+    """A registered experiment. Whether the runner takes shots and seed, and
+    each optional parameter's default, are read once from its signature."""
+
     name: str
     runner: Callable[..., ExperimentReport]
     params: tuple[ParamSpec, ...]
-    uses_shots: bool
-    uses_seed: bool
     description: str
     topic: str
+    takes: frozenset[str] = field(init=False)  # subset of {"shots", "seed"}
+    defaults: dict = field(init=False, compare=False)  # optional name -> default
+
+    def __post_init__(self):
+        signature = inspect.signature(self.runner).parameters
+        object.__setattr__(self, "takes", frozenset(signature) & {"shots", "seed"})
+        object.__setattr__(self, "defaults", {
+            name: p.default for name, p in signature.items()
+            if p.default is not p.empty
+        })
 
     def run(self, params: dict, shots: int, seed: int) -> ExperimentReport:
-        kwargs = dict(params)
-        if self.uses_shots:
-            kwargs["shots"] = shots
-        if self.uses_seed:
-            kwargs["seed"] = seed
-        return self.runner(**kwargs)
+        run_args = {"shots": shots, "seed": seed}
+        return self.runner(**params, **{k: run_args[k] for k in self.takes})
 
 
 EXPERIMENTS: dict[str, ExperimentDef] = {}
@@ -112,8 +122,6 @@ _register(ExperimentDef(
     name="photon-swap",
     runner=protocols.photon_swap_experiment,
     params=(ParamSpec("phi", "float", help="relative phase of the split photon"),),
-    uses_shots=True,
-    uses_seed=True,
     description="Swap a split single photon onto two remote two-level atoms "
                 "and read the phase out of transverse-basis coincidences.",
     topic="single-particle entanglement correlations",
@@ -124,13 +132,11 @@ _register(ExperimentDef(
     params=(
         ParamSpec("alpha", "complex", help="coherent drive amplitude"),
         ParamSpec("cutoff", "int", help="field occupation cutoff"),
-        ParamSpec("times", "float_list", required=False, default=None,
+        ParamSpec("times", "float_list",
                   help="comma-separated times; defaults to a quarter-period grid"),
-        ParamSpec("tail_bound", "float", required=False, default=1e-7,
+        ParamSpec("tail_bound", "float",
                   help="allowed occupation tail above the cutoff"),
     ),
-    uses_shots=False,
-    uses_seed=False,
     description="Coherent-field-driven rotation of a two-level system vs the "
                 "classical rotation formula.",
     topic="coherent-state phase reference",
@@ -139,8 +145,6 @@ _register(ExperimentDef(
     name="bell-chain",
     runner=protocols.bell_chain,
     params=(ParamSpec("n", "int", help="half the number of chained relations"),),
-    uses_shots=True,
-    uses_seed=True,
     description="Chained singlet anti-correlations against exhaustively "
                 "enumerated deterministic local assignments.",
     topic="nonlocal correlations without local causes",
@@ -153,8 +157,6 @@ _register(ExperimentDef(
         ParamSpec("statistics", "choice", choices=("boson", "fermion"),
                   help="particle statistics"),
     ),
-    uses_shots=True,
-    uses_seed=True,
     description="Phase readout from local correlations given an auxiliary "
                 "identical particle with known phase.",
     topic="auxiliary-particle phase estimation",
@@ -163,8 +165,6 @@ _register(ExperimentDef(
     name="fermion-nogo",
     runner=protocols.fermion_nogo,
     params=(),
-    uses_shots=False,
-    uses_seed=False,
     description="Quadrature commutators, the fermion-pair loophole and the "
                 "signaling cost of pretending fermionic quadratures are local.",
     topic="fermionic phase obstruction",
@@ -175,11 +175,9 @@ _register(ExperimentDef(
     params=(
         ParamSpec("alpha", "complex", help="delocalized-mode amplitude"),
         ParamSpec("cutoff", "int", help="per-mode occupation cutoff"),
-        ParamSpec("tail_bound", "float", required=False, default=1e-8,
+        ParamSpec("tail_bound", "float",
                   help="allowed occupation tail above the cutoff"),
     ),
-    uses_shots=False,
-    uses_seed=False,
     description="A delocalized-mode coherent state equals a product of local "
                 "coherent states: entanglement-free phase reference.",
     topic="coherent-state phase reference",
@@ -188,8 +186,6 @@ _register(ExperimentDef(
     name="collective-chain",
     runner=protocols.collective_chain,
     params=(ParamSpec("phi", "float", help="phase of the split electron"),),
-    uses_shots=True,
-    uses_seed=True,
     description="Pair-annihilation and post-selection chain transferring a "
                 "split electron's phase to a positron and then to photons "
                 "with a known phase.",
@@ -202,8 +198,6 @@ _register(ExperimentDef(
         ParamSpec("phi", "float", help="phase of the test particle"),
         ParamSpec("kick", "float", help="phase kick applied at site B"),
     ),
-    uses_shots=True,
-    uses_seed=True,
     description="Correlations are unchanged when a potential pulse kicks "
                 "every charge at one site; kicking the test particle alone "
                 "shifts the effective phase.",
@@ -220,9 +214,9 @@ def list_experiments() -> list[dict]:
             "name": defn.name,
             "description": defn.description,
             "topic": defn.topic,
-            "uses_shots": defn.uses_shots,
-            "uses_seed": defn.uses_seed,
-            "params": {p.name: p.schema() for p in defn.params},
+            "uses_shots": "shots" in defn.takes,
+            "uses_seed": "seed" in defn.takes,
+            "params": {p.name: p.schema(defn.defaults) for p in defn.params},
         })
     return catalog
 
@@ -261,12 +255,12 @@ class RunConfig:
         for pname, pspec in schema.items():
             if pname in self.params and self.params[pname] is not None:
                 parsed[pname] = pspec.parse(self.params[pname])
-            elif pspec.required:
+            elif pname not in defn.defaults:
                 raise ConfigError(
                     f"experiment {self.experiment!r} requires parameter {pname!r}"
                 )
-            elif pspec.default is not None:
-                parsed[pname] = pspec.default
+            elif defn.defaults[pname] is not None:
+                parsed[pname] = defn.defaults[pname]
         if self.seed is None:
             raise ConfigError("seed is required (no wall-clock default)")
         # seeds key a Philox generator, whose key range is [0, 2**128)
@@ -451,8 +445,8 @@ def list_command():
 
 @main.command(name="batch")
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--jobs", default=1, type=int, show_default=True,
-              help="parallel runs")
+@click.option("--jobs", default=1, type=click.IntRange(min=1),
+              show_default=True, help="parallel runs (>= 1)")
 def batch_command(config_file, jobs):
     """Run every configuration in a JSON array file."""
     try:
@@ -479,11 +473,8 @@ def batch_command(config_file, jobs):
             format=entry.get("format", "json"),
         ))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(run, configs))
-    else:
-        codes = [run(c) for c in configs]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        codes = list(pool.map(run, configs))
     for config, code in zip(configs, codes):
         status = "ok" if code == EXIT_OK else f"failed({code})"
         click.echo(f"{config.experiment}: {status}", err=True)

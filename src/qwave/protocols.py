@@ -480,11 +480,12 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def _aux_phase_exact(phi: float, kind: ModeKind, order: str):
-    """Exact conditional statistics of the auxiliary-particle experiment.
+    """Register, state, site specs and exact one-per-site table (with its
+    probability) of the auxiliary-particle experiment.
 
     ``order`` picks the declaration order of the four modes, which for
-    fermions permutes the anticommutation bookkeeping; the returned
-    conditional statistics must not depend on it.
+    fermions permutes the anticommutation bookkeeping; the conditional
+    statistics must not depend on it.
     """
     if order == "site":
         labels = ["test_a", "aux_a", "test_b", "aux_b"]
@@ -502,9 +503,14 @@ def _aux_phase_exact(phi: float, kind: ModeKind, order: str):
         plus_minus_basis(reg, "test_b", "aux_b", "site_b"),
     ]
     cond, kept = _one_per_site(joint_distribution(psi, specs))
+    return reg, psi, specs, cond, kept
+
+
+def _conditional_rates(cond: float, kept: dict) -> tuple[float, float]:
+    """Conditional coincidence and anticoincidence of a one-per-site table."""
     coinc = (kept[("+", "+")] + kept[("-", "-")]) / cond
     anti = (kept[("+", "-")] + kept[("-", "+")]) / cond
-    return reg, psi, specs, cond, coinc, anti
+    return coinc, anti
 
 
 def aux_particle_phase(
@@ -522,10 +528,10 @@ def aux_particle_phase(
     """
     phi = phi % TWO_PI
     kind = _statistics_kind(statistics)
-    reg, psi, specs, cond, coinc_exact, anti_exact = _aux_phase_exact(
-        phi, kind, "site"
-    )
-    _, _, _, cond2, coinc2, anti2 = _aux_phase_exact(phi, kind, "species")
+    _, psi, specs, cond, kept = _aux_phase_exact(phi, kind, "site")
+    coinc_exact, anti_exact = _conditional_rates(cond, kept)
+    _, _, _, cond2, kept2 = _aux_phase_exact(phi, kind, "species")
+    coinc2, anti2 = _conditional_rates(cond2, kept2)
     ordering_gap = max(abs(cond - cond2), abs(coinc_exact - coinc2),
                        abs(anti_exact - anti2))
 
@@ -901,7 +907,9 @@ def ab_gauge_check(
     phi = phi % TWO_PI
     kick = kick % TWO_PI
     # the charged reference is the auxiliary particle
-    reg, baseline, specs, _, _, _ = _aux_phase_exact(phi, ModeKind.BOSON, "site")
+    reg, baseline, specs, cond0, kept0 = _aux_phase_exact(
+        phi, ModeKind.BOSON, "site"
+    )
     kicked_test_only = apply(phase_kick(reg, "test_b", kick), baseline)
     kicked_both = apply(phase_kick(reg, "aux_b", kick), kicked_test_only)
 
@@ -909,7 +917,7 @@ def ab_gauge_check(
         cond, kept = _one_per_site(joint_distribution(state, specs))
         return cond, {k: p / cond for k, p in kept.items()}
 
-    cond0, table0 = conditional(baseline)
+    table0 = {k: p / cond0 for k, p in kept0.items()}
     cond1, table1 = conditional(kicked_both)
     cond2, table2 = conditional(kicked_test_only)
     tvd_both = 0.5 * sum(abs(table0[k] - table1[k]) for k in table0)

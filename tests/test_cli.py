@@ -1,9 +1,11 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -148,6 +150,41 @@ def test_run_accepts_every_registered_parameter(monkeypatch):
         assert seen.pop().params == params
 
 
+def test_param_specs_match_runner_signatures():
+    # a spec with no matching argument would only fail at run time
+    for name, defn in EXPERIMENTS.items():
+        arguments = set(inspect.signature(defn.runner).parameters)
+        assert {p.name for p in defn.params} == arguments - {"shots", "seed"}, name
+
+
+@pytest.mark.parametrize("n", [2, "2", " 2 ", np.int64(2), np.int32(2)])
+def test_int_parameter_accepts_integers(n):
+    _, parsed = RunConfig("bell-chain", {"n": n}, shots=0, seed=1).resolve()
+    assert parsed["n"] == 2 and type(parsed["n"]) is int
+
+
+@pytest.mark.parametrize(
+    "n", [2.9, 2.0, True, False, np.float64(2.0), "2.5"],
+    ids=["2.9", "2.0", "True", "False", "float64", "str-2.5"],
+)
+def test_int_parameter_rejects_non_integers(n):
+    with pytest.raises(ConfigError, match="'n'"):
+        RunConfig("bell-chain", {"n": n}, shots=0, seed=1).resolve()
+    with pytest.raises(ConfigError, match="'cutoff'"):
+        RunConfig("rabi", {"alpha": 1, "cutoff": n}, shots=0, seed=1).resolve()
+
+
+def test_batch_with_non_integer_cutoff_exits_config_error(tmp_path):
+    entries = [{"experiment": "rabi", "params": {"alpha": 2, "cutoff": 24.5},
+                "shots": 0, "seed": 1, "out": str(tmp_path / "x.json")}]
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps(entries))
+    result = _run_cli(["batch", str(batch_file)])
+    assert result.exit_code == EXIT_CONFIG
+    assert '"ConfigError"' in result.stderr and "'cutoff'" in result.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_run_config_validation_direct():
     with pytest.raises(ConfigError):
         RunConfig("bell-chain", {"n": "not-an-int"}, shots=0, seed=1).resolve()
@@ -201,6 +238,18 @@ def test_batch_parallel_jobs(tmp_path):
     for n in (2, 3, 4):
         data = json.loads((tmp_path / f"n{n}.json").read_text())
         assert data["analytic"]["lhv_max_satisfied"] == 2 * n - 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_batch_jobs_below_one_exits_config_error(jobs, tmp_path):
+    out = tmp_path / "x.json"
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps([{"experiment": "fermion-nogo", "seed": 1,
+                                       "out": str(out)}]))
+    result = _run_cli(["batch", str(batch_file), "--jobs", jobs])
+    assert result.exit_code == EXIT_CONFIG
+    assert "--jobs" in result.stderr and "Traceback" not in result.output
+    assert not out.exists()
 
 
 def test_batch_propagates_failure(tmp_path):

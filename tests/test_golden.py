@@ -43,3 +43,15 @@ def test_catalog_matches_golden_bytes():
     result = CliRunner().invoke(main, ["list"])
     assert result.exit_code == EXIT_OK
     assert result.stdout_bytes == (GOLDEN / "catalog.json").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_reports_match_golden_bytes_for_any_jobs(jobs, tmp_path):
+    entries = [dict(e, out=str(tmp_path / Path(e["out"]).name)) for e in ENTRIES]
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps(entries))
+    result = CliRunner().invoke(main, ["batch", str(batch_file), "--jobs", jobs])
+    assert result.exit_code == EXIT_OK, result.output
+    for entry in entries:
+        name = Path(entry["out"]).name
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

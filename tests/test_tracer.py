@@ -41,10 +41,15 @@ def test_tracer_binds_existing_names_and_restores_them():
     assert not missing
 
     before = _bindings(modules, names)
+    derived = {k: (d.takes, d.defaults) for k, d in cli.EXPERIMENTS.items()}
     t = tracer.Tracer()
     try:
         t.install()
         installed = _bindings(modules, names)
+        # what the registry read from the runners' signatures outlives the swap
+        assert {k: (d.takes, d.defaults)
+                for k, d in cli.EXPERIMENTS.items()} == derived
+        assert cli.EXPERIMENTS["photon-swap"].run({"phi": 0.5}, 10, 1).shots == 10
     finally:
         t.uninstall()
     assert installed != before
