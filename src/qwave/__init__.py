@@ -57,7 +57,6 @@ from .measurement import (
     vacuum_one_superposition_basis,
 )
 from .operators import (
-    CoherentSpec,
     OperatorMatrix,
     annihilation,
     apply,
@@ -77,7 +76,6 @@ from .operators import (
 from .protocols import (
     EmpiricalStat,
     ExperimentReport,
-    LhvStrategy,
     ab_gauge_check,
     aux_particle_phase,
     bell_chain,

@@ -236,8 +236,9 @@ class RunConfig:
     output_path: str | None = None
     format: str = "json"
 
-    def resolve(self) -> tuple[ExperimentDef, dict]:
-        """Validate against the registry and parse parameter types."""
+    def resolve(self) -> tuple[ExperimentDef, dict, int, int]:
+        """Validate against the registry and parse parameter types, shots
+        and seed; returns the experiment, its parameters, shots and seed."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
@@ -263,31 +264,33 @@ class RunConfig:
                 parsed[pname] = defn.defaults[pname]
         if self.seed is None:
             raise ConfigError("seed is required (no wall-clock default)")
+        seed = ParamSpec("seed", "int").parse(self.seed)
         # seeds key a Philox generator, whose key range is [0, 2**128)
-        if isinstance(self.seed, int) and not 0 <= self.seed < 2**128:
-            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
-        if self.shots is None or self.shots < 0:
+        if not 0 <= seed < 2**128:
+            raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
+        shots = ParamSpec("shots", "int").parse(self.shots)
+        if shots < 0:
             raise ConfigError("shots must be >= 0")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
-        return defn, parsed
+        return defn, parsed, shots, seed
 
 
 def run(config: RunConfig) -> int:
     """Execute one configuration; returns the process exit code."""
     try:
-        defn, params = config.resolve()
+        defn, params, shots, seed = config.resolve()
     except ConfigError as exc:
         _emit_error("ConfigError", EXIT_CONFIG, str(exc))
         return EXIT_CONFIG
     logger.info("running %s params=%s shots=%s seed=%s",
-                config.experiment, params, config.shots, config.seed)
+                config.experiment, params, shots, seed)
     try:
-        report = defn.run(params, config.shots, config.seed)
+        report = defn.run(params, shots, seed)
     except (SimulationError, ValueError) as exc:
         _emit_error(type(exc).__name__, EXIT_PROTOCOL, str(exc))
         return EXIT_PROTOCOL
-    report.seed = config.seed
+    report.seed = seed
     if config.format == "csv":
         text = render_csv(report)
     else:

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,8 +33,6 @@ NORM_ATOL = 1e-10
 #: Largest register dimension accepted. Operators are dense complex
 #: matrices, so a register of this dimension needs 256 MiB per operator.
 MAX_REGISTER_DIM = 4096
-
-Occupation = tuple[int, ...]
 
 
 class ModeKind(Enum):
@@ -136,10 +134,6 @@ class ModeRegister:
         parts = ", ".join(f"{m.label}:{m.kind.value}({m.cutoff})" for m in self.modes)
         return f"ModeRegister[{parts}]"
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(m.label for m in self.modes)
-
     def position(self, label: str) -> int:
         try:
             return self._position[label]
@@ -166,16 +160,9 @@ class ModeRegister:
             return 0
         return int(np.ravel_multi_index(occ, self.dims))
 
-    def occupation_of(self, index: int) -> Occupation:
-        """Inverse of :meth:`index_of`."""
-        if not 0 <= index < self.dim:
-            raise OccupationOutOfRangeError(f"index {index} out of range [0, {self.dim})")
-        if not self.modes:
-            return ()
-        return tuple(int(x) for x in np.unravel_index(index, self.dims))
-
     def occupation_table(self) -> np.ndarray:
-        """All occupations as a (dim, n_modes) int array, row i = occupation_of(i)."""
+        """All occupations as a (dim, n_modes) int array; row i is the
+        occupation of basis index i (the inverse of :meth:`index_of`)."""
         if self._occupations is None:
             if not self.modes:
                 table = np.zeros((1, 0), dtype=np.int64)
@@ -221,9 +208,6 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
         _check_same_register(self.register, other.register)
@@ -232,9 +216,6 @@ class StateVector:
     def fidelity(self, other: "StateVector") -> float:
         """|<self|other>|^2, i.e. agreement up to a global phase."""
         return float(abs(self.overlap(other)) ** 2)
-
-    def amplitude(self, occ: Sequence[int]) -> complex:
-        return complex(self.amplitudes[self.register.index_of(occ)])
 
 
 def from_amplitudes(
@@ -306,24 +287,19 @@ class DensityMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "elements", mat)
 
-    def purity(self) -> float:
-        return float(np.trace(self.elements @ self.elements).real)
-
     def expectation(self, vector: np.ndarray) -> float:
         """<v| rho |v> for a raw complex vector of matching dimension."""
         v = np.asarray(vector, dtype=complex)
         return float(np.real(np.vdot(v, self.elements @ v)))
 
 
-def partial_trace(
-    state: Union[StateVector, DensityMatrix], keep: Iterable[str]
-) -> DensityMatrix:
+def partial_trace(state: StateVector, keep: Iterable[str]) -> DensityMatrix:
     """Reduced density matrix over the kept modes.
 
     Parameters
     ----------
     state:
-        Pure state or density matrix on the full register.
+        Pure state on the full register.
     keep:
         Labels of the modes to keep. The result is ordered by the modes'
         original declaration order, regardless of the order given here.
@@ -335,26 +311,11 @@ def partial_trace(
     keep_pos = sorted(register.position(l) for l in keep)
     drop_pos = [i for i in range(len(register.modes)) if i not in keep_pos]
     sub = register.sub_register(keep)
-
-    if isinstance(state, StateVector):
-        tensor = state.amplitudes.reshape(register.dims)
-        rho = np.tensordot(tensor, tensor.conj(), axes=(drop_pos, drop_pos))
-        # tensordot leaves kept axes of ket then bra; flatten each side
-        rho = rho.reshape(sub.dim, sub.dim)
-        return DensityMatrix(sub, rho)
-
-    n = len(register.modes)
-    tensor = state.elements.reshape(register.dims + register.dims)
-    perm = (
-        keep_pos
-        + [p + n for p in keep_pos]
-        + drop_pos
-        + [p + n for p in drop_pos]
-    )
-    tensor = tensor.transpose(perm)
-    drop_dim = int(np.prod([register.dims[p] for p in drop_pos], initial=1))
-    tensor = tensor.reshape(sub.dim, sub.dim, drop_dim, drop_dim)
-    return DensityMatrix(sub, np.trace(tensor, axis1=2, axis2=3))
+    tensor = state.amplitudes.reshape(register.dims)
+    rho = np.tensordot(tensor, tensor.conj(), axes=(drop_pos, drop_pos))
+    # tensordot leaves kept axes of ket then bra; flatten each side
+    rho = rho.reshape(sub.dim, sub.dim)
+    return DensityMatrix(sub, rho)
 
 
 def _check_same_register(a: ModeRegister, b: ModeRegister) -> None:

@@ -90,10 +90,6 @@ class MeasurementSpec:
     def register(self) -> ModeRegister:
         return self.projectors[0][1].register
 
-    @property
-    def outcome_labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.projectors)
-
     def projector(self, outcome: str) -> OperatorMatrix:
         for label, p in self.projectors:
             if label == outcome:

@@ -40,27 +40,21 @@ class OperatorMatrix:
 
     register: ModeRegister
     elements: np.ndarray
-    hermitian_hint: bool = False
 
     def __post_init__(self):
         mat = np.asarray(self.elements, dtype=complex).copy()
         d = self.register.dim
         if mat.shape != (d, d):
             raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
-        if self.hermitian_hint and np.abs(mat - mat.conj().T).max() > NORM_ATOL:
-            raise NotHermitianError("operator marked hermitian is not")
         mat.flags.writeable = False
         object.__setattr__(self, "elements", mat)
 
     def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.register, self.elements.conj().T, self.hermitian_hint)
-
-    def is_hermitian(self, atol: float = NORM_ATOL) -> bool:
-        return bool(np.abs(self.elements - self.elements.conj().T).max() <= atol)
+        return OperatorMatrix(self.register, self.elements.conj().T)
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition; requires hermiticity."""
-        if not self.is_hermitian():
+        if np.abs(self.elements - self.elements.conj().T).max() > NORM_ATOL:
             raise NotHermitianError("eigendecomposition requires a hermitian operator")
         return np.linalg.eigh(self.elements)
 
@@ -74,32 +68,23 @@ class OperatorMatrix:
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return OperatorMatrix(
-            self.register,
-            self.elements + other.elements,
-            self.hermitian_hint and other.hermitian_hint,
-        )
+        return OperatorMatrix(self.register, self.elements + other.elements)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return OperatorMatrix(
-            self.register,
-            self.elements - other.elements,
-            self.hermitian_hint and other.hermitian_hint,
-        )
+        return OperatorMatrix(self.register, self.elements - other.elements)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        hint = self.hermitian_hint and float(np.imag(scalar)) == 0.0
-        return OperatorMatrix(self.register, self.elements * scalar, hint)
+        return OperatorMatrix(self.register, self.elements * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.register, -self.elements, self.hermitian_hint)
+        return OperatorMatrix(self.register, -self.elements)
 
 
 def identity(register: ModeRegister) -> OperatorMatrix:
-    return OperatorMatrix(register, np.eye(register.dim, dtype=complex), True)
+    return OperatorMatrix(register, np.eye(register.dim, dtype=complex))
 
 
 def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> np.ndarray:
@@ -169,7 +154,7 @@ def creation(register: ModeRegister, mode: str) -> OperatorMatrix:
 
 def number_operator(register: ModeRegister, mode: str) -> OperatorMatrix:
     n = np.arange(register.mode(mode).dim)
-    return OperatorMatrix(register, embed(register, {mode: np.diag(n)}), True)
+    return OperatorMatrix(register, embed(register, {mode: np.diag(n)}))
 
 
 def quadrature(register: ModeRegister, mode: str) -> OperatorMatrix:
@@ -179,7 +164,7 @@ def quadrature(register: ModeRegister, mode: str) -> OperatorMatrix:
     distinct fermion modes do not commute; bosonic ones do.
     """
     a = annihilation(register, mode)
-    return OperatorMatrix(register, a.elements + a.elements.conj().T, True)
+    return OperatorMatrix(register, a.elements + a.elements.conj().T)
 
 
 def pair_exchange(register: ModeRegister, mode1: str, mode2: str) -> OperatorMatrix:
@@ -192,7 +177,7 @@ def pair_exchange(register: ModeRegister, mode1: str, mode2: str) -> OperatorMat
     x = annihilation(register, mode1)
     y = annihilation(register, mode2)
     t = x.elements.conj().T @ y.elements
-    return OperatorMatrix(register, t + t.conj().T, True)
+    return OperatorMatrix(register, t + t.conj().T)
 
 
 def swap_coupler(
@@ -212,7 +197,7 @@ def swap_coupler(
         raise KindMismatchError(f"{twolevel_mode!r} must be two-level, is {tk.value}")
     raise_field = _lowering(register.mode(boson_mode).dim).T
     h = embed(register, {boson_mode: raise_field, twolevel_mode: _lowering(2)})
-    return OperatorMatrix(register, strength * (h + h.conj().T), True)
+    return OperatorMatrix(register, strength * (h + h.conj().T))
 
 
 def nucleon_coupler(
@@ -225,15 +210,6 @@ def nucleon_coupler(
     must be bosonic and the nucleon mode two-level.
     """
     return swap_coupler(register, meson_mode, nucleon_mode, strength)
-
-
-@dataclass(frozen=True)
-class CoherentSpec:
-    """Coherent-state request: amplitude, target mode, allowed truncation tail."""
-
-    alpha: complex
-    mode: str
-    cutoff_tail_bound: float = 1e-8
 
 
 def poisson_tail(alpha: complex, cutoff: int) -> float:
@@ -258,24 +234,26 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return np.exp(log_mag) * np.exp(1j * phase)
 
 
-def coherent_state(register: ModeRegister, spec: CoherentSpec) -> StateVector:
+def coherent_state(
+    register: ModeRegister, mode: str, alpha: complex, tail_bound: float
+) -> StateVector:
     """Truncated, renormalized coherent state on one bosonic mode.
 
     Fails loudly (TailBoundExceededError) if the Poisson occupation tail
-    above the mode cutoff exceeds ``spec.cutoff_tail_bound``; silent
-    truncation would corrupt the rotation-rate guarantees downstream.
+    above the mode cutoff exceeds ``tail_bound``; silent truncation would
+    corrupt the rotation-rate guarantees downstream.
     """
-    p = register.position(spec.mode)
+    p = register.position(mode)
     mspec = register.modes[p]
     if mspec.kind is not ModeKind.BOSON:
-        raise KindMismatchError(f"{spec.mode!r} must be bosonic for a coherent state")
-    tail = poisson_tail(spec.alpha, mspec.cutoff)
-    if tail > spec.cutoff_tail_bound:
+        raise KindMismatchError(f"{mode!r} must be bosonic for a coherent state")
+    tail = poisson_tail(alpha, mspec.cutoff)
+    if tail > tail_bound:
         raise TailBoundExceededError(
             f"occupation tail {tail:.3e} above cutoff {mspec.cutoff} exceeds "
-            f"bound {spec.cutoff_tail_bound:.3e} for alpha={spec.alpha}"
+            f"bound {tail_bound:.3e} for alpha={alpha}"
         )
-    mode_amps = coherent_amplitudes(spec.alpha, mspec.cutoff)
+    mode_amps = coherent_amplitudes(alpha, mspec.cutoff)
     mode_amps = mode_amps / np.linalg.norm(mode_amps)
     amps = np.zeros(register.dims, dtype=complex)
     only_this_mode = [0] * len(register.dims)

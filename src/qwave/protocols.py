@@ -64,7 +64,6 @@ from .measurement import (
     vacuum_one_superposition_basis,
 )
 from .operators import (
-    CoherentSpec,
     OperatorMatrix,
     annihilation,
     apply,
@@ -135,13 +134,6 @@ class ExperimentReport:
         }
 
 
-def _within_binomial(freq: float, p: float, count: int, n_sigma: float = 5.0) -> bool:
-    if count <= 0:
-        return False
-    sigma = math.sqrt(max(p * (1.0 - p), 0.0) / count)
-    return abs(freq - p) <= n_sigma * sigma + 1e-15
-
-
 def _record(
     report: ExperimentReport, name: str, hits: int, count: int, p: float
 ) -> None:
@@ -149,7 +141,8 @@ def _record(
     it within 5 sigma of the predicted probability p."""
     freq = hits / count
     report.empirical[name] = EmpiricalStat(freq, count)
-    report.passed = report.passed and _within_binomial(freq, p, count)
+    sigma = math.sqrt(max(p * (1.0 - p), 0.0) / count)
+    report.passed = report.passed and abs(freq - p) <= 5.0 * sigma + 1e-15
 
 
 def _one_per_site(table: dict) -> tuple:
@@ -159,17 +152,13 @@ def _one_per_site(table: dict) -> tuple:
     return sum(kept.values()), kept
 
 
-def coincidence_rate(phi: float, exchange_sign: float = 1.0) -> float:
+def coincidence_rate(phi: float, exchange_sign: float) -> float:
     """|1 + x e^{i phi}|^2 / 4: coincidence rate of the split-particle
     correlation experiments, x being the exchange sign of the statistics."""
     return float(abs(1.0 + exchange_sign * np.exp(1j * phi)) ** 2) / 4.0
 
 
-def _statistics_kind(statistics) -> ModeKind:
-    if isinstance(statistics, ModeKind):
-        if statistics is ModeKind.TWO_LEVEL:
-            raise ValueError("statistics must be boson or fermion")
-        return statistics
+def _statistics_kind(statistics: str) -> ModeKind:
     key = str(statistics).strip().lower()
     if key == "boson":
         return ModeKind.BOSON
@@ -310,13 +299,15 @@ def rabi_rotation(
     if mag <= 0.0:
         raise ValueError("alpha must be nonzero for a rotation rate")
     reg = build_register([boson("field", cutoff), two_level("atom")])
-    psi0 = coherent_state(reg, CoherentSpec(alpha, "field", tail_bound))
+    psi0 = coherent_state(reg, "field", alpha, tail_bound)
     h = swap_coupler(reg, "field", "atom", 1.0)
 
     t_end = math.pi / (2.0 * mag)
     if times is None:
         times = np.linspace(0.0, t_end, 65)
     times = [float(t) for t in times]
+    if not times:
+        raise ValueError("times must not be empty")
     if any(t < 0.0 for t in times):
         raise ValueError("times must be nonnegative")
 
@@ -365,40 +356,6 @@ def rabi_rotation(
 # ---------------------------------------------------------------------------
 # chained spin correlations vs deterministic local assignments
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LhvStrategy:
-    """Deterministic +/-1 assignment to every measurement direction.
-
-    ``site_a`` holds values for the even direction indices 0, 2, ..., 2N
-    (N + 1 entries) and ``site_b`` for the odd ones (N entries). The last
-    site-A entry must equal minus the first: the two directions differ by a
-    half turn, so the same physical measurement reports the opposite sign.
-    """
-
-    site_a: tuple[int, ...]
-    site_b: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.site_a) != len(self.site_b) + 1:
-            raise ValueError("site_a needs exactly one more entry than site_b")
-        for v in self.site_a + self.site_b:
-            if v not in (-1, 1):
-                raise ValueError("assignments must be +1 or -1")
-        if self.site_a[-1] != -self.site_a[0]:
-            raise ValueError("half-turn direction must carry the opposite sign")
-
-    def satisfied_relations(self) -> int:
-        """How many of the 2N chained anti-correlation relations hold."""
-        n = len(self.site_b)
-        count = 0
-        for m in range(n):
-            if self.site_a[m] == -self.site_b[m]:
-                count += 1
-            if self.site_a[m + 1] == -self.site_b[m]:
-                count += 1
-        return count
-
 
 def lhv_max_satisfied(n: int) -> int:
     """Exhaustive maximum of satisfied relations over all 2^(2n) strategies."""
@@ -479,18 +436,20 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
 # phase readout with an auxiliary identical particle
 # ---------------------------------------------------------------------------
 
-def _aux_phase_exact(phi: float, kind: ModeKind, order: str):
+#: Declaration orders of the auxiliary-particle experiment's four modes,
+#: grouped by site and grouped by species.
+_AUX_SITE_ORDER = ("test_a", "aux_a", "test_b", "aux_b")
+_AUX_SPECIES_ORDER = ("test_a", "test_b", "aux_a", "aux_b")
+
+
+def _aux_phase_exact(phi: float, kind: ModeKind, labels: Sequence[str]):
     """Register, state, site specs and exact one-per-site table (with its
     probability) of the auxiliary-particle experiment.
 
-    ``order`` picks the declaration order of the four modes, which for
+    ``labels`` is the declaration order of the four modes, which for
     fermions permutes the anticommutation bookkeeping; the conditional
     statistics must not depend on it.
     """
-    if order == "site":
-        labels = ["test_a", "aux_a", "test_b", "aux_b"]
-    else:
-        labels = ["test_a", "test_b", "aux_a", "aux_b"]
     if kind is ModeKind.FERMION:
         make = fermion
     else:
@@ -514,7 +473,7 @@ def _conditional_rates(cond: float, kept: dict) -> tuple[float, float]:
 
 
 def aux_particle_phase(
-    phi: float, statistics, shots: int, seed: int
+    phi: float, statistics: str, shots: int, seed: int
 ) -> ExperimentReport:
     """Recover the split-particle phase from local correlations, given an
     auxiliary identical particle in a known zero-phase superposition.
@@ -528,9 +487,9 @@ def aux_particle_phase(
     """
     phi = phi % TWO_PI
     kind = _statistics_kind(statistics)
-    _, psi, specs, cond, kept = _aux_phase_exact(phi, kind, "site")
+    _, psi, specs, cond, kept = _aux_phase_exact(phi, kind, _AUX_SITE_ORDER)
     coinc_exact, anti_exact = _conditional_rates(cond, kept)
-    _, _, _, cond2, kept2 = _aux_phase_exact(phi, kind, "species")
+    _, _, _, cond2, kept2 = _aux_phase_exact(phi, kind, _AUX_SPECIES_ORDER)
     coinc2, anti2 = _conditional_rates(cond2, kept2)
     ordering_gap = max(abs(cond - cond2), abs(coinc_exact - coinc2),
                        abs(anti_exact - anti2))
@@ -833,7 +792,7 @@ def _superposition_reset(reg: ModeRegister, mode: str) -> OperatorMatrix:
     """Unitary taking (|0> +/- |1>)/sqrt(2) to |0> and |1> on a cutoff-1
     mode: resets a mode collapsed by a superposition-basis measurement."""
     s = 1.0 / math.sqrt(2.0)
-    return OperatorMatrix(reg, embed(reg, {mode: np.array([[s, s], [s, -s]])}), True)
+    return OperatorMatrix(reg, embed(reg, {mode: np.array([[s, s], [s, -s]])}))
 
 
 def collective_chain(phi: float, shots: int, seed: int) -> ExperimentReport:
@@ -908,7 +867,7 @@ def ab_gauge_check(
     kick = kick % TWO_PI
     # the charged reference is the auxiliary particle
     reg, baseline, specs, cond0, kept0 = _aux_phase_exact(
-        phi, ModeKind.BOSON, "site"
+        phi, ModeKind.BOSON, _AUX_SITE_ORDER
     )
     kicked_test_only = apply(phase_kick(reg, "test_b", kick), baseline)
     kicked_both = apply(phase_kick(reg, "aux_b", kick), kicked_test_only)

@@ -131,7 +131,7 @@ def test_catalog_schema_round_trips_through_config_parsing():
             elif schema["type"] == "choice":
                 params[pname] = schema["choices"][0]
         config = RunConfig(entry["name"], params, shots=0, seed=1)
-        defn, parsed = config.resolve()
+        defn, parsed, _, _ = config.resolve()
         assert defn.name == entry["name"]
         assert set(parsed) >= set(params)
 
@@ -159,7 +159,7 @@ def test_param_specs_match_runner_signatures():
 
 @pytest.mark.parametrize("n", [2, "2", " 2 ", np.int64(2), np.int32(2)])
 def test_int_parameter_accepts_integers(n):
-    _, parsed = RunConfig("bell-chain", {"n": n}, shots=0, seed=1).resolve()
+    _, parsed, _, _ = RunConfig("bell-chain", {"n": n}, shots=0, seed=1).resolve()
     assert parsed["n"] == 2 and type(parsed["n"]) is int
 
 
@@ -172,6 +172,47 @@ def test_int_parameter_rejects_non_integers(n):
         RunConfig("bell-chain", {"n": n}, shots=0, seed=1).resolve()
     with pytest.raises(ConfigError, match="'cutoff'"):
         RunConfig("rabi", {"alpha": 1, "cutoff": n}, shots=0, seed=1).resolve()
+
+
+@pytest.mark.parametrize("value", [7, "7", np.int64(7)],
+                         ids=["int", "str", "int64"])
+def test_shots_and_seed_accept_integers(value):
+    _, _, shots, seed = RunConfig(
+        "bell-chain", {"n": 2}, shots=value, seed=value
+    ).resolve()
+    assert shots == seed == 7 and type(shots) is int and type(seed) is int
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, 2.0, True, "2.5", None],
+    ids=["1.5", "2.0", "True", "str-2.5", "None"],
+)
+def test_shots_and_seed_reject_non_integers(value):
+    with pytest.raises(ConfigError, match="'shots'"):
+        RunConfig("bell-chain", {"n": 2}, shots=value, seed=1).resolve()
+    if value is not None:  # a missing seed has its own message
+        with pytest.raises(ConfigError, match="'seed'"):
+            RunConfig("bell-chain", {"n": 2}, shots=0, seed=value).resolve()
+
+
+def test_batch_with_non_integer_seed_exits_config_error(tmp_path):
+    entries = [{"experiment": "photon-swap", "params": {"phi": 0.5},
+                "shots": 100, "seed": 1.5, "out": str(tmp_path / "x.json")}]
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps(entries))
+    result = _run_cli(["batch", str(batch_file)])
+    assert result.exit_code == EXIT_CONFIG
+    assert '"ConfigError"' in result.stderr and "'seed'" in result.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_run_reports_the_parsed_seed(tmp_path):
+    out = tmp_path / "x.json"
+    config = RunConfig("photon-swap", {"phi": 0.5}, shots="100", seed="7",
+                       output_path=str(out))
+    assert run(config) == EXIT_OK
+    data = json.loads(out.read_text())
+    assert data["seed"] == 7 and data["shots"] == 100
 
 
 def test_batch_with_non_integer_cutoff_exits_config_error(tmp_path):
@@ -270,6 +311,17 @@ def test_times_and_complex_alpha_parse(tmp_path):
     data = json.loads(out.read_text())
     assert data["params"]["times"] == [0.0, 0.2, 0.5]
     assert complex(data["params"]["alpha"]) == 1 + 1j
+
+
+@pytest.mark.parametrize("times", [",", ""])
+def test_rabi_with_empty_times_exits_protocol_error(times):
+    result = _run_cli(["run", "rabi", "--alpha", "2", "--cutoff", "24",
+                       "--times", times, "--seed", "1"])
+    assert result.exit_code == EXIT_PROTOCOL
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "ValueError" and "empty" in error["message"]
+    assert run(RunConfig("rabi", {"alpha": 2, "cutoff": 24, "times": []},
+                         shots=0, seed=1)) == EXIT_PROTOCOL
 
 
 def test_run_without_out_prints_to_stdout():

@@ -1,11 +1,12 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from qwave import (
-    LhvStrategy,
+    ModeKind,
     NTooLargeError,
     TailBoundExceededError,
     ab_gauge_check,
@@ -130,6 +131,41 @@ def test_bell_chain_bounds():
         bell_chain(9, 0, 0)
 
 
+@dataclass(frozen=True)
+class LhvStrategy:
+    """Deterministic +/-1 assignment to every measurement direction: the
+    scalar oracle for the vectorized ``lhv_max_satisfied``.
+
+    ``site_a`` holds values for the even direction indices 0, 2, ..., 2N
+    (N + 1 entries) and ``site_b`` for the odd ones (N entries). The last
+    site-A entry must equal minus the first: the two directions differ by a
+    half turn, so the same physical measurement reports the opposite sign.
+    """
+
+    site_a: tuple[int, ...]
+    site_b: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.site_a) != len(self.site_b) + 1:
+            raise ValueError("site_a needs exactly one more entry than site_b")
+        for v in self.site_a + self.site_b:
+            if v not in (-1, 1):
+                raise ValueError("assignments must be +1 or -1")
+        if self.site_a[-1] != -self.site_a[0]:
+            raise ValueError("half-turn direction must carry the opposite sign")
+
+    def satisfied_relations(self) -> int:
+        """How many of the 2N chained anti-correlation relations hold."""
+        n = len(self.site_b)
+        count = 0
+        for m in range(n):
+            if self.site_a[m] == -self.site_b[m]:
+                count += 1
+            if self.site_a[m + 1] == -self.site_b[m]:
+                count += 1
+        return count
+
+
 def test_lhv_strategy_oracle_matches_enumeration():
     # brute-force over explicit strategy objects reproduces the vectorized
     # enumeration maximum
@@ -203,13 +239,25 @@ def test_aux_phase_rejects_unknown_statistics():
         aux_particle_phase(0.0, "anyon", shots=0, seed=0)
 
 
-def test_aux_phase_accepts_mode_kind():
-    from qwave import ModeKind
-
-    r = aux_particle_phase(0.5, ModeKind.FERMION, shots=0, seed=0)
-    assert r.params["statistics"] == "fermion"
-    with pytest.raises(ValueError):
-        aux_particle_phase(0.5, ModeKind.TWO_LEVEL, shots=0, seed=0)
+@pytest.mark.parametrize("kind", [ModeKind.BOSON, ModeKind.FERMION],
+                         ids=["boson", "fermion"])
+def test_aux_phase_invariant_under_every_declaration_order(kind):
+    # all 4! orders of the four modes give the site order's one-per-site
+    # probability and conditional table; for fermions, orders whose sign
+    # strings cross a site leave that site's spec without a site tag
+    site_order = protocols._AUX_SITE_ORDER
+    untagged = 0
+    for phi in (0.0, 0.7, math.pi, 2.5):
+        _, _, _, cond0, kept0 = protocols._aux_phase_exact(phi, kind, site_order)
+        for labels in itertools.permutations(site_order):
+            _, _, specs, cond, kept = protocols._aux_phase_exact(phi, kind, labels)
+            untagged += sum(spec.site is None for spec in specs)
+            assert abs(cond - cond0) < 1e-12
+            assert kept.keys() == kept0.keys()
+            for outcome, p in kept0.items():
+                assert abs(kept[outcome] / cond - p / cond0) < 1e-12
+    if kind is ModeKind.BOSON:
+        assert untagged == 0
 
 
 # --- fermion no-go --------------------------------------------------------------
