@@ -237,13 +237,18 @@ class RunConfig:
     format: str = "json"
 
     def resolve(self) -> tuple[ExperimentDef, dict, int, int]:
-        """Validate against the registry and parse parameter types, shots
-        and seed; returns the experiment, its parameters, shots and seed."""
-        if self.experiment not in EXPERIMENTS:
+        """Validate every field and parse parameter types, shots and seed;
+        returns the experiment, the parameters given, shots and seed. The
+        runner supplies the defaults of parameters left out."""
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
                 f"known: {sorted(EXPERIMENTS)}"
             )
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be an object, got {self.params!r}")
+        if not isinstance(self.output_path, (str, os.PathLike, type(None))):
+            raise ConfigError(f"out must be a file path, got {self.output_path!r}")
         defn = EXPERIMENTS[self.experiment]
         schema = {p.name: p for p in defn.params}
         unknown = sorted(set(self.params) - set(schema))
@@ -254,14 +259,12 @@ class RunConfig:
             )
         parsed = {}
         for pname, pspec in schema.items():
-            if pname in self.params and self.params[pname] is not None:
+            if self.params.get(pname) is not None:
                 parsed[pname] = pspec.parse(self.params[pname])
             elif pname not in defn.defaults:
                 raise ConfigError(
                     f"experiment {self.experiment!r} requires parameter {pname!r}"
                 )
-            elif defn.defaults[pname] is not None:
-                parsed[pname] = defn.defaults[pname]
         if self.seed is None:
             raise ConfigError("seed is required (no wall-clock default)")
         seed = ParamSpec("seed", "int").parse(self.seed)
@@ -274,6 +277,25 @@ class RunConfig:
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
         return defn, parsed, shots, seed
+
+
+#: The keys of a run object (a batch entry, or the options of ``qwave run``)
+#: and the RunConfig field each one sets.
+_RUN_KEYS = {"experiment": "experiment", "params": "params", "shots": "shots",
+             "seed": "seed", "out": "output_path", "format": "format"}
+
+
+def _run_config(entry, where: str) -> RunConfig:
+    """The RunConfig of one run object; ``where`` names it in errors. Only
+    the keys are checked here: ``RunConfig.resolve`` checks the values."""
+    if not isinstance(entry, dict) or "experiment" not in entry:
+        raise ConfigError(f"{where} must be an object with 'experiment'")
+    unknown = sorted(set(entry) - set(_RUN_KEYS))
+    if unknown:
+        raise ConfigError(
+            f"{where} has unknown keys {unknown}; known: {sorted(_RUN_KEYS)}"
+        )
+    return RunConfig(**{_RUN_KEYS[key]: value for key, value in entry.items()})
 
 
 def run(config: RunConfig) -> int:
@@ -420,23 +442,20 @@ def _parameter_options(command):
 @main.command(name="run")
 @click.argument("experiment")
 @_parameter_options
-@click.option("--shots", default=0, type=int, show_default=True,
-              help="number of sampled shots (0 = analytic only)")
-@click.option("--seed", default=None, type=int, help="experiment seed (required)")
-@click.option("--out", "out", default=None, help="output file (default stdout)")
-@click.option("--format", "fmt", default="json",
-              type=click.Choice(["json", "csv"]), show_default=True)
-def run_command(experiment, shots, seed, out, fmt, **raw_params):
+@click.option("--shots", help="number of sampled shots, 0 for analytic only "
+                             f"[default: {RunConfig.shots}]")
+@click.option("--seed", help="experiment seed (required)")
+@click.option("--out", help="output file (default stdout)")
+@click.option("--format", "fmt",
+              help=f"json or csv [default: {RunConfig.format}]")
+def run_command(experiment, shots, seed, out, fmt, **params):
     """Run one experiment and write its report."""
-    params = {k: v for k, v in raw_params.items() if v is not None}
-    config = RunConfig(
-        experiment=experiment,
-        params=params,
-        shots=shots,
-        seed=seed,
-        output_path=out,
-        format=fmt,
-    )
+    # options not given are None and left out; RunConfig.resolve parses the rest
+    entry = {"experiment": experiment, "shots": shots, "seed": seed,
+             "out": out, "format": fmt,
+             "params": {k: v for k, v in params.items() if v is not None}}
+    config = _run_config({k: v for k, v in entry.items() if v is not None},
+                         "qwave run")
     sys.exit(run(config))
 
 
@@ -461,20 +480,12 @@ def batch_command(config_file, jobs):
         _emit_error("ConfigError", EXIT_CONFIG, f"bad batch file: {exc}")
         sys.exit(EXIT_CONFIG)
 
-    configs = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "experiment" not in entry:
-            _emit_error("ConfigError", EXIT_CONFIG,
-                        f"batch entry {i} must be an object with 'experiment'")
-            sys.exit(EXIT_CONFIG)
-        configs.append(RunConfig(
-            experiment=entry["experiment"],
-            params=entry.get("params", {}),
-            shots=entry.get("shots", 0),
-            seed=entry.get("seed"),
-            output_path=entry.get("out"),
-            format=entry.get("format", "json"),
-        ))
+    try:
+        configs = [_run_config(entry, f"batch entry {i}")
+                   for i, entry in enumerate(entries)]
+    except ConfigError as exc:
+        _emit_error("ConfigError", EXIT_CONFIG, str(exc))
+        sys.exit(EXIT_CONFIG)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         codes = list(pool.map(run, configs))

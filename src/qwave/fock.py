@@ -203,7 +203,7 @@ class StateVector:
                 f"amplitude vector has shape {amps.shape}, expected ({self.register.dim},)"
             )
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > NORM_ATOL:
+        if not abs(nrm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
             raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -276,13 +276,13 @@ class DensityMatrix:
         d = self.register.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
-        if np.abs(mat - mat.conj().T).max() > NORM_ATOL:
+        if not np.abs(mat - mat.conj().T).max() <= NORM_ATOL:
             raise ValueError("density matrix not hermitian")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > NORM_ATOL:
+        if not abs(tr - 1.0) <= NORM_ATOL:
             raise ValueError(f"density matrix trace {tr} != 1")
         evals = np.linalg.eigvalsh(mat)
-        if evals.min() < -NORM_ATOL:
+        if not evals.min() >= -NORM_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
         mat.flags.writeable = False
         object.__setattr__(self, "elements", mat)

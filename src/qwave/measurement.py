@@ -45,7 +45,8 @@ class MeasurementSpec:
     """Labeled complete set of orthogonal projectors, optionally site-tagged.
 
     Validation: every projector is hermitian and idempotent, distinct
-    projectors are orthogonal and together they sum to the identity. When
+    projectors are orthogonal and together they sum to the identity (a NaN
+    entry fails each of these checks). When
     ``site`` is set the projectors are also guaranteed to act as the
     identity on every mode outside that site; constructors leave the tag
     unset for constructions that fail this check (fermionic sign strings
@@ -66,21 +67,23 @@ class MeasurementSpec:
         mats = [p.elements for _, p in self.projectors]
         for (label, p), m in zip(self.projectors, mats):
             _check_same_register(reg, p.register)
-            if np.abs(m - m.conj().T).max() > PROJECTOR_ATOL:
+            if not np.abs(m - m.conj().T).max() <= PROJECTOR_ATOL:
                 raise ValueError(f"projector {label!r} of {self.name!r} not hermitian")
-            if np.abs(m @ m - m).max() > PROJECTOR_ATOL:
+            if not np.abs(m @ m - m).max() <= PROJECTOR_ATOL:
                 raise ValueError(f"projector {label!r} of {self.name!r} not idempotent")
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                if np.abs(mats[i] @ mats[j]).max() > PROJECTOR_ATOL:
+                if not np.abs(mats[i] @ mats[j]).max() <= PROJECTOR_ATOL:
                     raise ValueError(
                         f"projectors {labels[i]!r}, {labels[j]!r} of "
                         f"{self.name!r} not orthogonal"
                     )
         total = sum(mats)
-        if np.abs(total - np.eye(reg.dim)).max() > PROJECTOR_ATOL:
+        if not np.abs(total - np.eye(reg.dim)).max() <= PROJECTOR_ATOL:
             raise ValueError(f"projectors of {self.name!r} do not sum to identity")
-        if self.site is not None and site_locality_gap(self) > PROJECTOR_ATOL:
+        if self.site is not None and not (
+            site_locality_gap(self) <= PROJECTOR_ATOL
+        ):
             raise ValueError(
                 f"{self.name!r} tagged site {self.site.value} but its projectors "
                 f"act outside that site"
@@ -253,7 +256,7 @@ def _check_commuting(specs: list[MeasurementSpec]) -> None:
             for _, p in specs[i].projectors:
                 for _, q in specs[j].projectors:
                     c = p.elements @ q.elements - q.elements @ p.elements
-                    if np.abs(c).max() > PROJECTOR_ATOL:
+                    if not np.abs(c).max() <= PROJECTOR_ATOL:
                         raise NonCommutingSpecsError(
                             f"{specs[i].name!r} and {specs[j].name!r} do not "
                             f"commute; no joint distribution exists"
@@ -295,11 +298,12 @@ def _draw(
     if shots == 0:
         return names, combos, np.zeros(0, dtype=np.intp)
     probs = np.array([dist[c] for c in combos])
-    if probs.min() < -PROJECTOR_ATOL:
+    # written so that a NaN probability fails both checks
+    if not probs.min() >= -PROJECTOR_ATOL:
         raise SimulationError(
             f"joint probability {probs.min():.3e} is below -{PROJECTOR_ATOL:.0e}"
         )
-    if abs(probs.sum() - 1.0) > _TOTAL_PROBABILITY_ATOL:
+    if not abs(probs.sum() - 1.0) <= _TOTAL_PROBABILITY_ATOL:
         raise SimulationError(
             f"joint probabilities sum to 1 + {probs.sum() - 1.0:.3e}, beyond "
             f"the bound {_TOTAL_PROBABILITY_ATOL:.0e}"

@@ -54,7 +54,8 @@ class OperatorMatrix:
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition; requires hermiticity."""
-        if np.abs(self.elements - self.elements.conj().T).max() > NORM_ATOL:
+        gap = np.abs(self.elements - self.elements.conj().T).max()
+        if not gap <= NORM_ATOL:  # a NaN gap fails too
             raise NotHermitianError("eigendecomposition requires a hermitian operator")
         return np.linalg.eigh(self.elements)
 

@@ -688,22 +688,23 @@ def coherent_factorization(
 # pair annihilation, post-selection and the recycled-phase chain
 # ---------------------------------------------------------------------------
 
-def _collective_setup(order: str):
+#: Declaration orders of the collective chain's six modes, grouped by site
+#: and grouped by species.
+_CHAIN_SITE_ORDER = ("el_a", "pos_a", "ph_a", "el_b", "pos_b", "ph_b")
+_CHAIN_SPECIES_ORDER = ("el_a", "el_b", "pos_a", "pos_b", "ph_a", "ph_b")
+
+#: The chain's modes by label: fermionic electrons and positrons, and
+#: photon modes holding at most one photon.
+_CHAIN_MODES = {spec.label: spec for spec in (
+    fermion("el_a", Site.A), fermion("pos_a", Site.A), boson("ph_a", 1, Site.A),
+    fermion("el_b", Site.B), fermion("pos_b", Site.B), boson("ph_b", 1, Site.B),
+)}
+
+
+def _collective_setup(labels: Sequence[str]):
     """Register, annihilation coupler and lepton-absence measurement of the
-    collective chain, for one mode declaration order."""
-    if order == "site":
-        labels = ["el_a", "pos_a", "ph_a", "el_b", "pos_b", "ph_b"]
-    else:
-        labels = ["el_a", "el_b", "pos_a", "pos_b", "ph_a", "ph_b"]
-    site_of = {
-        "el_a": Site.A, "pos_a": Site.A, "ph_a": Site.A,
-        "el_b": Site.B, "pos_b": Site.B, "ph_b": Site.B,
-    }
-    def make(label):
-        if label.startswith("ph"):
-            return boson(label, 1, site_of[label])
-        return fermion(label, site_of[label])
-    reg = build_register([make(l) for l in labels])
+    collective chain, with its modes declared in the order ``labels``."""
+    reg = build_register([_CHAIN_MODES[label] for label in labels])
 
     def coupler(site: str) -> OperatorMatrix:
         h = (
@@ -721,12 +722,12 @@ def _collective_setup(order: str):
 
 
 def _collective_exact(
-    phi: float, order: str
+    phi: float, labels: Sequence[str]
 ) -> tuple[dict[str, float], StateVector, MeasurementSpec]:
     """Exact quantities of the collective chain for one declaration order,
     with the direct variant's state before post-selection and the
     lepton-absence measurement that post-selects it."""
-    reg, h_total, lepton_spec = _collective_setup(order)
+    reg, h_total, lepton_spec = _collective_setup(labels)
     quarter = math.pi / 2.0
     vac = vacuum_state(reg)
     out: dict[str, float] = {}
@@ -812,8 +813,8 @@ def collective_chain(phi: float, shots: int, seed: int) -> ExperimentReport:
     post-selection probability 1/2.
     """
     phi = phi % TWO_PI
-    out, direct, lepton_spec = _collective_exact(phi, "site")
-    alt, _, _ = _collective_exact(phi, "species")
+    out, direct, lepton_spec = _collective_exact(phi, _CHAIN_SITE_ORDER)
+    alt, _, _ = _collective_exact(phi, _CHAIN_SPECIES_ORDER)
     ordering_gap = max(abs(out[k] - alt[k]) for k in out)
 
     passed = (

@@ -431,3 +431,53 @@ def test_batch_with_negative_seed_exits_config_error(tmp_path):
     result = _run_cli(["batch", str(batch_file)])
     assert result.exit_code == EXIT_CONFIG
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"experiment": "bell-chain", "params": None, "seed": 1,
+         "out": "x.json"},
+        {"experiment": ["x"], "seed": 1, "out": "x.json"},
+        {"experiment": "bell-chain", "params": {"n": 2}, "seed": 1, "out": 5},
+        {"experiment": "bell-chain", "params": {"n": 2}, "seed": 1,
+         "out": True},
+        {"experiment": "bell-chain", "params": {"n": 2}, "shot": 1000,
+         "seed": 1, "out": "x.json"},
+    ],
+    ids=["params-null", "experiment-list", "out-int", "out-true", "shot-key"],
+)
+def test_batch_rejects_bad_entry_and_keeps_stdout(entry, tmp_path):
+    # a fresh process, so a stray open() of fd 1 or fd 5 would show
+    batch = [entry, {"experiment": "fermion-nogo", "seed": 1}]
+    (tmp_path / "batch.json").write_text(json.dumps(batch))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwave.cli", "batch", "batch.json"],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    error, _ = json.JSONDecoder().raw_decode(proc.stderr)
+    assert error["error"]["type"] == "ConfigError"
+    assert [p.name for p in tmp_path.iterdir()] == ["batch.json"]
+    if "shot" in entry:
+        # a bad key stops the batch before any entry runs
+        assert "batch entry 0" in error["error"]["message"]
+        assert "'shot'" in error["error"]["message"]
+        assert proc.stdout == ""
+    else:
+        assert json.loads(proc.stdout)["experiment"] == "fermion-nogo"
+        assert proc.stderr.endswith("fermion-nogo: ok\n")
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--seed", "abc"), ("--shots", "2.5"),
+                      ("--format", "yaml")],
+)
+def test_run_options_parse_like_batch_keys(option, value, tmp_path):
+    out = tmp_path / "x.json"
+    args = ["run", "fermion-nogo", "--seed", "1", "--out", str(out)]
+    result = _run_cli(args + [option, value])
+    assert result.exit_code == EXIT_CONFIG
+    assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
+    assert not out.exists()

@@ -179,6 +179,12 @@ def test_state_vector_rejects_unnormalized():
         StateVector(reg, np.array([1.0, 1.0]))
 
 
+def test_state_vector_rejects_nan():
+    reg = build_register([boson("a", 1), boson("b", 1)])
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(reg, np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
 def test_state_vector_immutable():
     reg = build_register([boson("a", 1)])
     psi = vacuum_state(reg)

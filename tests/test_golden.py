@@ -1,9 +1,10 @@
 """Golden canonical reports: one per experiment plus edge parameters.
 
-Each entry of ``tests/golden/batch.json`` is run through ``cli.run`` and its
-report must match the stored file byte for byte. A refactor that changes
-any of them changes the reports users get; if that is intended, say so and
-regenerate every file from the repository root with::
+Each entry of ``tests/golden/batch.json`` is run through ``cli.run``,
+``qwave batch`` and ``qwave run``, and its report must match the stored
+file byte for byte. A refactor that changes any of them changes the
+reports users get; if that is intended, say so and regenerate every file
+from the repository root with::
 
     qwave batch tests/golden/batch.json
 
@@ -55,3 +56,24 @@ def test_batch_reports_match_golden_bytes_for_any_jobs(jobs, tmp_path):
     for entry in entries:
         name = Path(entry["out"]).name
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def _flag(value) -> str:
+    # a float's repr parses back to the same float
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize(
+    "entry", ENTRIES, ids=[Path(e["out"]).stem for e in ENTRIES]
+)
+def test_run_command_matches_golden_bytes(entry, tmp_path):
+    # qwave run with the entry's params as flags writes the batch's bytes
+    name = Path(entry["out"]).name
+    args = ["run", entry["experiment"]]
+    for pname, value in entry["params"].items():
+        args += ["--" + pname.replace("_", "-"), _flag(value)]
+    args += ["--shots", str(entry["shots"]), "--seed", str(entry["seed"]),
+             "--out", str(tmp_path / name)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == EXIT_OK, result.output
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

@@ -210,6 +210,14 @@ def test_spec_validation_rejects_bad_projectors():
         MeasurementSpec("oblique", (("p", p), ("q", q)))
 
 
+def test_spec_rejects_nan_projector():
+    reg = build_register([boson("a", 1)])
+    nan = OperatorMatrix(reg, np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    rest = OperatorMatrix(reg, np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError, match="not hermitian"):
+        MeasurementSpec("nan", (("p", nan), ("q", rest)))
+
+
 def test_spec_tagged_with_wrong_site_rejected():
     reg = build_register([fermion("a", Site.A), fermion("b", Site.B)])
     untagged = quadrature_basis(reg, "b")
@@ -275,6 +283,7 @@ def test_sample_counts_matches_sample_stream():
     [
         ((1.2, -0.2), "joint probability -2.000e-01 is below -1e-10"),
         ((0.5, 0.49), "sum to 1 + -1.000e-02, beyond the bound 1e-09"),
+        ((float("nan"), 1.0), "joint probability nan is below -1e-10"),
     ],
 )
 def test_sample_rejects_invalid_distribution(monkeypatch, probs, message):

@@ -272,6 +272,14 @@ def test_evolve_rejects_non_hermitian():
         evolve(vacuum_state(reg), bad, 1.0)
 
 
+def test_eigh_rejects_nan_matrix():
+    from qwave import OperatorMatrix
+
+    reg = build_register([boson("a", 1)])
+    with pytest.raises(NotHermitianError):
+        OperatorMatrix(reg, np.full((2, 2), np.nan)).eigh()
+
+
 def test_complex_coupler_strength_fails_at_evolve():
     # a coupler is not checked when it is built; eigh checks its generator
     reg = build_register([boson("field", 1), two_level("atom")])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,6 +362,21 @@ def test_collective_chain_stage3_phase_independent():
             assert r0.analytic[key] == pytest.approx(
                 r1.analytic[key], abs=1e-10
             )
+
+
+def test_collective_chain_invariant_under_sampled_declaration_orders():
+    # 48 of the 6! orders of the six modes give the site order's values
+    site_order = protocols._CHAIN_SITE_ORDER
+    orders = random.Random(0).sample(
+        list(itertools.permutations(site_order)), 48
+    )
+    for phi in (0.3, 2.0):
+        out0, _, _ = protocols._collective_exact(phi, site_order)
+        for labels in orders:
+            out, _, _ = protocols._collective_exact(phi, labels)
+            assert out.keys() == out0.keys()
+            for key, value in out0.items():
+                assert abs(out[key] - value) < 1e-10, (labels, key)
 
 
 def test_collective_chain_sampling():
