@@ -247,8 +247,11 @@ class RunConfig:
             )
         if not isinstance(self.params, dict):
             raise ConfigError(f"params must be an object, got {self.params!r}")
-        if not isinstance(self.output_path, (str, os.PathLike, type(None))):
-            raise ConfigError(f"out must be a file path, got {self.output_path!r}")
+        out = self.output_path
+        if out is not None and (
+            not isinstance(out, (str, os.PathLike)) or not os.fspath(out)
+        ):
+            raise ConfigError(f"out must be a file path, got {out!r}")
         defn = EXPERIMENTS[self.experiment]
         schema = {p.name: p for p in defn.params}
         unknown = sorted(set(self.params) - set(schema))
@@ -298,6 +301,22 @@ def _run_config(entry, where: str) -> RunConfig:
     return RunConfig(**{_RUN_KEYS[key]: value for key, value in entry.items()})
 
 
+def _check_distinct_outputs(configs: list[RunConfig]) -> None:
+    """Two batch entries writing the same file would lose one report.
+    Paths are compared absolute with symlinks resolved; ``resolve`` rejects
+    an output of any other type."""
+    writers: dict[str, int] = {}
+    for i, config in enumerate(configs):
+        if isinstance(config.output_path, (str, os.PathLike)):
+            path = os.path.realpath(config.output_path)
+            if path in writers:
+                raise ConfigError(
+                    f"batch entries {writers[path]} and {i} share the output "
+                    f"file {path!r}"
+                )
+            writers[path] = i
+
+
 def run(config: RunConfig) -> int:
     """Execute one configuration; returns the process exit code."""
     try:
@@ -318,7 +337,7 @@ def run(config: RunConfig) -> int:
     else:
         text = canonical_json(report.to_dict()) + "\n"
     try:
-        if config.output_path:
+        if config.output_path is not None:
             with open(config.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
@@ -483,6 +502,7 @@ def batch_command(config_file, jobs):
     try:
         configs = [_run_config(entry, f"batch entry {i}")
                    for i, entry in enumerate(entries)]
+        _check_distinct_outputs(configs)
     except ConfigError as exc:
         _emit_error("ConfigError", EXIT_CONFIG, str(exc))
         sys.exit(EXIT_CONFIG)

@@ -240,16 +240,6 @@ def quadrature_basis(
     return _maybe_site(name or f"quad({mode})", projectors, spec.site)
 
 
-def born_probabilities(state: StateVector, spec: MeasurementSpec) -> dict[str, float]:
-    """Outcome probabilities <psi|P|psi>; they sum to 1 for any valid spec."""
-    _check_same_register(state.register, spec.register)
-    out = {}
-    for label, p in spec.projectors:
-        v = p.elements @ state.amplitudes
-        out[label] = float(np.real(np.vdot(state.amplitudes, v)))
-    return out
-
-
 def _check_commuting(specs: list[MeasurementSpec]) -> None:
     for i in range(len(specs)):
         for j in range(i + 1, len(specs)):
@@ -279,6 +269,12 @@ def joint_distribution(
             v = p.elements @ v
         dist[tuple(label for label, _ in combo)] = float(np.real(np.vdot(v, v)))
     return dist
+
+
+def born_probabilities(state: StateVector, spec: MeasurementSpec) -> dict[str, float]:
+    """Outcome probabilities of one measurement: its joint distribution
+    keyed by outcome label."""
+    return {label: p for (label,), p in joint_distribution(state, [spec]).items()}
 
 
 def _draw(

@@ -73,6 +73,7 @@ from .operators import (
     creation,
     embed,
     evolve,
+    identity,
     number_operator,
     phase_kick,
     poisson_tail,
@@ -145,11 +146,21 @@ def _record(
     report.passed = report.passed and abs(freq - p) <= 5.0 * sigma + 1e-15
 
 
-def _one_per_site(table: dict) -> tuple:
-    """Total and entries of a joint distribution or of sampled counts that
-    find one particle at each site, i.e. no "other" outcome anywhere."""
-    kept = {k: v for k, v in table.items() if "other" not in k}
-    return sum(kept.values()), kept
+def _two_site(table: dict) -> tuple:
+    """Reduce a two-site table, an exact joint distribution or sampled
+    counts: the total of the outcomes that find one particle at each site
+    (no "other" at either), and its parts where the two sites read the same
+    outcome and opposite ones. Sums run in table order."""
+    total = same = opposite = 0
+    for (a, b), v in table.items():
+        if "other" in (a, b):
+            continue
+        total += v
+        if a == b:
+            same += v
+        else:
+            opposite += v
+    return total, same, opposite
 
 
 def coincidence_rate(phi: float, exchange_sign: float) -> float:
@@ -196,12 +207,11 @@ def _absence_measurement(
     reg: ModeRegister, labels: Sequence[str], name: str
 ) -> MeasurementSpec:
     """Binary measurement: all the named modes empty ("absent") or not."""
-    occ = reg.occupation_table()
-    positions = [reg.position(l) for l in labels]
-    mask = (occ[:, positions].sum(axis=1) == 0).astype(complex)
-    absent = OperatorMatrix(reg, np.diag(mask))
-    present = OperatorMatrix(reg, np.diag(1.0 - mask))
-    return MeasurementSpec(name, (("absent", absent), ("present", present)))
+    vacuum = {l: np.diag(np.arange(reg.mode(l).dim) == 0) for l in labels}
+    absent = OperatorMatrix(reg, embed(reg, vacuum))
+    return MeasurementSpec(
+        name, (("absent", absent), ("present", identity(reg) - absent))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +251,7 @@ def photon_swap_experiment(phi: float, shots: int, seed: int) -> ExperimentRepor
         spin_direction_measurement(reg, "atom_a", math.pi / 2.0, "x_a"),
         spin_direction_measurement(reg, "atom_b", math.pi / 2.0, "x_b"),
     ]
-    dist = joint_distribution(psi1, specs)
-    coinc_exact = dist[("+1", "+1")] + dist[("-1", "-1")]
-    anti_exact = dist[("+1", "-1")] + dist[("-1", "+1")]
+    _, coinc_exact, anti_exact = _two_site(joint_distribution(psi1, specs))
     coinc = coincidence_rate(phi, +1.0)
     anti = coincidence_rate(phi, -1.0)
 
@@ -266,8 +274,7 @@ def photon_swap_experiment(phi: float, shots: int, seed: int) -> ExperimentRepor
         passed=passed,
     )
     if shots > 0:
-        counts = sample_counts(psi1, specs, shots, seed)
-        n_coinc = counts[("+1", "+1")] + counts[("-1", "-1")]
+        _, n_coinc, _ = _two_site(sample_counts(psi1, specs, shots, seed))
         _record(report, "coincidence", n_coinc, shots, coinc)
         report.empirical["anticoincidence"] = EmpiricalStat(
             1.0 - n_coinc / shots, shots
@@ -332,6 +339,12 @@ def rabi_rotation(
             max_dev = max(max_dev, abs(pe - math.sin(mag * t) ** 2))
         pe_end = pe
 
+    # the tail two ways: Poisson survival function, and the norm the
+    # unnormalised amplitudes below the cutoff leave out
+    tail_mass = poisson_tail(alpha, cutoff)
+    kept_mass = float(np.sum(np.abs(coherent_amplitudes(alpha, cutoff)) ** 2))
+    tail_gap = abs(tail_mass - (1.0 - kept_mass))
+
     report = ExperimentReport(
         experiment="rabi",
         params={
@@ -346,9 +359,9 @@ def rabi_rotation(
             "max_deviation_from_rotation_formula": max_dev,
             "excited_population_final": pe_end,
             "rotation_formula_final": math.sin(mag * times[-1]) ** 2,
-            "tail_mass": poisson_tail(alpha, cutoff),
+            "tail_mass": tail_mass,
         },
-        passed=norm_drift < 1e-9 and closed_form_gap < 1e-10,
+        passed=norm_drift < 1e-9 and closed_form_gap < 1e-10 and tail_gap <= 1e-10,
     )
     return report
 
@@ -408,12 +421,10 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
             spin_direction_measurement(reg, "spin_a", thetas[ia], "a"),
             spin_direction_measurement(reg, "spin_b", thetas[ib], "b"),
         ]
-        dist = joint_distribution(singlet, specs)
-        p_exact = dist[("+1", "-1")] + dist[("-1", "+1")]
+        _, _, p_exact = _two_site(joint_distribution(singlet, specs))
         report.passed = report.passed and abs(p_exact - p_formula) < 1e-12
         if shots > 0:
-            counts = sample_counts(singlet, specs, shots, seed + k)
-            n_sat = counts[("+1", "-1")] + counts[("-1", "+1")]
+            _, _, n_sat = _two_site(sample_counts(singlet, specs, shots, seed + k))
             _record(report, f"relation_{k:02d}_satisfied", n_sat, shots, p_formula)
         report.analytic[f"relation_{k:02d}_satisfied"] = p_formula
 
@@ -443,8 +454,8 @@ _AUX_SPECIES_ORDER = ("test_a", "test_b", "aux_a", "aux_b")
 
 
 def _aux_phase_exact(phi: float, kind: ModeKind, labels: Sequence[str]):
-    """Register, state, site specs and exact one-per-site table (with its
-    probability) of the auxiliary-particle experiment.
+    """Register, state, site specs and exact joint distribution of the
+    auxiliary-particle experiment.
 
     ``labels`` is the declaration order of the four modes, which for
     fermions permutes the anticommutation bookkeeping; the conditional
@@ -461,15 +472,14 @@ def _aux_phase_exact(phi: float, kind: ModeKind, labels: Sequence[str]):
         plus_minus_basis(reg, "test_a", "aux_a", "site_a"),
         plus_minus_basis(reg, "test_b", "aux_b", "site_b"),
     ]
-    cond, kept = _one_per_site(joint_distribution(psi, specs))
-    return reg, psi, specs, cond, kept
+    return reg, psi, specs, joint_distribution(psi, specs)
 
 
-def _conditional_rates(cond: float, kept: dict) -> tuple[float, float]:
-    """Conditional coincidence and anticoincidence of a one-per-site table."""
-    coinc = (kept[("+", "+")] + kept[("-", "-")]) / cond
-    anti = (kept[("+", "-")] + kept[("-", "+")]) / cond
-    return coinc, anti
+def _conditional_rates(dist: dict) -> tuple[float, float, float]:
+    """One-per-site probability of a two-site distribution, and the
+    coincidence and anticoincidence conditioned on it."""
+    cond, same, opposite = _two_site(dist)
+    return cond, same / cond, opposite / cond
 
 
 def aux_particle_phase(
@@ -487,10 +497,11 @@ def aux_particle_phase(
     """
     phi = phi % TWO_PI
     kind = _statistics_kind(statistics)
-    _, psi, specs, cond, kept = _aux_phase_exact(phi, kind, _AUX_SITE_ORDER)
-    coinc_exact, anti_exact = _conditional_rates(cond, kept)
-    _, _, _, cond2, kept2 = _aux_phase_exact(phi, kind, _AUX_SPECIES_ORDER)
-    coinc2, anti2 = _conditional_rates(cond2, kept2)
+    _, psi, specs, dist = _aux_phase_exact(phi, kind, _AUX_SITE_ORDER)
+    cond, coinc_exact, anti_exact = _conditional_rates(dist)
+    cond2, coinc2, anti2 = _conditional_rates(
+        _aux_phase_exact(phi, kind, _AUX_SPECIES_ORDER)[3]
+    )
     ordering_gap = max(abs(cond - cond2), abs(coinc_exact - coinc2),
                        abs(anti_exact - anti2))
 
@@ -519,10 +530,9 @@ def aux_particle_phase(
         passed=passed,
     )
     if shots > 0:
-        n_kept, kept = _one_per_site(sample_counts(psi, specs, shots, seed))
+        n_kept, n_coinc, _ = _two_site(sample_counts(psi, specs, shots, seed))
         _record(report, "conditioning_probability", n_kept, shots, 0.5)
         if n_kept > 0:
-            n_coinc = kept[("+", "+")] + kept[("-", "-")]
             _record(report, "conditional_coincidence", n_coinc, n_kept, coinc)
             report.empirical["conditional_anticoincidence"] = EmpiricalStat(
                 1.0 - n_coinc / n_kept, n_kept
@@ -549,16 +559,27 @@ def fermion_nogo() -> ExperimentReport:
     bosonic analog stays untouched.
     """
     results: dict[str, float] = {}
-
-    def _pair_register(kind_name: str) -> ModeRegister:
-        if kind_name == "fermion":
-            return build_register([fermion("a", Site.A), fermion("b", Site.B)])
-        return build_register([boson("a", 1, Site.A), boson("b", 1, Site.B)])
-
-    for kind in ("boson", "fermion"):
-        reg = _pair_register(kind)
+    phi = math.pi / 3.0
+    pair_registers = (
+        ("boson", build_register([boson("a", 1, Site.A), boson("b", 1, Site.B)])),
+        ("fermion", build_register([fermion("a", Site.A), fermion("b", Site.B)])),
+    )
+    for kind, reg in pair_registers:
         xa, xb = quadrature(reg, "a"), quadrature(reg, "b")
         results[f"{kind}_quadrature_commutator"] = commutator_norm(xa, xb)
+        psi = prepare_superposition(reg, "a", "b", phi)
+        spec_a = quadrature_basis(reg, "a", "quad_a")
+        spec_b = quadrature_basis(reg, "b", "quad_b")
+        first, _ = post_select(psi, spec_b, "+1")
+        repeat = born_probabilities(first, spec_b)
+        # B's distribution after an unread quadrature measurement at A
+        disturbed = dict.fromkeys(repeat, 0.0)
+        for outcome, _ in spec_a.projectors:
+            after_a, p_a = post_select(first, spec_a, outcome)
+            for label, p in born_probabilities(after_a, spec_b).items():
+                disturbed[label] += p_a * p
+        tvd = 0.5 * sum(abs(repeat[l] - disturbed[l]) for l in repeat)
+        results[f"{kind}_signaling_tvd"] = tvd
 
     regp = build_register(
         [
@@ -578,33 +599,12 @@ def fermion_nogo() -> ExperimentReport:
         pair_op("up_a", "down_a"), pair_op("up_b", "down_b")
     )
 
-    phi = math.pi / 3.0
-    for kind in ("boson", "fermion"):
-        reg = _pair_register(kind)
-        psi = prepare_superposition(reg, "a", "b", phi)
-        spec_a = quadrature_basis(reg, "a", "quad_a")
-        spec_b = quadrature_basis(reg, "b", "quad_b")
-        first, _ = post_select(psi, spec_b, "+1")
-        repeat = born_probabilities(first, spec_b)
-        rho = np.zeros((reg.dim, reg.dim), dtype=complex)
-        for _, p in spec_a.projectors:
-            v = p.elements @ first.amplitudes
-            rho += np.outer(v, v.conj())
-        disturbed = {
-            label: float(np.real(np.trace(rho @ p.elements)))
-            for label, p in spec_b.projectors
-        }
-        tvd = 0.5 * sum(
-            abs(repeat[l] - disturbed[l]) for l in repeat
-        )
-        results[f"{kind}_signaling_tvd"] = tvd
-
     passed = (
         results["boson_quadrature_commutator"] < 1e-12
-        and results["fermion_quadrature_commutator"] >= 0.5
+        and abs(results["fermion_quadrature_commutator"] - 2.0) < ANALYTIC_ATOL
         and results["fermion_pair_commutator"] < 1e-12
         and results["boson_signaling_tvd"] < 1e-10
-        and results["fermion_signaling_tvd"] > 0.1
+        and abs(results["fermion_signaling_tvd"] - 0.5) < ANALYTIC_ATOL
     )
     return ExperimentReport(
         experiment="fermion-nogo",
@@ -634,13 +634,13 @@ def coherent_factorization(
     mean occupations (|alpha|^2 / 2 each). Exact-only.
     """
     alpha = complex(alpha)
-    for amp in (alpha, alpha / math.sqrt(2.0)):
-        tail = poisson_tail(amp, cutoff)
-        if tail > tail_bound:
-            raise TailBoundExceededError(
-                f"occupation tail {tail:.3e} above cutoff {cutoff} exceeds "
-                f"{tail_bound:.3e} for amplitude {amp}"
-            )
+    # the local amplitudes alpha / sqrt(2) have the smaller tail
+    tail = poisson_tail(alpha, cutoff)
+    if tail > tail_bound:
+        raise TailBoundExceededError(
+            f"occupation tail {tail:.3e} above cutoff {cutoff} exceeds "
+            f"{tail_bound:.3e} for amplitude {alpha}"
+        )
     reg = build_register([boson("a", cutoff, Site.A), boson("b", cutoff, Site.B)])
 
     lift = (1.0 / math.sqrt(2.0)) * (creation(reg, "a") + creation(reg, "b"))
@@ -651,8 +651,9 @@ def coherent_factorization(
         total += term
     delocalized = from_amplitudes(reg, total, normalize=True)
 
-    local = coherent_amplitudes(alpha / math.sqrt(2.0), cutoff)
-    local = local / np.linalg.norm(local)
+    local = coherent_state(
+        build_register([boson("a", cutoff)]), "a", alpha / math.sqrt(2.0), tail_bound
+    ).amplitudes
     product = from_amplitudes(reg, np.kron(local, local))
 
     fidelity = delocalized.fidelity(product)
@@ -867,22 +868,19 @@ def ab_gauge_check(
     phi = phi % TWO_PI
     kick = kick % TWO_PI
     # the charged reference is the auxiliary particle
-    reg, baseline, specs, cond0, kept0 = _aux_phase_exact(
+    reg, baseline, specs, dist0 = _aux_phase_exact(
         phi, ModeKind.BOSON, _AUX_SITE_ORDER
     )
     kicked_test_only = apply(phase_kick(reg, "test_b", kick), baseline)
     kicked_both = apply(phase_kick(reg, "aux_b", kick), kicked_test_only)
-
-    def conditional(state: StateVector):
-        cond, kept = _one_per_site(joint_distribution(state, specs))
-        return cond, {k: p / cond for k, p in kept.items()}
-
-    table0 = {k: p / cond0 for k, p in kept0.items()}
-    cond1, table1 = conditional(kicked_both)
-    cond2, table2 = conditional(kicked_test_only)
-    tvd_both = 0.5 * sum(abs(table0[k] - table1[k]) for k in table0)
-    coinc0 = table0[("+", "+")] + table0[("-", "-")]
-    coinc2 = table2[("+", "+")] + table2[("-", "-")]
+    dist1 = joint_distribution(kicked_both, specs)
+    cond0, coinc0, _ = _conditional_rates(dist0)
+    cond1, _, _ = _conditional_rates(dist1)
+    cond2, coinc2, _ = _conditional_rates(joint_distribution(kicked_test_only, specs))
+    # distance between the two conditional one-per-site tables
+    tvd_both = 0.5 * _two_site(
+        {k: abs(dist0[k] / cond0 - dist1[k] / cond1) for k in dist0}
+    )[0]
 
     pred0 = coincidence_rate(phi, +1.0)
     pred2 = coincidence_rate(phi + kick, +1.0)
@@ -915,11 +913,10 @@ def ab_gauge_check(
             ("kicked_test_only_coincidence", kicked_test_only, pred2),
         )
         for offset, (name, state, pred) in enumerate(runs):
-            n_kept, kept = _one_per_site(
+            n_kept, n_coinc, _ = _two_site(
                 sample_counts(state, specs, shots, seed + offset)
             )
             if n_kept > 0:
-                n_coinc = kept[("+", "+")] + kept[("-", "-")]
                 _record(report, name, n_coinc, n_kept, pred)
         if "kicked_both_coincidence" in report.empirical:
             report.analytic["kicked_both_coincidence"] = pred0

@@ -1,6 +1,8 @@
+import cmath
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -291,6 +293,80 @@ def test_batch_jobs_below_one_exits_config_error(jobs, tmp_path):
     assert result.exit_code == EXIT_CONFIG
     assert "--jobs" in result.stderr and "Traceback" not in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_rejects_entries_sharing_an_output_file(jobs, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("link").symlink_to(tmp_path)
+    for other in ("./same.json", "link/same.json"):
+        entries = [
+            {"experiment": "bell-chain", "params": {"n": n}, "seed": 1, "out": out}
+            for n, out in ((2, "same.json"), (3, other))
+        ]
+        Path("batch.json").write_text(json.dumps(entries))
+        result = _run_cli(["batch", "batch.json", "--jobs", jobs])
+        assert result.exit_code == EXIT_CONFIG
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "ConfigError"
+        assert "batch entries 0 and 1" in error["message"]
+        assert not Path("same.json").exists()
+
+
+def test_empty_output_path_exits_config_error(tmp_path):
+    result = _run_cli(["run", "fermion-nogo", "--seed", "1", "--out", ""])
+    assert result.exit_code == EXIT_CONFIG
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps([{"experiment": "fermion-nogo", "seed": 1,
+                                       "out": ""}]))
+    result = _run_cli(["batch", str(batch_file)])
+    assert result.exit_code == EXIT_CONFIG
+    assert result.stdout == ""
+    with pytest.raises(ConfigError):
+        RunConfig("fermion-nogo", seed=1, output_path="").resolve()
+
+
+def _random_entry(rng: random.Random, experiment: str) -> dict:
+    """A valid run object for ``experiment`` with parameters, shots and seed
+    drawn from ``rng``."""
+    phi = lambda: rng.uniform(-10.0, 10.0)
+    alpha = lambda top: str(cmath.rect(rng.uniform(0.5, top), rng.uniform(0.0, 7.0)))
+    params = {
+        "photon-swap": lambda: {"phi": phi()},
+        "rabi": lambda: {"alpha": alpha(2.5), "cutoff": rng.randint(26, 32)},
+        "bell-chain": lambda: {"n": rng.randint(2, 6)},
+        "aux-phase": lambda: {"phi": phi(),
+                              "statistics": rng.choice(["boson", "fermion"])},
+        "fermion-nogo": lambda: {},
+        "coherent-factorization": lambda: {"alpha": alpha(1.5),
+                                           "cutoff": rng.randint(16, 22)},
+        "collective-chain": lambda: {"phi": phi()},
+        "gauge-check": lambda: {"phi": phi(), "kick": phi()},
+    }[experiment]()
+    return {"experiment": experiment, "params": params,
+            "shots": rng.randint(0, 2000), "seed": rng.randrange(2**31)}
+
+
+def test_random_configs_give_the_same_bytes_through_run_and_batch(tmp_path):
+    rng = random.Random(0)
+    names = sorted(EXPERIMENTS)
+    entries = [_random_entry(rng, names[i % len(names)]) for i in range(16)]
+    for i, entry in enumerate(entries):
+        config = RunConfig(entry["experiment"], entry["params"], entry["shots"],
+                           entry["seed"], output_path=str(tmp_path / f"run{i}.json"))
+        assert run(config) == EXIT_OK, entry
+    for jobs in ("1", "2"):
+        batch = [dict(e, out=str(tmp_path / f"jobs{jobs}-{i}.json"))
+                 for i, e in enumerate(entries)]
+        batch_file = tmp_path / f"batch{jobs}.json"
+        batch_file.write_text(json.dumps(batch))
+        result = _run_cli(["batch", str(batch_file), "--jobs", jobs])
+        assert result.exit_code == EXIT_OK, result.output
+        for i, entry in enumerate(entries):
+            expected = (tmp_path / f"run{i}.json").read_bytes()
+            assert (tmp_path / f"jobs{jobs}-{i}.json").read_bytes() == expected, entry
 
 
 def test_batch_propagates_failure(tmp_path):

@@ -87,6 +87,16 @@ def test_rabi_fails_when_simulation_leaves_closed_form(monkeypatch):
     assert not rabi_rotation(2.0, 24).passed
 
 
+def test_rabi_fails_when_tail_mass_leaves_its_second_route(monkeypatch):
+    assert rabi_rotation(2.0, 24).passed
+    tail = protocols.poisson_tail
+    monkeypatch.setattr(
+        protocols, "poisson_tail", lambda alpha, cutoff: tail(alpha, cutoff) + 1e-9
+    )
+    # 1 - sum |c_n|^2 of the unnormalised amplitudes no longer agrees
+    assert not rabi_rotation(2.0, 24).passed
+
+
 def test_rabi_tail_guard():
     with pytest.raises(TailBoundExceededError):
         rabi_rotation(10.0, 60)
@@ -243,20 +253,19 @@ def test_aux_phase_rejects_unknown_statistics():
 @pytest.mark.parametrize("kind", [ModeKind.BOSON, ModeKind.FERMION],
                          ids=["boson", "fermion"])
 def test_aux_phase_invariant_under_every_declaration_order(kind):
-    # all 4! orders of the four modes give the site order's one-per-site
-    # probability and conditional table; for fermions, orders whose sign
+    # all 4! orders of the four modes give the site order's joint
+    # distribution, outcome by outcome; for fermions, orders whose sign
     # strings cross a site leave that site's spec without a site tag
     site_order = protocols._AUX_SITE_ORDER
     untagged = 0
     for phi in (0.0, 0.7, math.pi, 2.5):
-        _, _, _, cond0, kept0 = protocols._aux_phase_exact(phi, kind, site_order)
+        dist0 = protocols._aux_phase_exact(phi, kind, site_order)[3]
         for labels in itertools.permutations(site_order):
-            _, _, specs, cond, kept = protocols._aux_phase_exact(phi, kind, labels)
+            _, _, specs, dist = protocols._aux_phase_exact(phi, kind, labels)
             untagged += sum(spec.site is None for spec in specs)
-            assert abs(cond - cond0) < 1e-12
-            assert kept.keys() == kept0.keys()
-            for outcome, p in kept0.items():
-                assert abs(kept[outcome] / cond - p / cond0) < 1e-12
+            assert dist.keys() == dist0.keys()
+            for outcome, p in dist0.items():
+                assert abs(dist[outcome] - p) < 1e-12
     if kind is ModeKind.BOSON:
         assert untagged == 0
 
@@ -309,11 +318,20 @@ def test_fermion_nogo_report():
     r = fermion_nogo()
     assert r.passed
     assert r.analytic["boson_quadrature_commutator"] < 1e-12
-    assert r.analytic["fermion_quadrature_commutator"] >= 0.5
+    assert r.analytic["fermion_quadrature_commutator"] == pytest.approx(2.0, abs=1e-10)
     assert r.analytic["fermion_pair_commutator"] < 1e-12
     assert r.analytic["boson_signaling_tvd"] < 1e-10
-    assert r.analytic["fermion_signaling_tvd"] > 0.1
+    assert r.analytic["fermion_signaling_tvd"] == pytest.approx(0.5, abs=1e-10)
     assert set(r.analytic) - set(r.empirical)  # analytic-only protocol
+
+
+def test_fermion_nogo_fails_off_its_closed_forms(monkeypatch):
+    norm = protocols.commutator_norm
+    monkeypatch.setattr(protocols, "commutator_norm", lambda x, y: 0.5 * norm(x, y))
+    # a fermionic quadrature commutator of 1 is nonzero but not the exact 2
+    r = fermion_nogo()
+    assert r.analytic["fermion_quadrature_commutator"] == pytest.approx(1.0)
+    assert not r.passed
 
 
 # --- coherent factorization ------------------------------------------------------
