@@ -271,7 +271,8 @@ class RunConfig:
         if self.seed is None:
             raise ConfigError("seed is required (no wall-clock default)")
         seed = ParamSpec("seed", "int").parse(self.seed)
-        # seeds key a Philox generator, whose key range is [0, 2**128)
+        # a seed is the entropy of the sampler's SeedSequence, which takes
+        # any int >= 0; it is capped at 128 bits, the size of a Philox key
         if not 0 <= seed < 2**128:
             raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
         shots = ParamSpec("shots", "int").parse(self.shots)

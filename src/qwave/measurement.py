@@ -2,9 +2,11 @@
 
 A measurement is a complete set of mutually orthogonal projectors with
 outcome labels. Joint sampling of several measurements requires them to
-commute pairwise; shots are drawn from the exact joint Born distribution
-with a counter-based generator, so a run is reproducible from its seed and
-shot streams can be regenerated independently by counter position.
+commute pairwise; a histogram of shots is one multinomial draw from the
+exact joint Born distribution on a counter-based Philox generator keyed by
+``SeedSequence(seed, spawn_key=(stream,))``. A run is reproducible from its
+seed, and each draw within it takes its own stream number, so no two
+(seed, stream) pairs share a generator.
 """
 
 from __future__ import annotations
@@ -278,12 +280,15 @@ def born_probabilities(state: StateVector, spec: MeasurementSpec) -> dict[str, f
 
 
 def _draw(
-    state: StateVector, specs: list[MeasurementSpec], shots: int, seed: int
-) -> tuple[list[str], list[tuple[str, ...]], np.ndarray]:
-    """Validate a sampling request and draw it: spec names, joint outcomes
-    and each shot's outcome index. Shots invert the cumulative joint law
-    against a Philox counter stream keyed by the seed (shot i uses counter
-    position i, so streams are reproducible and parallelizable)."""
+    state: StateVector, specs: list[MeasurementSpec], shots: int, seed: int,
+    stream: int,
+) -> tuple[list[str], list[tuple[str, ...]], np.ndarray, np.random.Generator | None]:
+    """Validate a sampling request and draw its histogram: spec names, joint
+    outcomes, the count of each outcome and the generator drawn from (None
+    when no shot is drawn). The counts are one multinomial draw from the
+    joint law on a Philox generator keyed by
+    ``SeedSequence(seed, spawn_key=(stream,))``: every (seed, stream) pair
+    has its own stream, and (s, 1) does not reuse (s + 1, 0)."""
     if shots < 0:
         raise ValueError("shots must be >= 0")
     names = [s.name for s in specs]
@@ -292,7 +297,7 @@ def _draw(
     dist = joint_distribution(state, specs)
     combos = list(dist.keys())
     if shots == 0:
-        return names, combos, np.zeros(0, dtype=np.intp)
+        return names, combos, np.zeros(len(combos), dtype=np.int64), None
     probs = np.array([dist[c] for c in combos])
     # written so that a NaN probability fails both checks
     if not probs.min() >= -PROJECTOR_ATOL:
@@ -304,23 +309,27 @@ def _draw(
             f"joint probabilities sum to 1 + {probs.sum() - 1.0:.3e}, beyond "
             f"the bound {_TOTAL_PROBABILITY_ATOL:.0e}"
         )
-    cum = np.cumsum(np.clip(probs, 0.0, None))
-    cum /= cum[-1]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    picks = np.searchsorted(cum, rng.random(shots), side="right")
-    return names, combos, np.minimum(picks, len(combos) - 1)
+    weights = np.clip(probs, 0.0, None)
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    )
+    return names, combos, rng.multinomial(shots, weights / weights.sum()), rng
 
 
 def sample(
-    state: StateVector, specs: list[MeasurementSpec], shots: int, seed: int
+    state: StateVector, specs: list[MeasurementSpec], shots: int, seed: int,
+    *, stream: int = 0,
 ) -> list[ShotRecord]:
     """Draw independent shots from the joint Born distribution.
 
-    Deterministic given the seed; outcome ties resolve by cumulative
-    inversion in declaration order. ``sample_counts`` draws from the same
-    stream when only the histogram is needed.
+    The histogram is ``sample_counts``'s for the same (seed, stream); the
+    shots are that histogram in an order shuffled by the same generator,
+    so it is deterministic given the seed and stream.
     """
-    names, combos, picks = _draw(state, specs, shots, seed)
+    names, combos, counts, rng = _draw(state, specs, shots, seed, stream)
+    picks = np.repeat(np.arange(len(combos)), counts)
+    if rng is not None:
+        rng.shuffle(picks)
     return [
         ShotRecord(outcomes=dict(zip(names, combos[k])), shot_index=i)
         for i, k in enumerate(picks)
@@ -328,11 +337,13 @@ def sample(
 
 
 def sample_counts(
-    state: StateVector, specs: list[MeasurementSpec], shots: int, seed: int
+    state: StateVector, specs: list[MeasurementSpec], shots: int, seed: int,
+    *, stream: int = 0,
 ) -> dict[tuple[str, ...], int]:
-    """Histogram of ``sample`` outcomes, drawn from the identical stream."""
-    _, combos, picks = _draw(state, specs, shots, seed)
-    counts = np.bincount(picks, minlength=len(combos))
+    """Histogram of ``shots`` draws from the joint Born distribution: one
+    multinomial draw on the stream of (seed, stream). A run that samples
+    several histograms gives each its own ``stream``."""
+    _, combos, counts, _ = _draw(state, specs, shots, seed, stream)
     return {c: int(k) for c, k in zip(combos, counts)}
 
 

@@ -424,7 +424,9 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
         _, _, p_exact = _two_site(joint_distribution(singlet, specs))
         report.passed = report.passed and abs(p_exact - p_formula) < 1e-12
         if shots > 0:
-            _, _, n_sat = _two_site(sample_counts(singlet, specs, shots, seed + k))
+            _, _, n_sat = _two_site(
+                sample_counts(singlet, specs, shots, seed, stream=k)
+            )
             _record(report, f"relation_{k:02d}_satisfied", n_sat, shots, p_formula)
         report.analytic[f"relation_{k:02d}_satisfied"] = p_formula
 
@@ -914,7 +916,7 @@ def ab_gauge_check(
         )
         for offset, (name, state, pred) in enumerate(runs):
             n_kept, n_coinc, _ = _two_site(
-                sample_counts(state, specs, shots, seed + offset)
+                sample_counts(state, specs, shots, seed, stream=offset)
             )
             if n_kept > 0:
                 _record(report, name, n_coinc, n_kept, pred)

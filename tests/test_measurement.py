@@ -253,29 +253,66 @@ def test_sample_deterministic_and_binomial():
     psi = prepare_superposition(reg, "a", "b", 0.0)
     spec = vacuum_one_superposition_basis(reg, "b", "vb")
     shots = 100_000
-    records = sample(psi, [spec], shots, seed=123)
-    counts = sum(1 for r in records if r.outcomes["vb"] == "+")
+    counts = sample_counts(psi, [spec], shots, seed=123)
     # fair binary outcome: within 4 sigma of half
-    assert abs(counts - shots / 2) < 4.0 * np.sqrt(shots * 0.25)
-    again = sample(psi, [spec], shots, seed=123)
-    assert [r.outcomes for r in again] == [r.outcomes for r in records]
-    assert sample(psi, [spec], 0, seed=1) == []
+    assert abs(counts[("+",)] - shots / 2) < 4.0 * np.sqrt(shots * 0.25)
+    assert sample_counts(psi, [spec], shots, seed=123) == counts
+    assert set(sample_counts(psi, [spec], 0, seed=1).values()) == {0}
 
 
 def test_sample_counts_matches_sample_stream():
     from collections import Counter
 
-    from qwave import sample_counts
-
     reg = _two_site_pair()
     psi = prepare_superposition(reg, "a", "b", 0.3)
     spec = vacuum_one_superposition_basis(reg, "b", "vb")
-    records = sample(psi, [spec], 5000, seed=77)
-    hist = Counter((r.outcomes["vb"],) for r in records)
-    counts = sample_counts(psi, [spec], 5000, seed=77)
-    assert counts == {k: hist.get(k, 0) for k in counts}
-    empty = sample_counts(psi, [spec], 0, seed=1)
-    assert set(empty.values()) == {0}
+    for stream in (0, 1, 5):
+        records = sample(psi, [spec], 5000, seed=77, stream=stream)
+        hist = Counter((r.outcomes["vb"],) for r in records)
+        counts = sample_counts(psi, [spec], 5000, seed=77, stream=stream)
+        assert counts == {k: hist.get(k, 0) for k in counts}
+        assert [r.shot_index for r in records] == list(range(5000))
+        # shuffled, not grouped by outcome
+        assert records != sorted(records, key=lambda r: r.outcomes["vb"])
+        again = sample(psi, [spec], 5000, seed=77, stream=stream)
+        assert [r.outcomes for r in again] == [r.outcomes for r in records]
+    assert sample(psi, [spec], 0, seed=1) == []
+
+
+def _four_outcome_law():
+    """Two commuting spin measurements on a product state whose joint law
+    has four distinct outcome probabilities."""
+    reg = build_register([two_level("s", Site.A), two_level("t", Site.B)])
+    up = basis_state(reg, (1, 1))
+    specs = [
+        spin_direction_measurement(reg, "s", 0.7, "s"),
+        spin_direction_measurement(reg, "t", 1.9, "t"),
+    ]
+    return up, specs
+
+
+def test_sample_counts_mean_matches_the_joint_law():
+    psi, specs = _four_outcome_law()
+    law = joint_distribution(psi, specs)
+    assert len(law) == 4 and len({round(p, 6) for p in law.values()}) == 4
+    shots, seeds = 10_000, 200
+    draws = [sample_counts(psi, specs, shots, seed) for seed in range(seeds)]
+    for outcome, p in law.items():
+        mean = sum(d[outcome] for d in draws) / seeds
+        sigma = np.sqrt(shots * p * (1.0 - p) / seeds)
+        assert abs(mean - shots * p) < 5.0 * sigma, outcome
+
+
+def test_sample_counts_neighbouring_streams_differ():
+    # with a seed-plus-offset scheme, (s, 1) would replay (s + 1, 0)
+    psi, specs = _four_outcome_law()
+    for s in range(20):
+        counts = {
+            key: sample_counts(psi, specs, 1000, s + key[0], stream=key[1])
+            for key in ((0, 0), (0, 1), (1, 0))
+        }
+        assert counts[(0, 0)] != counts[(0, 1)], s
+        assert counts[(0, 1)] != counts[(1, 0)], s
 
 
 @pytest.mark.parametrize(
@@ -321,9 +358,9 @@ def test_empirical_frequencies_converge():
     spec = plus_minus_basis(reg, "ta", "ra", "pm_a")
     probs = born_probabilities(psi, spec)
     shots = 100_000
-    records = sample(psi, [spec], shots, seed=99)
+    counts = sample_counts(psi, [spec], shots, seed=99)
     for label, p in probs.items():
-        freq = sum(1 for r in records if r.outcomes["pm_a"] == label) / shots
+        freq = counts[(label,)] / shots
         assert abs(freq - p) < 5.0 * np.sqrt(p * (1.0 - p) / shots) + 1e-9
 
 

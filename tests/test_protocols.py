@@ -433,6 +433,22 @@ def test_gauge_check_sampling():
     assert "kicked_both_coincidence" in r.empirical
 
 
+def test_draws_within_a_run_do_not_replay_a_neighbouring_seed():
+    # bell-chain's relations 0 and 1 have one law, as do gauge-check's
+    # baseline and kicked-both runs; seeding draw k with seed + k replayed
+    # draw 0 of seed s + 1 as draw 1 of seed s
+    for s in range(3):
+        b0, b1 = bell_chain(2, 100_000, s), bell_chain(2, 100_000, s + 1)
+        assert b0.empirical["relation_01_satisfied"] != b1.empirical[
+            "relation_00_satisfied"
+        ]
+        g0 = ab_gauge_check(0.3, 1.1, 100_000, s)
+        g1 = ab_gauge_check(0.3, 1.1, 100_000, s + 1)
+        assert g0.empirical["kicked_both_coincidence"] != g1.empirical[
+            "baseline_coincidence"
+        ]
+
+
 # --- report structure -----------------------------------------------------------------
 
 def test_report_schema_and_flags():
