@@ -248,9 +248,7 @@ class RunConfig:
         if not isinstance(self.params, dict):
             raise ConfigError(f"params must be an object, got {self.params!r}")
         out = self.output_path
-        if out is not None and (
-            not isinstance(out, (str, os.PathLike)) or not os.fspath(out)
-        ):
+        if out is not None and not _is_file_path(out):
             raise ConfigError(f"out must be a file path, got {out!r}")
         defn = EXPERIMENTS[self.experiment]
         schema = {p.name: p for p in defn.params}
@@ -302,20 +300,45 @@ def _run_config(entry, where: str) -> RunConfig:
     return RunConfig(**{_RUN_KEYS[key]: value for key, value in entry.items()})
 
 
-def _check_distinct_outputs(configs: list[RunConfig]) -> None:
-    """Two batch entries writing the same file would lose one report.
-    Paths are compared absolute with symlinks resolved; ``resolve`` rejects
-    an output of any other type."""
-    writers: dict[str, int] = {}
+def _is_file_path(out) -> bool:
+    """Whether an output names a file: a non-empty str or PathLike with no
+    NUL byte."""
+    return (isinstance(out, (str, os.PathLike)) and bool(os.fsdecode(out))
+            and "\0" not in os.fsdecode(out))
+
+
+def _file_keys(path) -> list:
+    """The keys a file is known by: its absolute path with symlinks
+    resolved and, when it exists, its device and inode (so hard links to
+    one file share a key)."""
+    keys: list = [os.path.realpath(path)]
+    try:
+        st = os.stat(path)
+    except OSError:
+        return keys
+    return keys + [(st.st_dev, st.st_ino)]
+
+
+def _check_distinct_outputs(configs: list[RunConfig], batch_file: str) -> None:
+    """Two batch entries writing the same file would lose one report, and an
+    entry writing the batch file would overwrite its input. ``resolve``
+    rejects an output that is not a file path."""
+    writers: dict = dict.fromkeys(_file_keys(batch_file))
     for i, config in enumerate(configs):
-        if isinstance(config.output_path, (str, os.PathLike)):
-            path = os.path.realpath(config.output_path)
-            if path in writers:
+        if _is_file_path(config.output_path):
+            keys = _file_keys(config.output_path)
+            for key in keys:
+                if key not in writers:
+                    continue
+                if writers[key] is None:
+                    raise ConfigError(
+                        f"batch entry {i} writes the batch file {keys[0]!r}"
+                    )
                 raise ConfigError(
-                    f"batch entries {writers[path]} and {i} share the output "
-                    f"file {path!r}"
+                    f"batch entries {writers[key]} and {i} share the output "
+                    f"file {keys[0]!r}"
                 )
-            writers[path] = i
+            writers.update(dict.fromkeys(keys, i))
 
 
 def run(config: RunConfig) -> int:
@@ -503,7 +526,7 @@ def batch_command(config_file, jobs):
     try:
         configs = [_run_config(entry, f"batch entry {i}")
                    for i, entry in enumerate(entries)]
-        _check_distinct_outputs(configs)
+        _check_distinct_outputs(configs, config_file)
     except ConfigError as exc:
         _emit_error("ConfigError", EXIT_CONFIG, str(exc))
         sys.exit(EXIT_CONFIG)

@@ -313,19 +313,56 @@ def test_batch_rejects_entries_sharing_an_output_file(jobs, tmp_path, monkeypatc
         assert not Path("same.json").exists()
 
 
+def test_batch_rejects_an_entry_writing_the_batch_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for out in ("b.json", "./b.json"):
+        entries = [{"experiment": "fermion-nogo", "seed": 1, "out": "first.json"},
+                   {"experiment": "fermion-nogo", "seed": 1, "out": out}]
+        text = json.dumps(entries)
+        Path("b.json").write_text(text)
+        result = _run_cli(["batch", "b.json"])
+        assert result.exit_code == EXIT_CONFIG
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "ConfigError"
+        assert "batch entry 1 writes the batch file" in error["message"]
+        assert Path("b.json").read_text() == text
+        assert not Path("first.json").exists()
+
+
+def test_batch_rejects_hard_linked_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("x.json").write_text("old")
+    os.link("x.json", "y.json")
+    entries = [{"experiment": "bell-chain", "params": {"n": n}, "seed": 1,
+                "out": out} for n, out in ((2, "x.json"), (3, "y.json"))]
+    Path("batch.json").write_text(json.dumps(entries))
+    result = _run_cli(["batch", "batch.json"])
+    assert result.exit_code == EXIT_CONFIG
+    assert "batch entries 0 and 1" in json.loads(result.stderr)["error"]["message"]
+    assert Path("x.json").read_text() == "old"
+    # a hard link to the batch file is the batch file
+    os.link("batch.json", "c.json")
+    Path("batch.json").write_text(json.dumps(
+        [{"experiment": "fermion-nogo", "seed": 1, "out": "c.json"}]))
+    result = _run_cli(["batch", "batch.json"])
+    assert result.exit_code == EXIT_CONFIG
+    assert "writes the batch file" in json.loads(result.stderr)["error"]["message"]
+
+
 def test_empty_output_path_exits_config_error(tmp_path):
-    result = _run_cli(["run", "fermion-nogo", "--seed", "1", "--out", ""])
-    assert result.exit_code == EXIT_CONFIG
-    assert result.stdout == ""
-    assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
-    batch_file = tmp_path / "batch.json"
-    batch_file.write_text(json.dumps([{"experiment": "fermion-nogo", "seed": 1,
-                                       "out": ""}]))
-    result = _run_cli(["batch", str(batch_file)])
-    assert result.exit_code == EXIT_CONFIG
-    assert result.stdout == ""
-    with pytest.raises(ConfigError):
-        RunConfig("fermion-nogo", seed=1, output_path="").resolve()
+    for out in ("", "a\0b"):
+        result = _run_cli(["run", "fermion-nogo", "--seed", "1", "--out", out])
+        assert result.exit_code == EXIT_CONFIG
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
+        batch_file = tmp_path / "batch.json"
+        batch_file.write_text(json.dumps([{"experiment": "fermion-nogo",
+                                           "seed": 1, "out": out}]))
+        result = _run_cli(["batch", str(batch_file)])
+        assert result.exit_code == EXIT_CONFIG
+        assert result.stdout == ""
+        with pytest.raises(ConfigError):
+            RunConfig("fermion-nogo", seed=1, output_path=out).resolve()
 
 
 def _random_entry(rng: random.Random, experiment: str) -> dict:
