@@ -276,6 +276,9 @@ class RunConfig:
         shots = ParamSpec("shots", "int").parse(self.shots)
         if shots < 0:
             raise ConfigError("shots must be >= 0")
+        # the sampler's multinomial draw counts shots in a 64-bit integer
+        if shots >= 2**63:
+            raise ConfigError(f"shots must be below 2**63, got {shots}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
         return defn, parsed, shots, seed
@@ -303,8 +306,10 @@ def _run_config(entry, where: str) -> RunConfig:
 def _is_file_path(out) -> bool:
     """Whether an output names a file: a non-empty str or PathLike with no
     NUL byte."""
-    return (isinstance(out, (str, os.PathLike)) and bool(os.fsdecode(out))
-            and "\0" not in os.fsdecode(out))
+    if not isinstance(out, (str, os.PathLike)):
+        return False
+    name = os.fsdecode(out)
+    return bool(name) and "\0" not in name
 
 
 def _file_keys(path) -> list:

@@ -233,6 +233,11 @@ def test_run_config_validation_direct():
         RunConfig("bell-chain", {"n": "not-an-int"}, shots=0, seed=1).resolve()
     with pytest.raises(ConfigError):
         RunConfig("bell-chain", {"n": 2}, shots=-1, seed=1).resolve()
+    with pytest.raises(ConfigError, match="below 2\\*\\*63"):
+        RunConfig("bell-chain", {"n": 2}, shots=2**63, seed=1).resolve()
+    result = _run_cli(["run", "photon-swap", "--phi", "0.5", "--shots",
+                       str(10**20), "--seed", "1"])
+    assert result.exit_code == EXIT_CONFIG
     with pytest.raises(ConfigError):
         RunConfig("bell-chain", {"n": 2}, shots=0, seed=1,
                   format="yaml").resolve()
