@@ -31,7 +31,13 @@ from .fock import (
     StateVector,
     _check_same_register,
 )
-from .operators import OperatorMatrix, embed, pair_exchange, quadrature
+from .operators import (
+    OperatorMatrix,
+    commutator_norm,
+    embed,
+    pair_exchange,
+    quadrature,
+)
 
 #: Projector algebra tolerance (hermiticity, idempotence, orthogonality,
 #: completeness, site locality).
@@ -44,20 +50,17 @@ _TOTAL_PROBABILITY_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """Labeled complete set of orthogonal projectors, optionally site-tagged.
+    """Labeled complete set of orthogonal projectors.
 
     Validation: every projector is hermitian and idempotent, distinct
     projectors are orthogonal and together they sum to the identity (a NaN
-    entry fails each of these checks). When
-    ``site`` is set the projectors are also guaranteed to act as the
-    identity on every mode outside that site; constructors leave the tag
-    unset for constructions that fail this check (fermionic sign strings
-    can reach across sites).
+    entry fails each of these checks). Whether the projectors act only on
+    one site is not part of the spec; ``site_locality_gap(spec, site)``
+    answers it on request (fermionic sign strings can reach across sites).
     """
 
     name: str
     projectors: tuple[tuple[str, OperatorMatrix], ...]
-    site: Site | None = None
 
     def __post_init__(self):
         if not self.projectors:
@@ -83,13 +86,6 @@ class MeasurementSpec:
         total = sum(mats)
         if not np.abs(total - np.eye(reg.dim)).max() <= PROJECTOR_ATOL:
             raise ValueError(f"projectors of {self.name!r} do not sum to identity")
-        if self.site is not None and not (
-            site_locality_gap(self) <= PROJECTOR_ATOL
-        ):
-            raise ValueError(
-                f"{self.name!r} tagged site {self.site.value} but its projectors "
-                f"act outside that site"
-            )
 
     @property
     def register(self) -> ModeRegister:
@@ -110,24 +106,13 @@ class ShotRecord:
     shot_index: int
 
 
-def site_locality_gap(spec: MeasurementSpec) -> float:
+def site_locality_gap(spec: MeasurementSpec, site: Site) -> float:
     """Max-norm distance of the spec's projectors P from
-    Tr_out(P)/d_out (x) I_out, "out" being the modes outside the spec's
-    site. Zero means the projectors act as the identity on everything
-    outside the site; a fermionic sign string crossing the site boundary
-    shows up as a positive gap."""
-    if spec.site is None:
-        raise ValueError("spec has no site tag")
-    return _site_gap(spec.projectors, spec.site)
-
-
-def _maybe_site(
-    name: str, projectors: tuple[tuple[str, OperatorMatrix], ...], site: Site
-) -> MeasurementSpec:
-    """Tag the spec with the site only if the construction is actually local."""
-    if _site_gap(projectors, site) <= PROJECTOR_ATOL:
-        return MeasurementSpec(name, projectors, site)
-    return MeasurementSpec(name, projectors)
+    Tr_out(P)/d_out (x) I_out, "out" being the modes outside ``site``. At
+    most PROJECTOR_ATOL means the projectors act as the identity on
+    everything outside the site; a fermionic sign string crossing the site
+    boundary shows up as a positive gap."""
+    return _site_gap(spec.projectors, site)
 
 
 def _site_gap(projectors, site: Site) -> float:
@@ -168,7 +153,7 @@ def spin_direction_measurement(
         (label, OperatorMatrix(register, embed(register, {twolevel_mode: local})))
         for label, local in (("+1", (eye + sigma) / 2.0), ("-1", (eye - sigma) / 2.0))
     )
-    return _maybe_site(name or f"spin({twolevel_mode})", projectors, spec.site)
+    return MeasurementSpec(name or f"spin({twolevel_mode})", projectors)
 
 
 def plus_minus_basis(
@@ -193,7 +178,7 @@ def plus_minus_basis(
         ("-", OperatorMatrix(register, (t2 - t) / 2.0)),
         ("other", OperatorMatrix(register, eye - t2)),
     )
-    return _maybe_site(name or f"pm({mode1},{mode2})", projectors, s1.site)
+    return MeasurementSpec(name or f"pm({mode1},{mode2})", projectors)
 
 
 def vacuum_one_superposition_basis(
@@ -218,7 +203,7 @@ def vacuum_one_superposition_basis(
         (label, OperatorMatrix(register, embed(register, {mode: block})))
         for label, block in blocks
     ]
-    return _maybe_site(name or f"vac1({mode})", tuple(projectors), spec.site)
+    return MeasurementSpec(name or f"vac1({mode})", tuple(projectors))
 
 
 def quadrature_basis(
@@ -228,8 +213,8 @@ def quadrature_basis(
 
     For bosons this coincides with vacuum_one_superposition_basis. For a
     fermion mode the quadrature carries its anticommutation sign string, so
-    the "measurement" is not local to the mode's site; the returned spec is
-    left untagged in that case."""
+    the "measurement" is not local to the mode's site: its
+    ``site_locality_gap`` at that site is positive."""
     spec = register.mode(mode)
     if spec.cutoff != 1:
         raise InvalidCutoffError("quadrature basis supported for cutoff-1 modes")
@@ -239,7 +224,7 @@ def quadrature_basis(
         ("+1", OperatorMatrix(register, (eye + x) / 2.0)),
         ("-1", OperatorMatrix(register, (eye - x) / 2.0)),
     )
-    return _maybe_site(name or f"quad({mode})", projectors, spec.site)
+    return MeasurementSpec(name or f"quad({mode})", projectors)
 
 
 def _check_commuting(specs: list[MeasurementSpec]) -> None:
@@ -247,8 +232,7 @@ def _check_commuting(specs: list[MeasurementSpec]) -> None:
         for j in range(i + 1, len(specs)):
             for _, p in specs[i].projectors:
                 for _, q in specs[j].projectors:
-                    c = p.elements @ q.elements - q.elements @ p.elements
-                    if not np.abs(c).max() <= PROJECTOR_ATOL:
+                    if not commutator_norm(p, q) <= PROJECTOR_ATOL:
                         raise NonCommutingSpecsError(
                             f"{specs[i].name!r} and {specs[j].name!r} do not "
                             f"commute; no joint distribution exists"

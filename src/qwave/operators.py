@@ -218,8 +218,13 @@ def poisson_tail(alpha: complex, cutoff: int) -> float:
 
     ``pdtrc`` is the Poisson survival function ``scipy.stats.poisson.sf``
     computes; calling it directly keeps ``scipy.stats`` off the import path.
+    A mean |alpha|^2 beyond the float range leaves all the mass in the tail.
     """
-    return float(pdtrc(cutoff, abs(alpha) ** 2))
+    try:
+        mean = abs(alpha) ** 2
+    except OverflowError:
+        return 1.0
+    return float(pdtrc(cutoff, mean))
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:

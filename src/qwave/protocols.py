@@ -416,11 +416,13 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
         seed=seed,
         shots=shots,
     )
+    # even directions are measured at A, odd ones at B; each spec built once
+    direction = [
+        spin_direction_measurement(reg, f"spin_{s}", theta, s)
+        for theta, s in zip(thetas, "ab" * n + "a")
+    ]
     for k, (ia, ib) in enumerate(relations):
-        specs = [
-            spin_direction_measurement(reg, "spin_a", thetas[ia], "a"),
-            spin_direction_measurement(reg, "spin_b", thetas[ib], "b"),
-        ]
+        specs = [direction[ia], direction[ib]]
         _, _, p_exact = _two_site(joint_distribution(singlet, specs))
         report.passed = report.passed and abs(p_exact - p_formula) < 1e-12
         if shots > 0:

@@ -26,7 +26,7 @@ def _log(path: Path, workload: str, values: dict, failed: int = 0) -> str:
     return str(path)
 
 
-def test_verdicts_follow_the_pair_rules(tmp_path):
+def _summary(tmp_path, change_failed: int) -> dict:
     parent, change = [], []
     for i in range(10):
         jitter = 0.01 * (i % 3)
@@ -36,16 +36,21 @@ def test_verdicts_follow_the_pair_rules(tmp_path):
         change.append(_log(tmp_path / f"c{i}.txt", "paper-suite", {
             "op_iqm_ms": 2.8 + jitter, "op_tail_ms": 60.0 * (1 + i % 2),
             "reports_per_s": 80.0 - jitter, "peak_rss_mb": 100.0},
-            failed=int(i == 0)))
+            failed=change_failed if i == 0 else 0))
     summary = bench_pairs.main(["--parent", *parent, "--change", *change,
                                 "--out", str(tmp_path / "b.json")])
     assert summary == 0
-    out = json.loads((tmp_path / "b.json").read_text())
+    return json.loads((tmp_path / "b.json").read_text())
+
+
+def test_verdicts_follow_the_pair_rules(tmp_path):
+    out = _summary(tmp_path, change_failed=1)
     assert out["machines"][0]["numpy"] == "2.4.6"
     suite = out["workloads"]["paper-suite"]
     assert suite["failed"] == {"parent": 0, "change": 1}
     metrics = suite["metrics"]
-    assert metrics["op_iqm_ms"]["verdict"] == "gain"
+    # a faster change that fails more ops has no gain
+    assert metrics["op_iqm_ms"]["verdict"] == "no gain: more failed ops"
     assert metrics["op_iqm_ms"]["wins"] == 10
     assert metrics["op_iqm_ms"]["change"]["median"] == pytest.approx(2.81)
     assert metrics["peak_rss_mb"]["verdict"] == "worse than bound"
@@ -53,6 +58,13 @@ def test_verdicts_follow_the_pair_rules(tmp_path):
     assert metrics["op_tail_ms"]["verdict"] == "unresolved"
     assert metrics["reports_per_s"]["verdict"] == "within bound"
     assert metrics["reports_per_s"]["wins"] == 0
+
+
+def test_gain_needs_no_more_failed_ops_than_the_parent(tmp_path):
+    suite = _summary(tmp_path, change_failed=0)["workloads"]["paper-suite"]
+    assert suite["failed"] == {"parent": 0, "change": 0}
+    assert suite["metrics"]["op_iqm_ms"]["verdict"] == "gain"
+    assert suite["metrics"]["op_iqm_ms"]["wins"] == 10
 
 
 def test_unpaired_runs_are_refused(tmp_path):

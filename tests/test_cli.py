@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 
 import qwave
 
+from qwave import measurement
 from qwave.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -504,6 +506,44 @@ def test_register_over_dimension_budget_exits_protocol_error():
     error = json.loads(result.stderr)["error"]
     assert error["type"] == "DimensionBudgetError"
     assert "200002" in error["message"] and "4096" in error["message"]
+
+
+@pytest.mark.parametrize("alpha", ["1e300", "1e308+1e308j"])
+@pytest.mark.parametrize("experiment", ["rabi", "coherent-factorization"])
+def test_alpha_whose_square_overflows_exits_protocol_error(experiment, alpha):
+    # |alpha|**2 is beyond the float range: the whole Poisson mass is in the
+    # tail, so the tail bound fails without a traceback or a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _run_cli(["run", experiment, "--alpha", alpha, "--cutoff", "10",
+                           "--seed", "1"])
+    assert result.exit_code == EXIT_PROTOCOL, result.output
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "TailBoundExceededError"
+    assert "tail 1.000e+00" in error["message"]
+
+
+def test_no_run_computes_a_site_locality_gap(monkeypatch, tmp_path):
+    # locality is a query for callers that ask it; no experiment pays for it
+    def refuse(*args):
+        raise AssertionError("site locality gap computed during a run")
+
+    monkeypatch.setattr(measurement, "_site_gap", refuse)
+    params = {
+        "photon-swap": {"phi": 0.5},
+        "rabi": {"alpha": 2, "cutoff": 30},
+        "bell-chain": {"n": 3},
+        "aux-phase": {"phi": 0.5, "statistics": "fermion"},
+        "fermion-nogo": {},
+        "coherent-factorization": {"alpha": 1.5, "cutoff": 20},
+        "collective-chain": {"phi": 0.5},
+        "gauge-check": {"phi": 0.5, "kick": 0.3},
+    }
+    assert params.keys() == EXPERIMENTS.keys()
+    for experiment, values in params.items():
+        config = RunConfig(experiment, values, shots=100, seed=1,
+                           output_path=str(tmp_path / f"{experiment}.json"))
+        assert run(config) == EXIT_OK, experiment
 
 
 @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])

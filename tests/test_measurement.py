@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qwave import measurement
+from qwave.measurement import PROJECTOR_ATOL
 from qwave import (
     MeasurementSpec,
     ImpossibleOutcomeError,
@@ -143,19 +144,19 @@ def test_vacuum_one_basis_probabilities():
     assert born_probabilities(two, spec)["other"] == pytest.approx(1.0)
 
 
-def test_plus_minus_site_tag_degrades_for_stringed_fermion_pairs():
+def test_plus_minus_basis_not_local_for_stringed_fermion_pairs():
     # with another fermion mode declared between the pair, the transfer
     # operator carries a sign string across it: the construction is no
-    # longer site-local and must not claim to be
+    # longer site-local
     interleaved = build_register(
         [fermion("ta", Site.A), fermion("tb", Site.B),
          fermion("ra", Site.A), fermion("rb", Site.B)]
     )
     spec = plus_minus_basis(interleaved, "ta", "ra")
-    assert spec.site is None
-    # adjacent declaration keeps the tag
-    adjacent = _aux_register(fermion)
-    assert plus_minus_basis(adjacent, "ta", "ra").site is Site.A
+    assert site_locality_gap(spec, Site.A) > PROJECTOR_ATOL
+    # adjacent declaration keeps it local
+    adjacent = plus_minus_basis(_aux_register(fermion), "ta", "ra")
+    assert site_locality_gap(adjacent, Site.A) <= PROJECTOR_ATOL
 
 
 def test_quadrature_basis_requires_cutoff_one():
@@ -218,16 +219,14 @@ def test_spec_rejects_nan_projector():
         MeasurementSpec("nan", (("p", nan), ("q", rest)))
 
 
-def test_spec_tagged_with_wrong_site_rejected():
+def test_locality_gap_at_the_wrong_site_exceeds_the_bound():
     reg = build_register([fermion("a", Site.A), fermion("b", Site.B)])
-    untagged = quadrature_basis(reg, "b")
-    with pytest.raises(ValueError, match="act outside"):
-        MeasurementSpec("quad_b", untagged.projectors, Site.B)
+    assert site_locality_gap(quadrature_basis(reg, "b"), Site.B) > PROJECTOR_ATOL
     local = vacuum_one_superposition_basis(
         build_register([boson("a", 1, Site.A), boson("b", 1, Site.B)]), "a"
     )
-    with pytest.raises(ValueError, match="act outside"):
-        MeasurementSpec("vac1_a", local.projectors, Site.B)
+    assert site_locality_gap(local, Site.A) <= PROJECTOR_ATOL
+    assert site_locality_gap(local, Site.B) > PROJECTOR_ATOL
 
 
 def test_completeness_on_random_states():
@@ -423,7 +422,7 @@ def test_sequential_collapse_reproduces_joint_law():
 
 # --- locality ----------------------------------------------------------------
 
-def test_site_tagged_measurement_leaves_remote_state_alone():
+def test_site_local_measurement_leaves_remote_state_alone():
     # bosonic and two-level constructions: measuring at A cannot change
     # the reduced state at B
     reg = build_register(
@@ -437,8 +436,7 @@ def test_site_tagged_measurement_leaves_remote_state_alone():
         vacuum_one_superposition_basis(reg, "a"),
         spin_direction_measurement(reg, "s", 0.9),
     ):
-        assert spec.site is Site.A
-        assert site_locality_gap(spec) < 1e-12
+        assert site_locality_gap(spec, Site.A) < 1e-12
         rho_after = np.zeros_like(rho_before)
         for label in _labels(spec):
             try:
@@ -455,7 +453,8 @@ def test_fermionic_quadrature_basis_is_not_local():
     # phase readout
     reg = build_register([fermion("a", Site.A), fermion("b", Site.B)])
     spec_b = quadrature_basis(reg, "b")
-    assert spec_b.site is None  # construction reaches across sites
+    # the construction reaches across sites
+    assert site_locality_gap(spec_b, Site.B) > PROJECTOR_ATOL
 
     amps = np.zeros(reg.dim, dtype=complex)
     amps[reg.index_of((0, 0))] = 1.0 / np.sqrt(2.0)
@@ -471,7 +470,7 @@ def test_fermionic_quadrature_basis_is_not_local():
     # bosonic counterpart stays local
     breg = build_register([boson("a", 1, Site.A), boson("b", 1, Site.B)])
     bspec = quadrature_basis(breg, "b")
-    assert bspec.site is Site.B
+    assert site_locality_gap(bspec, Site.B) <= PROJECTOR_ATOL
 
 
 def test_site_locality_gap_zero_for_local_projectors_on_split_site():
@@ -496,23 +495,19 @@ def test_site_locality_gap_zero_for_local_projectors_on_split_site():
         p_full = np.kron(cols @ cols.conj().T, np.eye(d_out)).reshape(dims * 2)
         p_full = p_full.transpose(list(back) + [len(dims) + q for q in back])
         projectors.append((str(k), OperatorMatrix(reg, p_full.reshape(reg.dim, -1))))
-    spec = MeasurementSpec("local", tuple(projectors), Site.A)
-    assert site_locality_gap(spec) < 1e-12
+    spec = MeasurementSpec("local", tuple(projectors))
+    assert site_locality_gap(spec, Site.A) < 1e-12
 
 
 def test_site_gap_of_boundary_crossing_fermion_quadrature():
-    from qwave.measurement import PROJECTOR_ATOL, _site_gap
-
     reg = build_register(
         [fermion("a", Site.A), boson("o", 1, Site.O), fermion("b", Site.B)]
     )
     spec = quadrature_basis(reg, "b")
-    assert spec.site is None
-    assert _site_gap(spec.projectors, Site.B) >= 0.5
+    assert site_locality_gap(spec, Site.B) >= 0.5
     # the bosonic quadrature has no string and stays local
     breg = build_register(
         [boson("a", 1, Site.A), boson("o", 1, Site.O), boson("b", 1, Site.B)]
     )
     bspec = quadrature_basis(breg, "b")
-    assert bspec.site is Site.B
-    assert site_locality_gap(bspec) <= PROJECTOR_ATOL
+    assert site_locality_gap(bspec, Site.B) <= PROJECTOR_ATOL

@@ -9,6 +9,7 @@ import pytest
 from qwave import (
     ModeKind,
     NTooLargeError,
+    Site,
     TailBoundExceededError,
     ab_gauge_check,
     aux_particle_phase,
@@ -20,8 +21,10 @@ from qwave import (
     lhv_max_satisfied,
     photon_swap_experiment,
     rabi_rotation,
+    site_locality_gap,
 )
 from qwave import protocols
+from qwave.measurement import PROJECTOR_ATOL
 
 PHI_GRID = [0.0, math.pi / 3.0, math.pi / 2.0, math.pi, 4.0]
 
@@ -255,19 +258,24 @@ def test_aux_phase_rejects_unknown_statistics():
 def test_aux_phase_invariant_under_every_declaration_order(kind):
     # all 4! orders of the four modes give the site order's joint
     # distribution, outcome by outcome; for fermions, orders whose sign
-    # strings cross a site leave that site's spec without a site tag
+    # strings cross a site make that site's spec act outside it
     site_order = protocols._AUX_SITE_ORDER
-    untagged = 0
+    not_local = 0
     for phi in (0.0, 0.7, math.pi, 2.5):
         dist0 = protocols._aux_phase_exact(phi, kind, site_order)[3]
         for labels in itertools.permutations(site_order):
             _, _, specs, dist = protocols._aux_phase_exact(phi, kind, labels)
-            untagged += sum(spec.site is None for spec in specs)
+            not_local += sum(
+                site_locality_gap(spec, site) > PROJECTOR_ATOL
+                for spec, site in zip(specs, (Site.A, Site.B))
+            )
             assert dist.keys() == dist0.keys()
             for outcome, p in dist0.items():
                 assert abs(dist[outcome] - p) < 1e-12
     if kind is ModeKind.BOSON:
-        assert untagged == 0
+        assert not_local == 0
+    else:
+        assert not_local > 0
 
 
 # --- fermion no-go --------------------------------------------------------------
