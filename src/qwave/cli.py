@@ -347,41 +347,39 @@ def _check_distinct_outputs(configs: list[RunConfig], batch_file: str) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one configuration; returns the process exit code."""
+    """Execute one configuration; returns the process exit code. A report
+    that cannot be rendered (a NaN, say) exits 3 and writes nothing."""
     try:
         defn, params, shots, seed = config.resolve()
-    except ConfigError as exc:
-        _emit_error("ConfigError", EXIT_CONFIG, str(exc))
-        return EXIT_CONFIG
-    logger.info("running %s params=%s shots=%s seed=%s",
-                config.experiment, params, shots, seed)
-    try:
+        logger.info("running %s params=%s shots=%s seed=%s",
+                    config.experiment, params, shots, seed)
         report = defn.run(params, shots, seed)
-    except (SimulationError, ValueError) as exc:
-        _emit_error(type(exc).__name__, EXIT_PROTOCOL, str(exc))
-        return EXIT_PROTOCOL
-    report.seed = seed
-    if config.format == "csv":
-        text = render_csv(report)
-    else:
-        text = canonical_json(report.to_dict()) + "\n"
-    try:
+        report.seed = seed
+        if config.format == "csv":
+            text = render_csv(report)
+        else:
+            text = canonical_json(report.to_dict()) + "\n"
         if config.output_path is not None:
             with open(config.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+    except ConfigError as exc:
+        return _emit_error("ConfigError", EXIT_CONFIG, str(exc))
+    except (SimulationError, ValueError) as exc:
+        return _emit_error(type(exc).__name__, EXIT_PROTOCOL, str(exc))
     except OSError as exc:
-        _emit_error("IoError", EXIT_IO, str(exc))
-        return EXIT_IO
+        return _emit_error("IoError", EXIT_IO, str(exc))
     return EXIT_OK
 
 
-def _emit_error(err_type: str, code: int, message: str) -> None:
+def _emit_error(err_type: str, code: int, message: str) -> int:
+    """Write the error object to stderr; returns ``code``."""
     sys.stderr.write(
         canonical_json({"error": {"type": err_type, "code": code,
                                   "message": message}}) + "\n"
     )
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +523,14 @@ def batch_command(config_file, jobs):
         if not isinstance(entries, list):
             raise ValueError("batch file must hold a JSON array")
     except (OSError, ValueError) as exc:
-        _emit_error("ConfigError", EXIT_CONFIG, f"bad batch file: {exc}")
-        sys.exit(EXIT_CONFIG)
+        sys.exit(_emit_error("ConfigError", EXIT_CONFIG, f"bad batch file: {exc}"))
 
     try:
         configs = [_run_config(entry, f"batch entry {i}")
                    for i, entry in enumerate(entries)]
         _check_distinct_outputs(configs, config_file)
     except ConfigError as exc:
-        _emit_error("ConfigError", EXIT_CONFIG, str(exc))
-        sys.exit(EXIT_CONFIG)
+        sys.exit(_emit_error("ConfigError", EXIT_CONFIG, str(exc)))
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         codes = list(pool.map(run, configs))

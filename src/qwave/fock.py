@@ -122,7 +122,6 @@ class ModeRegister:
         self.dims = dims
         self.dim = dim
         self._position = {m.label: i for i, m in enumerate(modes)}
-        self._occupations: np.ndarray | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModeRegister) and self.modes == other.modes
@@ -161,17 +160,11 @@ class ModeRegister:
         return int(np.ravel_multi_index(occ, self.dims))
 
     def occupation_table(self) -> np.ndarray:
-        """All occupations as a (dim, n_modes) int array; row i is the
-        occupation of basis index i (the inverse of :meth:`index_of`)."""
-        if self._occupations is None:
-            if not self.modes:
-                table = np.zeros((1, 0), dtype=np.int64)
-            else:
-                cols = np.unravel_index(np.arange(self.dim), self.dims)
-                table = np.stack(cols, axis=1).astype(np.int64)
-            table.flags.writeable = False
-            self._occupations = table
-        return self._occupations
+        """All occupations as a (dim, n_modes) int array, built afresh on
+        each call; row i is the occupation of basis index i (the inverse of
+        :meth:`index_of`)."""
+        digits = np.indices(self.dims, dtype=np.int64)
+        return digits.reshape(len(self.dims), self.dim).T
 
     def sub_register(self, keep: Iterable[str]) -> "ModeRegister":
         """Register of the kept modes, preserving declaration order."""

@@ -112,17 +112,13 @@ def site_locality_gap(spec: MeasurementSpec, site: Site) -> float:
     most PROJECTOR_ATOL means the projectors act as the identity on
     everything outside the site; a fermionic sign string crossing the site
     boundary shows up as a positive gap."""
-    return _site_gap(spec.projectors, site)
-
-
-def _site_gap(projectors, site: Site) -> float:
-    reg = projectors[0][1].register
+    reg = spec.register
     inside = [q for q, m in enumerate(reg.modes) if m.site is site]
     order = inside + [q for q in range(len(reg.modes)) if q not in inside]
     d_in = int(np.prod([reg.dims[q] for q in inside], initial=1))
     d_out = reg.dim // d_in
     # one copy of the stacked projectors, regrouped as (k, in, out, in, out)
-    stack = np.array([p.elements for _, p in projectors])
+    stack = np.array([p.elements for _, p in spec.projectors])
     axes = [0] + [1 + q for q in order] + [1 + len(order) + q for q in order]
     t = stack.reshape((-1,) + reg.dims * 2).transpose(axes)
     t = t.reshape(-1, d_in, d_out, d_in, d_out)

@@ -31,6 +31,7 @@ from .fock import (
     ModeRegister,
     StateVector,
     _check_same_register,
+    from_amplitudes,
 )
 
 
@@ -227,6 +228,21 @@ def poisson_tail(alpha: complex, cutoff: int) -> float:
     return float(pdtrc(cutoff, mean))
 
 
+def check_tail_bound(alpha: complex, cutoff: int, tail_bound: float) -> None:
+    """Raise TailBoundExceededError when the Poisson occupation tail of a
+    coherent state above ``cutoff`` exceeds ``tail_bound``. A bound outside
+    [0, 1) raises ValueError before any tail is computed: no tail exceeds
+    1, so such a bound would switch the guard off."""
+    if not 0.0 <= tail_bound < 1.0:  # a NaN bound fails too
+        raise ValueError(f"tail_bound must be in [0, 1), got {tail_bound}")
+    tail = poisson_tail(alpha, cutoff)
+    if tail > tail_bound:
+        raise TailBoundExceededError(
+            f"occupation tail {tail:.3e} above cutoff {cutoff} exceeds "
+            f"bound {tail_bound!r} for alpha={alpha}"
+        )
+
+
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cutoff (not renormalized)."""
     n = np.arange(cutoff + 1)
@@ -245,20 +261,16 @@ def coherent_state(
 ) -> StateVector:
     """Truncated, renormalized coherent state on one bosonic mode.
 
-    Fails loudly (TailBoundExceededError) if the Poisson occupation tail
-    above the mode cutoff exceeds ``tail_bound``; silent truncation would
-    corrupt the rotation-rate guarantees downstream.
+    Fails loudly (TailBoundExceededError, from :func:`check_tail_bound`) if
+    the Poisson occupation tail above the mode cutoff exceeds
+    ``tail_bound``; silent truncation would corrupt the rotation-rate
+    guarantees downstream.
     """
     p = register.position(mode)
     mspec = register.modes[p]
     if mspec.kind is not ModeKind.BOSON:
         raise KindMismatchError(f"{mode!r} must be bosonic for a coherent state")
-    tail = poisson_tail(alpha, mspec.cutoff)
-    if tail > tail_bound:
-        raise TailBoundExceededError(
-            f"occupation tail {tail:.3e} above cutoff {mspec.cutoff} exceeds "
-            f"bound {tail_bound:.3e} for alpha={alpha}"
-        )
+    check_tail_bound(alpha, mspec.cutoff, tail_bound)
     mode_amps = coherent_amplitudes(alpha, mspec.cutoff)
     mode_amps = mode_amps / np.linalg.norm(mode_amps)
     amps = np.zeros(register.dims, dtype=complex)
@@ -291,21 +303,19 @@ def evolve(state: StateVector, hamiltonian: OperatorMatrix, t: float) -> StateVe
 def apply(
     op: OperatorMatrix, state: StateVector, renormalize: bool = False
 ) -> StateVector:
-    """Apply an operator matrix to a state.
+    """Apply an operator matrix to a state; the result is wrapped by
+    ``from_amplitudes(register, amplitudes, normalize=renormalize)``.
 
-    With ``renormalize`` the result is rescaled to unit norm (state
-    preparation with creation-operator polynomials, isometries). Without
-    it, the result must already be normalized (unitaries); norm drift
-    raises, signaling a bug rather than hiding it.
+    With ``renormalize`` it is rescaled to unit norm (state preparation
+    with creation-operator polynomials, isometries), and an operator that
+    annihilates the state raises ValueError. Without it, the result must
+    already be normalized (unitaries); norm drift raises, signaling a bug
+    rather than hiding it.
     """
     _check_same_register(op.register, state.register)
-    amps = op.elements @ state.amplitudes
-    if renormalize:
-        nrm = np.linalg.norm(amps)
-        if nrm < 1e-12:
-            raise ValueError("operator annihilated the state; cannot renormalize")
-        amps = amps / nrm
-    return StateVector(state.register, amps)
+    return from_amplitudes(
+        state.register, op.elements @ state.amplitudes, normalize=renormalize
+    )
 
 
 def commutator_norm(x: OperatorMatrix, y: OperatorMatrix) -> float:

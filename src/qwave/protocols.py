@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NTooLargeError, TailBoundExceededError
+from .errors import NTooLargeError
 from .fock import (
     ModeKind,
     ModeRegister,
@@ -67,6 +67,7 @@ from .operators import (
     OperatorMatrix,
     annihilation,
     apply,
+    check_tail_bound,
     coherent_amplitudes,
     coherent_state,
     commutator_norm,
@@ -307,37 +308,42 @@ def rabi_rotation(
         raise ValueError("alpha must be nonzero for a rotation rate")
     reg = build_register([boson("field", cutoff), two_level("atom")])
     psi0 = coherent_state(reg, "field", alpha, tail_bound)
-    h = swap_coupler(reg, "field", "atom", 1.0)
 
     t_end = math.pi / (2.0 * mag)
-    if times is None:
-        times = np.linspace(0.0, t_end, 65)
-    times = [float(t) for t in times]
-    if not times:
-        raise ValueError("times must not be empty")
-    if any(t < 0.0 for t in times):
-        raise ValueError("times must be nonnegative")
+    if times is not None:
+        times = [float(t) for t in times]
+        if not times:
+            raise ValueError("times must not be empty")
+        if any(t < 0.0 for t in times):
+            raise ValueError("times must be nonnegative")
 
-    w, v = h.eigh()
+    w, v = swap_coupler(reg, "field", "atom", 1.0).eigh()
+    # each phase (w t, sqrt(n) t, |alpha| t) is at most rate * t; one past
+    # the float range would turn into NaN. The default grid ends at t_end.
+    rate = max(float(np.abs(w).max()), mag)
+    for t in [t_end] if times is None else times:
+        if not math.isfinite(rate * t):
+            raise ValueError(f"phase at time {t:.17g} overflows for alpha={alpha}")
+    if times is None:
+        times = [float(t) for t in np.linspace(0.0, t_end, 65)]
     coeffs = v.conj().T @ psi0.amplitudes
     atom_excited = reg.occupation_table()[:, reg.position("atom")] == 1
     # |n, g> couples only to |n-1, e>, at rate sqrt(n)
     p_n = np.abs(psi0.amplitudes.reshape(cutoff + 1, 2)[:, 0]) ** 2
     sqrt_n = np.sqrt(np.arange(cutoff + 1.0))
 
-    max_dev = 0.0
-    closed_form_gap = 0.0
-    norm_drift = 0.0
-    pe_end = 0.0
+    drifts, gaps, devs = [], [], [0.0]
     for t in times:
         amps = v @ (np.exp(-1j * w * t) * coeffs)
-        norm_drift = max(norm_drift, abs(np.linalg.norm(amps) - 1.0))
+        drifts.append(abs(np.linalg.norm(amps) - 1.0))
         pe = float(np.sum(np.abs(amps[atom_excited]) ** 2))
         closed_form = float(np.sum(p_n * np.sin(sqrt_n * t) ** 2))
-        closed_form_gap = max(closed_form_gap, abs(pe - closed_form))
+        gaps.append(abs(pe - closed_form))
         if t <= t_end + 1e-12:
-            max_dev = max(max_dev, abs(pe - math.sin(mag * t) ** 2))
-        pe_end = pe
+            devs.append(abs(pe - math.sin(mag * t) ** 2))
+    # np.max carries a NaN through, where max() would keep its other operand
+    norm_drift, closed_form_gap, max_dev = (float(np.max(x))
+                                            for x in (drifts, gaps, devs))
 
     # the tail two ways: Poisson survival function, and the norm the
     # unnormalised amplitudes below the cutoff leave out
@@ -357,7 +363,7 @@ def rabi_rotation(
         shots=0,
         analytic={
             "max_deviation_from_rotation_formula": max_dev,
-            "excited_population_final": pe_end,
+            "excited_population_final": pe,
             "rotation_formula_final": math.sin(mag * times[-1]) ** 2,
             "tail_mass": tail_mass,
         },
@@ -639,12 +645,7 @@ def coherent_factorization(
     """
     alpha = complex(alpha)
     # the local amplitudes alpha / sqrt(2) have the smaller tail
-    tail = poisson_tail(alpha, cutoff)
-    if tail > tail_bound:
-        raise TailBoundExceededError(
-            f"occupation tail {tail:.3e} above cutoff {cutoff} exceeds "
-            f"{tail_bound:.3e} for amplitude {alpha}"
-        )
+    check_tail_bound(alpha, cutoff, tail_bound)
     reg = build_register([boson("a", cutoff, Site.A), boson("b", cutoff, Site.B)])
 
     lift = (1.0 / math.sqrt(2.0)) * (creation(reg, "a") + creation(reg, "b"))

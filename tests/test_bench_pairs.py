@@ -14,8 +14,9 @@ _spec.loader.exec_module(bench_pairs)
 METRICS = ("setup_s", "op_iqm_ms", "op_tail_ms", "reports_per_s", "peak_rss_mb")
 
 
-def _log(path: Path, workload: str, values: dict, failed: int = 0) -> str:
-    result = {"correct": failed == 0, "attempted": 100, "failed": failed,
+def _log(path: Path, workload: str, values: dict, failed: int = 0,
+         attempted: int = 100) -> str:
+    result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
               "metrics": {m: {"value": values.get(m, 1.0), "unit": "x"}
                           for m in METRICS}}
     path.write_text(
@@ -26,17 +27,21 @@ def _log(path: Path, workload: str, values: dict, failed: int = 0) -> str:
     return str(path)
 
 
-def _summary(tmp_path, change_failed: int) -> dict:
+def _summary(tmp_path, change_failed: int, parent_failed: int = 0,
+             parent_attempted: int = 100, change_attempted: int = 100) -> dict:
+    """Ten pairs; the first run of each side fails the given ops, and every
+    run of a side attempts the given number."""
     parent, change = [], []
     for i in range(10):
         jitter = 0.01 * (i % 3)
         parent.append(_log(tmp_path / f"p{i}.txt", "paper-suite", {
             "op_iqm_ms": 7.0 + jitter, "op_tail_ms": 60.0 * (1 + i % 2),
-            "reports_per_s": 80.0, "peak_rss_mb": 85.0}))
+            "reports_per_s": 80.0, "peak_rss_mb": 85.0},
+            failed=parent_failed if i == 0 else 0, attempted=parent_attempted))
         change.append(_log(tmp_path / f"c{i}.txt", "paper-suite", {
             "op_iqm_ms": 2.8 + jitter, "op_tail_ms": 60.0 * (1 + i % 2),
             "reports_per_s": 80.0 - jitter, "peak_rss_mb": 100.0},
-            failed=change_failed if i == 0 else 0))
+            failed=change_failed if i == 0 else 0, attempted=change_attempted))
     summary = bench_pairs.main(["--parent", *parent, "--change", *change,
                                 "--out", str(tmp_path / "b.json")])
     assert summary == 0
@@ -50,7 +55,7 @@ def test_verdicts_follow_the_pair_rules(tmp_path):
     assert suite["failed"] == {"parent": 0, "change": 1}
     metrics = suite["metrics"]
     # a faster change that fails more ops has no gain
-    assert metrics["op_iqm_ms"]["verdict"] == "no gain: more failed ops"
+    assert metrics["op_iqm_ms"]["verdict"] == "no gain: larger failed share"
     assert metrics["op_iqm_ms"]["wins"] == 10
     assert metrics["op_iqm_ms"]["change"]["median"] == pytest.approx(2.81)
     assert metrics["peak_rss_mb"]["verdict"] == "worse than bound"
@@ -65,6 +70,23 @@ def test_gain_needs_no_more_failed_ops_than_the_parent(tmp_path):
     assert suite["failed"] == {"parent": 0, "change": 0}
     assert suite["metrics"]["op_iqm_ms"]["verdict"] == "gain"
     assert suite["metrics"]["op_iqm_ms"]["wins"] == 10
+
+
+def test_gain_compares_failed_shares_not_counts(tmp_path):
+    # parent 1 of 1000 failed; the change 2 of 2000, the same share
+    same = _summary(tmp_path, change_failed=2, parent_failed=1,
+                    parent_attempted=100, change_attempted=200)
+    suite = same["workloads"]["paper-suite"]
+    assert suite["failed"] == {"parent": 1, "change": 2}
+    assert suite["attempted"] == {"parent": 1000, "change": 2000}
+    assert suite["metrics"]["op_iqm_ms"]["verdict"] == "gain"
+    # parent 1 of 1000; the change 1 of 400, a larger share
+    larger = _summary(tmp_path, change_failed=1, parent_failed=1,
+                      parent_attempted=100, change_attempted=40)
+    suite = larger["workloads"]["paper-suite"]
+    assert suite["failed"] == {"parent": 1, "change": 1}
+    assert suite["attempted"] == {"parent": 1000, "change": 400}
+    assert suite["metrics"]["op_iqm_ms"]["verdict"] == "no gain: larger failed share"
 
 
 def test_unpaired_runs_are_refused(tmp_path):

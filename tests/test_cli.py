@@ -1,5 +1,6 @@
 import cmath
 import inspect
+import itertools
 import json
 import os
 import random
@@ -14,12 +15,13 @@ from click.testing import CliRunner
 
 import qwave
 
-from qwave import measurement
+from qwave import measurement, protocols
 from qwave.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PROTOCOL,
     EXPERIMENTS,
+    ExperimentDef,
     RunConfig,
     canonical_json,
     list_experiments,
@@ -523,24 +525,30 @@ def test_alpha_whose_square_overflows_exits_protocol_error(experiment, alpha):
     assert "tail 1.000e+00" in error["message"]
 
 
+#: Parameters of one passing run of each experiment.
+_TYPICAL_PARAMS = {
+    "photon-swap": {"phi": 0.5},
+    "rabi": {"alpha": 2, "cutoff": 30},
+    "bell-chain": {"n": 3},
+    "aux-phase": {"phi": 0.5, "statistics": "fermion"},
+    "fermion-nogo": {},
+    "coherent-factorization": {"alpha": 1.5, "cutoff": 20},
+    "collective-chain": {"phi": 0.5},
+    "gauge-check": {"phi": 0.5, "kick": 0.3},
+}
+
+
 def test_no_run_computes_a_site_locality_gap(monkeypatch, tmp_path):
     # locality is a query for callers that ask it; no experiment pays for it
     def refuse(*args):
         raise AssertionError("site locality gap computed during a run")
 
-    monkeypatch.setattr(measurement, "_site_gap", refuse)
-    params = {
-        "photon-swap": {"phi": 0.5},
-        "rabi": {"alpha": 2, "cutoff": 30},
-        "bell-chain": {"n": 3},
-        "aux-phase": {"phi": 0.5, "statistics": "fermion"},
-        "fermion-nogo": {},
-        "coherent-factorization": {"alpha": 1.5, "cutoff": 20},
-        "collective-chain": {"phi": 0.5},
-        "gauge-check": {"phi": 0.5, "kick": 0.3},
-    }
-    assert params.keys() == EXPERIMENTS.keys()
-    for experiment, values in params.items():
+    # the locality query's body is its own, so replacing it wherever a
+    # run could look it up catches every call
+    for module in (measurement, protocols):
+        monkeypatch.setattr(module, "site_locality_gap", refuse, raising=False)
+    assert _TYPICAL_PARAMS.keys() == EXPERIMENTS.keys()
+    for experiment, values in _TYPICAL_PARAMS.items():
         config = RunConfig(experiment, values, shots=100, seed=1,
                            output_path=str(tmp_path / f"{experiment}.json"))
         assert run(config) == EXIT_OK, experiment
@@ -639,3 +647,84 @@ def test_run_options_parse_like_batch_keys(option, value, tmp_path):
     assert result.exit_code == EXIT_CONFIG
     assert json.loads(result.stderr)["error"]["type"] == "ConfigError"
     assert not out.exists()
+
+
+#: Values at the edges of what parses, per parameter kind; ``tail_bound``
+#: takes its own grid.
+_FLOAT_EXTREMES = ["0", "5e-324", "1e-310", "1e308", "-1e308"]
+_EXTREMES = {
+    "float": _FLOAT_EXTREMES,
+    "complex": _FLOAT_EXTREMES + ["1e200+1e200j"],
+    "float_list": ["1e308", "5e-324,1e308"],
+    "int": ["-1", "0", "1", "2", "3"],
+}
+_TAIL_BOUNDS = ["0", "1", "1e308"]
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_extreme_parameter_values_exit_cleanly(experiment, capsys):
+    # one parameter at a time at an extreme value, the others typical: the
+    # run ends in a report or one JSON error line, never a traceback, exit
+    # 1 or a numpy warning
+    variants = [{}]
+    for spec in EXPERIMENTS[experiment].params:
+        grid = (_TAIL_BOUNDS if spec.name == "tail_bound"
+                else spec.choices or _EXTREMES[spec.kind])
+        variants += [{spec.name: value} for value in grid]
+    for variant, shots in itertools.product(variants, (0, 10)):
+        params = {**_TYPICAL_PARAMS[experiment], **variant}
+        where = f"{experiment} {params} shots={shots}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = run(RunConfig(experiment, params, shots=shots, seed=1))
+            except Exception as exc:  # any escape is the bug
+                pytest.fail(f"{where}: {exc!r} escaped")
+        out, err = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL), where
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], where
+        if code == EXIT_OK:
+            assert json.loads(out)["pass"] is True and err == "", where
+        else:
+            assert json.loads(err)["error"]["code"] == code and out == "", where
+
+
+@pytest.mark.parametrize("args, named", [
+    (["rabi", "--alpha", "1", "--cutoff", "10", "--times", "1e308"],
+     "time 1e+308"),
+    (["rabi", "--alpha", "1e-310", "--cutoff", "10"], "alpha=(1e-310+0j)"),
+    (["rabi", "--alpha", "30", "--cutoff", "10", "--tail-bound", "1"],
+     "tail_bound must be in [0, 1), got 1.0"),
+    (["coherent-factorization", "--alpha", "1000", "--cutoff", "40",
+      "--tail-bound", "3"], "tail_bound must be in [0, 1), got 3.0"),
+])
+def test_phase_overflow_and_tail_bound_off_range_exit_protocol_error(args, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _run_cli(["run", *args, "--seed", "1"])
+    assert result.exit_code == EXIT_PROTOCOL, result.output
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "ValueError"
+    assert named in error["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_that_cannot_be_rendered_exits_protocol_error(
+    fmt, monkeypatch, tmp_path, capsys
+):
+    # rendering is inside run's exit-3 boundary, and nothing is written
+    runner = ExperimentDef.run
+
+    def nan_report(self, params, shots, seed):
+        report = runner(self, params, shots, seed)
+        report.analytic["coincidence"] = float("nan")
+        return report
+
+    monkeypatch.setattr(ExperimentDef, "run", nan_report)
+    out = tmp_path / "swap.out"
+    config = RunConfig("photon-swap", {"phi": 0.5}, seed=1,
+                       output_path=str(out), format=fmt)
+    assert run(config) == EXIT_PROTOCOL
+    assert not out.exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"] == "reports must not contain NaN or infinities"

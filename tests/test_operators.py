@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qwave import operators
 from qwave.operators import embed
 
 from qwave import (
@@ -179,6 +180,19 @@ def test_coherent_state_tail_bound():
         coherent_state(reg, "m", 10.0, 1e-8)
     with pytest.raises(KindMismatchError):
         coherent_state(build_register([two_level("t")]), "t", 0.1, 1e-8)
+
+
+@pytest.mark.parametrize("bound", [-1e-9, 1.0, 3.0, 1e308, float("nan")])
+def test_tail_bound_outside_unit_interval_rejected_before_any_tail(
+    bound, monkeypatch
+):
+    # no tail exceeds 1, so such a bound would switch the guard off
+    def refuse(alpha, cutoff):
+        raise AssertionError("tail computed for an off-range bound")
+
+    monkeypatch.setattr(operators, "poisson_tail", refuse)
+    with pytest.raises(ValueError, match=r"tail_bound must be in \[0, 1\)"):
+        coherent_state(build_register([boson("m", 10)]), "m", 30.0, bound)
 
 
 @pytest.mark.parametrize(

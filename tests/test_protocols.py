@@ -23,7 +23,7 @@ from qwave import (
     rabi_rotation,
     site_locality_gap,
 )
-from qwave import protocols
+from qwave import OperatorMatrix, protocols
 from qwave.measurement import PROJECTOR_ATOL
 
 PHI_GRID = [0.0, math.pi / 3.0, math.pi / 2.0, math.pi, 4.0]
@@ -103,6 +103,30 @@ def test_rabi_fails_when_tail_mass_leaves_its_second_route(monkeypatch):
 def test_rabi_tail_guard():
     with pytest.raises(TailBoundExceededError):
         rabi_rotation(10.0, 60)
+
+
+def test_rabi_rejects_a_time_whose_phase_overflows():
+    with pytest.raises(ValueError, match=r"time 1e\+308 overflows"):
+        rabi_rotation(1.0, 10, times=[0.5, 1e308])
+    # the default grid ends at pi / (2 |alpha|), beyond the float range here
+    with pytest.raises(ValueError, match=r"time inf overflows for alpha=\(1e-310"):
+        rabi_rotation(1e-310, 10)
+    assert rabi_rotation(1e-310, 10, times=[1.0]).passed
+
+
+def test_rabi_maxima_carry_a_nan(monkeypatch):
+    eigh = OperatorMatrix.eigh
+
+    def nan_eigh(op):
+        w, v = eigh(op)
+        v = v.copy()
+        v[0, 0] = math.nan
+        return w, v
+
+    monkeypatch.setattr(OperatorMatrix, "eigh", nan_eigh)
+    report = rabi_rotation(2.0, 24)
+    assert math.isnan(report.analytic["excited_population_final"])
+    assert not report.passed
 
 
 # --- bell chain ---------------------------------------------------------------
@@ -360,6 +384,8 @@ def test_coherent_factorization_vacuum_case():
 def test_coherent_factorization_tail_guard():
     with pytest.raises(TailBoundExceededError):
         coherent_factorization(4.0, 6)
+    with pytest.raises(ValueError, match=r"tail_bound must be in \[0, 1\), got 3.0"):
+        coherent_factorization(1000.0, 40, tail_bound=3.0)
 
 
 # --- collective chain -------------------------------------------------------------

@@ -23,9 +23,10 @@ change in the worse direction, and a verdict against the bound that
 
 * ``gain``: the change wins at least nine tenths of the pairs (ties count
   for neither), the medians differ by more than the parent's IQR, and the
-  change failed no more ops on the workload than the parent did;
-* ``no gain: more failed ops``: the pair rule of ``gain`` holds, but the
-  change failed more ops than the parent, so its speed does not count;
+  share of its ops that failed on the workload (failed / attempted) is no
+  larger than the parent's;
+* ``no gain: larger failed share``: the pair rule of ``gain`` holds, but a
+  larger share of the change's ops failed, so its speed does not count;
 * ``worse than bound``: the change's median is worse than the parent's by
   more than the bound;
 * ``unresolved``: otherwise, when the parent's IQR relative to its median
@@ -83,7 +84,7 @@ def side_summary(values: list[float]) -> dict:
 def compare(parent: list[float], change: list[float], better: str,
             bound: float, more_failed: bool) -> dict:
     """Pairwise wins and the verdict for one metric on one workload;
-    ``more_failed`` says the change failed more ops than the parent."""
+    ``more_failed`` says a larger share of the change's ops failed."""
     sign = 1.0 if better == "lower" else -1.0
     # positive when the change is better
     gains = [sign * (p - c) for p, c in zip(parent, change)]
@@ -93,7 +94,7 @@ def compare(parent: list[float], change: list[float], better: str,
     beats_all = (max(change) < min(parent) if better == "lower"
                  else min(change) > max(parent))
     if wins >= 0.9 * len(gains) and -worse_by * abs(p["median"]) > p["iqr"]:
-        verdict = "no gain: more failed ops" if more_failed else "gain"
+        verdict = "no gain: larger failed share" if more_failed else "gain"
     elif worse_by > bound:
         verdict = "worse than bound"
     elif p["iqr"] / abs(p["median"]) > bound and not beats_all:
@@ -130,7 +131,10 @@ def summarise(parent_logs: list[str], change_logs: list[str],
             "logs": {s: [r["log"] for r in rs] for s, rs in runs.items()},
             "metrics": {},
         }
-        more_failed = entry["failed"]["change"] > entry["failed"]["parent"]
+        # the two sides may attempt different numbers of ops
+        share = {s: entry["failed"][s] / max(entry["attempted"][s], 1)
+                 for s in runs}
+        more_failed = share["change"] > share["parent"]
         for metric, spec in specs.items():
             values = {s: [r["result"]["metrics"][metric]["value"] for r in rs]
                       for s, rs in runs.items()}
