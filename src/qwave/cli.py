@@ -346,9 +346,10 @@ def _check_distinct_outputs(configs: list[RunConfig], batch_file: str) -> None:
             writers.update(dict.fromkeys(keys, i))
 
 
-def run(config: RunConfig) -> int:
+def run(config: RunConfig, entry: int | None = None) -> int:
     """Execute one configuration; returns the process exit code. A report
-    that cannot be rendered (a NaN, say) exits 3 and writes nothing."""
+    that cannot be rendered (a NaN, say) exits 3 and writes nothing. A
+    batch passes the ``entry`` index, which its error object carries."""
     try:
         defn, params, shots, seed = config.resolve()
         logger.info("running %s params=%s shots=%s seed=%s",
@@ -365,20 +366,21 @@ def run(config: RunConfig) -> int:
         else:
             sys.stdout.write(text)
     except ConfigError as exc:
-        return _emit_error("ConfigError", EXIT_CONFIG, str(exc))
+        return _emit_error("ConfigError", EXIT_CONFIG, str(exc), entry)
     except (SimulationError, ValueError) as exc:
-        return _emit_error(type(exc).__name__, EXIT_PROTOCOL, str(exc))
+        return _emit_error(type(exc).__name__, EXIT_PROTOCOL, str(exc), entry)
     except OSError as exc:
-        return _emit_error("IoError", EXIT_IO, str(exc))
+        return _emit_error("IoError", EXIT_IO, str(exc), entry)
     return EXIT_OK
 
 
-def _emit_error(err_type: str, code: int, message: str) -> int:
-    """Write the error object to stderr; returns ``code``."""
-    sys.stderr.write(
-        canonical_json({"error": {"type": err_type, "code": code,
-                                  "message": message}}) + "\n"
-    )
+def _emit_error(err_type: str, code: int, message: str, entry=None) -> int:
+    """Write the error object to stderr as one JSON line, with the batch
+    ``entry`` index when one is given; returns ``code``."""
+    error = {"type": err_type, "code": code, "message": message}
+    if entry is not None:
+        error["entry"] = entry
+    sys.stderr.write(json.dumps({"error": error}, sort_keys=True) + "\n")
     return code
 
 
@@ -533,7 +535,7 @@ def batch_command(config_file, jobs):
         sys.exit(_emit_error("ConfigError", EXIT_CONFIG, str(exc)))
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        codes = list(pool.map(run, configs))
+        codes = list(pool.map(run, configs, range(len(configs))))
     for config, code in zip(configs, codes):
         status = "ok" if code == EXIT_OK else f"failed({code})"
         click.echo(f"{config.experiment}: {status}", err=True)

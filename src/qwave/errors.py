@@ -64,3 +64,11 @@ class NTooLargeError(SimulationError):
 
 class ConfigError(Exception):
     """Invalid run configuration (unknown experiment, bad parameter...)."""
+
+
+def check_within(gap, bound, what: str, *args, error=ValueError) -> None:
+    """The one rule of every numerical guard: raise ``error`` unless ``gap <=
+    bound``, so a NaN gap fails, with the message ``what % args`` followed by
+    ``": <gap .3e> exceeds bound <bound!r>"``, formatted only on failure."""
+    if not gap <= bound:
+        raise error(f"{what % args}: {gap:.3e} exceeds bound {bound!r}")

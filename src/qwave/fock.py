@@ -25,6 +25,7 @@ from .errors import (
     OccupationOutOfRangeError,
     RegisterMismatchError,
     UnknownModeError,
+    check_within,
 )
 
 #: Tolerance for state normalization and hermiticity checks.
@@ -195,9 +196,8 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.register.dim},)"
             )
-        nrm = np.linalg.norm(amps)
-        if not abs(nrm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
-            raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
+        check_within(abs(np.linalg.norm(amps) - 1.0), NORM_ATOL,
+                     "state not normalized, |norm - 1|")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -269,14 +269,12 @@ class DensityMatrix:
         d = self.register.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
-        if not np.abs(mat - mat.conj().T).max() <= NORM_ATOL:
-            raise ValueError("density matrix not hermitian")
-        tr = np.trace(mat).real
-        if not abs(tr - 1.0) <= NORM_ATOL:
-            raise ValueError(f"density matrix trace {tr} != 1")
-        evals = np.linalg.eigvalsh(mat)
-        if not evals.min() >= -NORM_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+        check_within(np.abs(mat - mat.conj().T).max(), NORM_ATOL,
+                     "density matrix not hermitian")
+        check_within(abs(np.trace(mat).real - 1.0), NORM_ATOL,
+                     "density matrix trace not 1, |trace - 1|")
+        check_within(-np.linalg.eigvalsh(mat).min(), NORM_ATOL,
+                     "density matrix not positive, -min eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "elements", mat)
 

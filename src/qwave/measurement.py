@@ -23,6 +23,7 @@ from .errors import (
     NonCommutingSpecsError,
     SimulationError,
     SiteMismatchError,
+    check_within,
 )
 from .fock import (
     ModeKind,
@@ -72,20 +73,17 @@ class MeasurementSpec:
         mats = [p.elements for _, p in self.projectors]
         for (label, p), m in zip(self.projectors, mats):
             _check_same_register(reg, p.register)
-            if not np.abs(m - m.conj().T).max() <= PROJECTOR_ATOL:
-                raise ValueError(f"projector {label!r} of {self.name!r} not hermitian")
-            if not np.abs(m @ m - m).max() <= PROJECTOR_ATOL:
-                raise ValueError(f"projector {label!r} of {self.name!r} not idempotent")
+            check_within(np.abs(m - m.conj().T).max(), PROJECTOR_ATOL,
+                         "projector %r of %r not hermitian", label, self.name)
+            check_within(np.abs(m @ m - m).max(), PROJECTOR_ATOL,
+                         "projector %r of %r not idempotent", label, self.name)
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                if not np.abs(mats[i] @ mats[j]).max() <= PROJECTOR_ATOL:
-                    raise ValueError(
-                        f"projectors {labels[i]!r}, {labels[j]!r} of "
-                        f"{self.name!r} not orthogonal"
-                    )
-        total = sum(mats)
-        if not np.abs(total - np.eye(reg.dim)).max() <= PROJECTOR_ATOL:
-            raise ValueError(f"projectors of {self.name!r} do not sum to identity")
+                check_within(np.abs(mats[i] @ mats[j]).max(), PROJECTOR_ATOL,
+                             "projectors %r, %r of %r not orthogonal",
+                             labels[i], labels[j], self.name)
+        check_within(np.abs(sum(mats) - np.eye(reg.dim)).max(), PROJECTOR_ATOL,
+                     "projectors of %r do not sum to identity", self.name)
 
     @property
     def register(self) -> ModeRegister:
@@ -228,11 +226,10 @@ def _check_commuting(specs: list[MeasurementSpec]) -> None:
         for j in range(i + 1, len(specs)):
             for _, p in specs[i].projectors:
                 for _, q in specs[j].projectors:
-                    if not commutator_norm(p, q) <= PROJECTOR_ATOL:
-                        raise NonCommutingSpecsError(
-                            f"{specs[i].name!r} and {specs[j].name!r} do not "
-                            f"commute; no joint distribution exists"
-                        )
+                    check_within(commutator_norm(p, q), PROJECTOR_ATOL,
+                                 "%r and %r do not commute, max |PQ - QP|",
+                                 specs[i].name, specs[j].name,
+                                 error=NonCommutingSpecsError)
 
 
 def joint_distribution(
@@ -279,16 +276,11 @@ def _draw(
     if shots == 0:
         return names, combos, np.zeros(len(combos), dtype=np.int64), None
     probs = np.array([dist[c] for c in combos])
-    # written so that a NaN probability fails both checks
-    if not probs.min() >= -PROJECTOR_ATOL:
-        raise SimulationError(
-            f"joint probability {probs.min():.3e} is below -{PROJECTOR_ATOL:.0e}"
-        )
-    if not abs(probs.sum() - 1.0) <= _TOTAL_PROBABILITY_ATOL:
-        raise SimulationError(
-            f"joint probabilities sum to 1 + {probs.sum() - 1.0:.3e}, beyond "
-            f"the bound {_TOTAL_PROBABILITY_ATOL:.0e}"
-        )
+    check_within(-probs.min(), PROJECTOR_ATOL,
+                 "negative joint probability, -min", error=SimulationError)
+    check_within(abs(probs.sum() - 1.0), _TOTAL_PROBABILITY_ATOL,
+                 "joint probabilities do not sum to 1, |total - 1|",
+                 error=SimulationError)
     weights = np.clip(probs, 0.0, None)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,)))

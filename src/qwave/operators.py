@@ -24,6 +24,7 @@ from .errors import (
     KindMismatchError,
     NotHermitianError,
     TailBoundExceededError,
+    check_within,
 )
 from .fock import (
     NORM_ATOL,
@@ -55,9 +56,9 @@ class OperatorMatrix:
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition; requires hermiticity."""
-        gap = np.abs(self.elements - self.elements.conj().T).max()
-        if not gap <= NORM_ATOL:  # a NaN gap fails too
-            raise NotHermitianError("eigendecomposition requires a hermitian operator")
+        check_within(np.abs(self.elements - self.elements.conj().T).max(),
+                     NORM_ATOL, "eigendecomposition requires a hermitian operator",
+                     error=NotHermitianError)
         return np.linalg.eigh(self.elements)
 
     def expectation(self, state: StateVector) -> complex:
@@ -230,17 +231,14 @@ def poisson_tail(alpha: complex, cutoff: int) -> float:
 
 def check_tail_bound(alpha: complex, cutoff: int, tail_bound: float) -> None:
     """Raise TailBoundExceededError when the Poisson occupation tail of a
-    coherent state above ``cutoff`` exceeds ``tail_bound``. A bound outside
-    [0, 1) raises ValueError before any tail is computed: no tail exceeds
-    1, so such a bound would switch the guard off."""
+    coherent state above ``cutoff`` exceeds ``tail_bound`` or is NaN. A bound
+    outside [0, 1) raises ValueError before any tail is computed: no tail
+    exceeds 1, so such a bound would switch the guard off."""
     if not 0.0 <= tail_bound < 1.0:  # a NaN bound fails too
         raise ValueError(f"tail_bound must be in [0, 1), got {tail_bound}")
-    tail = poisson_tail(alpha, cutoff)
-    if tail > tail_bound:
-        raise TailBoundExceededError(
-            f"occupation tail {tail:.3e} above cutoff {cutoff} exceeds "
-            f"bound {tail_bound!r} for alpha={alpha}"
-        )
+    check_within(poisson_tail(alpha, cutoff), tail_bound,
+                 "occupation tail above cutoff %s for alpha=%s", cutoff, alpha,
+                 error=TailBoundExceededError)
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import cmath
+import csv
 import inspect
 import itertools
 import json
@@ -109,6 +110,52 @@ def test_csv_format(tmp_path):
     assert lines[0] == "kind,name,value,count"
     kinds = {line.split(",")[0] for line in lines[1:]}
     assert {"meta", "analytic"} <= kinds
+
+
+def test_csv_rows_carry_every_golden_report_value(tmp_path):
+    # each golden entry rendered as CSV holds exactly its JSON report's
+    # parameters, analytic values, empirical values and counts,
+    # discrepancies and pass
+    golden = Path(__file__).parent / "golden"
+    for entry in json.loads((golden / "batch.json").read_text()):
+        name = Path(entry["out"]).name
+        out = tmp_path / (name + ".csv")
+        config = RunConfig(entry["experiment"], entry["params"],
+                           shots=entry["shots"], seed=entry["seed"],
+                           output_path=str(out), format="csv")
+        assert run(config) == EXIT_OK, name
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["kind", "name", "value", "count"], name
+        kinds: dict = {}
+        for kind, key, value, count in rows:
+            kinds.setdefault(kind, {})[key] = (value, count)
+        report = json.loads((golden / name).read_text())
+        assert kinds["meta"] == {
+            "experiment": (report["experiment"], ""),
+            "seed": (str(report["seed"]), ""),
+            "shots": (str(report["shots"]), ""),
+            "pass": (str(report["pass"]).lower(), ""),
+        }, name
+        params = {key: value for key, (value, _) in kinds.get("param", {}).items()}
+        assert params.keys() == report["params"].keys(), name
+        for key, value in report["params"].items():
+            if isinstance(value, list):
+                assert [float(v) for v in params[key].split(";")] == value, name
+            elif isinstance(value, str):
+                assert params[key] == value, name
+            else:
+                assert float(params[key]) == value, name
+        assert {key: float(value) for key, (value, _)
+                in kinds.get("analytic", {}).items()} == report["analytic"], name
+        assert {key: {"value": float(value), "count": int(count)}
+                for key, (value, count) in kinds.get("empirical", {}).items()
+                } == report["empirical"], name
+        assert {key: float(value) for key, (value, _)
+                in kinds.get("discrepancy", {}).items()
+                } == report["discrepancies"], name
+        assert kinds.keys() <= {"meta", "param", "analytic", "empirical",
+                                "discrepancy"}, name
 
 
 def test_catalog_contains_all_protocols():
@@ -415,6 +462,29 @@ def test_random_configs_give_the_same_bytes_through_run_and_batch(tmp_path):
             assert (tmp_path / f"jobs{jobs}-{i}.json").read_bytes() == expected, entry
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_error_objects_name_their_entry(jobs, tmp_path):
+    # with two jobs the errors come in completion order; each names its entry
+    entries = [
+        {"experiment": "rabi", "seed": 1,
+         "params": {"alpha": 1, "cutoff": 10, "times": "1e308"}},
+        {"experiment": "bell-chain", "params": {"n": 1}, "seed": 1},
+        {"experiment": "fermion-nogo", "seed": 1,
+         "out": str(tmp_path / "nogo.json")},
+        {"experiment": "bell-chain", "params": {"n": 1}, "seed": 1},
+    ]
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps(entries))
+    result = _run_cli(["batch", str(batch_file), "--jobs", jobs])
+    assert result.exit_code == EXIT_PROTOCOL
+    lines = result.stderr.splitlines()
+    errors = [json.loads(line)["error"] for line in lines[:3]]
+    assert sorted(e["entry"] for e in errors) == [0, 1, 3]
+    assert all(e["code"] == EXIT_PROTOCOL for e in errors)
+    assert lines[3:] == ["rabi: failed(3)", "bell-chain: failed(3)",
+                         "fermion-nogo: ok", "bell-chain: failed(3)"]
+
+
 def test_batch_propagates_failure(tmp_path):
     entries = [{"experiment": "mystery", "seed": 1}]
     batch_file = tmp_path / "batch.json"
@@ -522,7 +592,7 @@ def test_alpha_whose_square_overflows_exits_protocol_error(experiment, alpha):
     assert result.exit_code == EXIT_PROTOCOL, result.output
     error = json.loads(result.stderr)["error"]
     assert error["type"] == "TailBoundExceededError"
-    assert "tail 1.000e+00" in error["message"]
+    assert "1.000e+00 exceeds bound" in error["message"]
 
 
 #: Parameters of one passing run of each experiment.
@@ -686,7 +756,10 @@ def test_extreme_parameter_values_exit_cleanly(experiment, capsys):
         if code == EXIT_OK:
             assert json.loads(out)["pass"] is True and err == "", where
         else:
-            assert json.loads(err)["error"]["code"] == code and out == "", where
+            lines = err.splitlines()
+            assert len(lines) == 1 and out == "", where
+            error = json.loads(lines[0])["error"]
+            assert error["code"] == code and "entry" not in error, where
 
 
 @pytest.mark.parametrize("args, named", [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,13 +177,15 @@ def test_partial_trace_unknown_mode():
 
 def test_state_vector_rejects_unnormalized():
     reg = build_register([boson("a", 1)])
-    with pytest.raises(ValueError):
+    message = "state not normalized, |norm - 1|: 4.142e-01 exceeds bound 1e-10"
+    with pytest.raises(ValueError, match=re.escape(message)):
         StateVector(reg, np.array([1.0, 1.0]))
 
 
 def test_state_vector_rejects_nan():
     reg = build_register([boson("a", 1), boson("b", 1)])
-    with pytest.raises(ValueError, match="not normalized"):
+    message = "state not normalized, |norm - 1|: nan exceeds bound 1e-10"
+    with pytest.raises(ValueError, match=re.escape(message)):
         StateVector(reg, np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
@@ -194,12 +198,16 @@ def test_state_vector_immutable():
 
 def test_density_matrix_validation():
     reg = build_register([boson("a", 1)])
-    with pytest.raises(ValueError):
-        DensityMatrix(reg, np.array([[0.5, 0.7], [0.1, 0.5]]))  # not hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(reg, np.diag([0.7, 0.7]))  # trace != 1
-    with pytest.raises(ValueError):
-        DensityMatrix(reg, np.diag([1.5, -0.5]))  # negative eigenvalue
+    cases = [
+        ([[0.5, 0.7], [0.1, 0.5]], "not hermitian: 6.000e-01"),
+        (np.diag([0.7, 0.7]), "trace not 1, |trace - 1|: 4.000e-01"),
+        (np.diag([1.5, -0.5]), "not positive, -min eigenvalue: 5.000e-01"),
+        (np.diag([np.nan, 1.0]), "not hermitian: nan"),
+    ]
+    for elements, message in cases:
+        message = f"density matrix {message} exceeds bound 1e-10"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DensityMatrix(reg, np.array(elements))
 
 
 def test_sub_register_preserves_declaration_order():

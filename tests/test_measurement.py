@@ -202,20 +202,31 @@ def test_identity_spec_trivial():
 def test_spec_validation_rejects_bad_projectors():
     reg = build_register([boson("a", 1)])
     half = OperatorMatrix(reg, 0.5 * np.eye(reg.dim))
-    with pytest.raises(ValueError):
-        MeasurementSpec("bad", (("h", half),))
+    upper = OperatorMatrix(reg, np.diag([1.0, 0.0]))
     # oblique: idempotent, mutually annihilating and complete, not hermitian
     p = OperatorMatrix(reg, np.array([[1.0, 1.0], [0.0, 0.0]]))
     q = OperatorMatrix(reg, np.array([[0.0, -1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="not hermitian"):
-        MeasurementSpec("oblique", (("p", p), ("q", q)))
+    cases = [
+        (("bad", (("h", half),)), "projector 'h' of 'bad' not idempotent: 2.500e-01"),
+        (("oblique", (("p", p), ("q", q))),
+         "projector 'p' of 'oblique' not hermitian: 1.000e+00"),
+        (("twice", (("x", upper), ("y", upper))),
+         "projectors 'x', 'y' of 'twice' not orthogonal: 1.000e+00"),
+        (("part", (("x", upper),)),
+         "projectors of 'part' do not sum to identity: 1.000e+00"),
+    ]
+    for args, message in cases:
+        message += f" exceeds bound {PROJECTOR_ATOL!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MeasurementSpec(*args)
 
 
 def test_spec_rejects_nan_projector():
     reg = build_register([boson("a", 1)])
     nan = OperatorMatrix(reg, np.array([[np.nan, 0.0], [0.0, 0.0]]))
     rest = OperatorMatrix(reg, np.diag([0.0, 1.0]))
-    with pytest.raises(ValueError, match="not hermitian"):
+    message = "projector 'p' of 'nan' not hermitian: nan exceeds bound 1e-10"
+    with pytest.raises(ValueError, match=re.escape(message)):
         MeasurementSpec("nan", (("p", nan), ("q", rest)))
 
 
@@ -317,18 +328,23 @@ def test_sample_counts_neighbouring_streams_differ():
 @pytest.mark.parametrize(
     "probs, message",
     [
-        ((1.2, -0.2), "joint probability -2.000e-01 is below -1e-10"),
-        ((0.5, 0.49), "sum to 1 + -1.000e-02, beyond the bound 1e-09"),
-        ((float("nan"), 1.0), "joint probability nan is below -1e-10"),
+        ((1.2, -0.2),
+         "negative joint probability, -min: 2.000e-01 exceeds bound 1e-10"),
+        ((0.5, 0.49), "joint probabilities do not sum to 1, |total - 1|: "
+                      "1.000e-02 exceeds bound 1e-09"),
+        ((float("nan"), 1.0),
+         "negative joint probability, -min: nan exceeds bound 1e-10"),
     ],
+    ids=["negative", "total", "nan"],
 )
 def test_sample_rejects_invalid_distribution(monkeypatch, probs, message):
     reg = build_register([two_level("s")])
     spec = spin_direction_measurement(reg, "s", 0.0)
     bad = {("+1",): probs[0], ("-1",): probs[1]}
     monkeypatch.setattr(measurement, "joint_distribution", lambda state, specs: bad)
-    with pytest.raises(SimulationError, match=re.escape(message)):
+    with pytest.raises(SimulationError) as info:
         sample_counts(vacuum_state(reg), [spec], 10, seed=1)
+    assert str(info.value) == message
 
 
 def test_sample_rejects_noncommuting():
@@ -336,7 +352,8 @@ def test_sample_rejects_noncommuting():
     sz = spin_direction_measurement(reg, "s", 0.0, "z")
     sx = spin_direction_measurement(reg, "s", np.pi / 2.0, "x")
     psi = basis_state(reg, (1,))
-    with pytest.raises(NonCommutingSpecsError):
+    message = "'z' and 'x' do not commute, max |PQ - QP|: 5.000e-01 exceeds bound 1e-10"
+    with pytest.raises(NonCommutingSpecsError, match=re.escape(message)):
         sample(psi, [sz, sx], 10, seed=0)
 
 

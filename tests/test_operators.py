@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -176,10 +178,21 @@ def test_coherent_state_mean_occupation():
 def test_coherent_state_tail_bound():
     assert poisson_tail(10.0, 160) < 2e-8
     reg = build_register([boson("m", 20)])
-    with pytest.raises(TailBoundExceededError):
+    message = ("occupation tail above cutoff 20 for alpha=10.0: "
+               "1.000e+00 exceeds bound 1e-08")
+    with pytest.raises(TailBoundExceededError, match=re.escape(message)):
         coherent_state(reg, "m", 10.0, 1e-8)
     with pytest.raises(KindMismatchError):
         coherent_state(build_register([two_level("t")]), "t", 0.1, 1e-8)
+
+
+def test_nan_alpha_is_a_tail_failure():
+    # pdtrc of a NaN mean is NaN, which no tail bound admits
+    message = "alpha=nan: nan exceeds bound 1e-08"
+    with pytest.raises(TailBoundExceededError, match=message):
+        operators.check_tail_bound(float("nan"), 10, 1e-8)
+    with pytest.raises(TailBoundExceededError, match=message):
+        coherent_state(build_register([boson("f", 10)]), "f", float("nan"), 1e-8)
 
 
 @pytest.mark.parametrize("bound", [-1e-9, 1.0, 3.0, 1e308, float("nan")])
@@ -279,10 +292,16 @@ def test_evolve_unitary_on_random_hermitian():
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
 
+def _not_hermitian(gap: str) -> str:
+    return re.escape(
+        f"eigendecomposition requires a hermitian operator: {gap} exceeds bound 1e-10"
+    )
+
+
 def test_evolve_rejects_non_hermitian():
     reg = build_register([boson("a", 1)])
     bad = annihilation(reg, "a")
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(NotHermitianError, match=_not_hermitian("1.000e+00")):
         evolve(vacuum_state(reg), bad, 1.0)
 
 
@@ -290,7 +309,7 @@ def test_eigh_rejects_nan_matrix():
     from qwave import OperatorMatrix
 
     reg = build_register([boson("a", 1)])
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(NotHermitianError, match=_not_hermitian("nan")):
         OperatorMatrix(reg, np.full((2, 2), np.nan)).eigh()
 
 
@@ -298,7 +317,7 @@ def test_complex_coupler_strength_fails_at_evolve():
     # a coupler is not checked when it is built; eigh checks its generator
     reg = build_register([boson("field", 1), two_level("atom")])
     h = swap_coupler(reg, "field", "atom", 1j)
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(NotHermitianError, match=_not_hermitian("2.000e+00")):
         evolve(vacuum_state(reg), h, 1.0)
 
 

@@ -101,8 +101,16 @@ def test_rabi_fails_when_tail_mass_leaves_its_second_route(monkeypatch):
 
 
 def test_rabi_tail_guard():
-    with pytest.raises(TailBoundExceededError):
+    message = r"above cutoff 60 for alpha=\(10\+0j\): 1.000e\+00 exceeds bound 1e-07"
+    with pytest.raises(TailBoundExceededError, match=message):
         rabi_rotation(10.0, 60)
+
+
+@pytest.mark.parametrize("experiment", [rabi_rotation, coherent_factorization])
+def test_nan_alpha_is_a_tail_failure(experiment):
+    with pytest.raises(TailBoundExceededError,
+                       match=r"alpha=\(nan\+0j\): nan exceeds bound"):
+        experiment(math.nan, 10)
 
 
 def test_rabi_rejects_a_time_whose_phase_overflows():
