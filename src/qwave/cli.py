@@ -324,26 +324,25 @@ def _file_keys(path) -> list:
     return keys + [(st.st_dev, st.st_ino)]
 
 
-def _check_distinct_outputs(configs: list[RunConfig], batch_file: str) -> None:
-    """Two batch entries writing the same file would lose one report, and an
-    entry writing the batch file would overwrite its input. ``resolve``
-    rejects an output that is not a file path."""
-    writers: dict = dict.fromkeys(_file_keys(batch_file))
-    for i, config in enumerate(configs):
-        if _is_file_path(config.output_path):
-            keys = _file_keys(config.output_path)
-            for key in keys:
-                if key not in writers:
-                    continue
-                if writers[key] is None:
-                    raise ConfigError(
-                        f"batch entry {i} writes the batch file {keys[0]!r}"
-                    )
-                raise ConfigError(
-                    f"batch entries {writers[key]} and {i} share the output "
-                    f"file {keys[0]!r}"
-                )
-            writers.update(dict.fromkeys(keys, i))
+def _claim_output(writers: dict, config: RunConfig, i: int) -> None:
+    """Record batch entry ``i`` as the writer of its output file in
+    ``writers``, which maps the batch file's keys to None. Two entries
+    writing the same file would lose one report, and an entry writing the
+    batch file would overwrite its input. ``resolve`` rejects an output
+    that is not a file path."""
+    if not _is_file_path(config.output_path):
+        return
+    keys = _file_keys(config.output_path)
+    for key in keys:
+        if key not in writers:
+            continue
+        if writers[key] is None:
+            raise ConfigError(f"batch entry {i} writes the batch file {keys[0]!r}")
+        raise ConfigError(
+            f"batch entries {writers[key]} and {i} share the output "
+            f"file {keys[0]!r}"
+        )
+    writers.update(dict.fromkeys(keys, i))
 
 
 def run(config: RunConfig, entry: int | None = None) -> int:
@@ -527,12 +526,16 @@ def batch_command(config_file, jobs):
     except (OSError, ValueError) as exc:
         sys.exit(_emit_error("ConfigError", EXIT_CONFIG, f"bad batch file: {exc}"))
 
+    # every key is checked before any output; an error names entry i
     try:
-        configs = [_run_config(entry, f"batch entry {i}")
-                   for i, entry in enumerate(entries)]
-        _check_distinct_outputs(configs, config_file)
+        configs = []
+        for i, entry in enumerate(entries):
+            configs.append(_run_config(entry, f"batch entry {i}"))
+        writers = dict.fromkeys(_file_keys(config_file))
+        for i, config in enumerate(configs):
+            _claim_output(writers, config, i)
     except ConfigError as exc:
-        sys.exit(_emit_error("ConfigError", EXIT_CONFIG, str(exc)))
+        sys.exit(_emit_error("ConfigError", EXIT_CONFIG, str(exc), i))
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         codes = list(pool.map(run, configs, range(len(configs))))

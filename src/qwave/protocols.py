@@ -98,7 +98,8 @@ class EmpiricalStat:
 
 @dataclass
 class ExperimentReport:
-    """Analytic predictions, sampled frequencies, parameters and seed."""
+    """Analytic predictions, sampled frequencies, parameters and seed, and
+    ``passed``, the fold of every check the protocol ``require``s."""
 
     experiment: str
     params: dict
@@ -106,7 +107,13 @@ class ExperimentReport:
     shots: int
     analytic: dict[str, float] = field(default_factory=dict)
     empirical: dict[str, EmpiricalStat] = field(default_factory=dict)
-    passed: bool = True
+    passed: bool = field(default=True, init=False)
+
+    def require(self, gap, bound) -> None:
+        """Fold one check into ``passed`` by the rule of every numerical
+        guard (``errors.check_within``): it holds when ``gap <= bound``, so
+        a NaN gap fails, and no later check clears a failed one."""
+        self.passed = self.passed and bool(gap <= bound)
 
     @property
     def discrepancies(self) -> dict[str, float]:
@@ -144,7 +151,7 @@ def _record(
     freq = hits / count
     report.empirical[name] = EmpiricalStat(freq, count)
     sigma = math.sqrt(max(p * (1.0 - p), 0.0) / count)
-    report.passed = report.passed and abs(freq - p) <= 5.0 * sigma + 1e-15
+    report.require(abs(freq - p), 5.0 * sigma + 1e-15)
 
 
 def _two_site(table: dict) -> tuple:
@@ -256,12 +263,6 @@ def photon_swap_experiment(phi: float, shots: int, seed: int) -> ExperimentRepor
     coinc = coincidence_rate(phi, +1.0)
     anti = coincidence_rate(phi, -1.0)
 
-    passed = (
-        swap_fidelity > 1.0 - 1e-9
-        and abs(coinc_exact - coinc) < ANALYTIC_ATOL
-        and abs(anti_exact - anti) < ANALYTIC_ATOL
-    )
-
     report = ExperimentReport(
         experiment="photon-swap",
         params={"phi": phi},
@@ -272,8 +273,10 @@ def photon_swap_experiment(phi: float, shots: int, seed: int) -> ExperimentRepor
             "anticoincidence": anti,
             "swap_fidelity": swap_fidelity,
         },
-        passed=passed,
     )
+    report.require(1.0 - swap_fidelity, 1e-9)
+    report.require(abs(coinc_exact - coinc), ANALYTIC_ATOL)
+    report.require(abs(anti_exact - anti), ANALYTIC_ATOL)
     if shots > 0:
         _, n_coinc, _ = _two_site(sample_counts(psi1, specs, shots, seed))
         _record(report, "coincidence", n_coinc, shots, coinc)
@@ -332,25 +335,6 @@ def rabi_rotation(
     p_n = np.abs(psi0.amplitudes.reshape(cutoff + 1, 2)[:, 0]) ** 2
     sqrt_n = np.sqrt(np.arange(cutoff + 1.0))
 
-    drifts, gaps, devs = [], [], [0.0]
-    for t in times:
-        amps = v @ (np.exp(-1j * w * t) * coeffs)
-        drifts.append(abs(np.linalg.norm(amps) - 1.0))
-        pe = float(np.sum(np.abs(amps[atom_excited]) ** 2))
-        closed_form = float(np.sum(p_n * np.sin(sqrt_n * t) ** 2))
-        gaps.append(abs(pe - closed_form))
-        if t <= t_end + 1e-12:
-            devs.append(abs(pe - math.sin(mag * t) ** 2))
-    # np.max carries a NaN through, where max() would keep its other operand
-    norm_drift, closed_form_gap, max_dev = (float(np.max(x))
-                                            for x in (drifts, gaps, devs))
-
-    # the tail two ways: Poisson survival function, and the norm the
-    # unnormalised amplitudes below the cutoff leave out
-    tail_mass = poisson_tail(alpha, cutoff)
-    kept_mass = float(np.sum(np.abs(coherent_amplitudes(alpha, cutoff)) ** 2))
-    tail_gap = abs(tail_mass - (1.0 - kept_mass))
-
     report = ExperimentReport(
         experiment="rabi",
         params={
@@ -361,14 +345,30 @@ def rabi_rotation(
         },
         seed=0,
         shots=0,
-        analytic={
-            "max_deviation_from_rotation_formula": max_dev,
-            "excited_population_final": pe,
-            "rotation_formula_final": math.sin(mag * times[-1]) ** 2,
-            "tail_mass": tail_mass,
-        },
-        passed=norm_drift < 1e-9 and closed_form_gap < 1e-10 and tail_gap <= 1e-10,
     )
+    devs = [0.0]
+    for t in times:
+        amps = v @ (np.exp(-1j * w * t) * coeffs)
+        report.require(abs(np.linalg.norm(amps) - 1.0), 1e-9)
+        pe = float(np.sum(np.abs(amps[atom_excited]) ** 2))
+        closed_form = float(np.sum(p_n * np.sin(sqrt_n * t) ** 2))
+        report.require(abs(pe - closed_form), 1e-10)
+        if t <= t_end + 1e-12:
+            devs.append(abs(pe - math.sin(mag * t) ** 2))
+
+    # the tail two ways: Poisson survival function, and the norm the
+    # unnormalised amplitudes below the cutoff leave out
+    tail_mass = poisson_tail(alpha, cutoff)
+    kept_mass = float(np.sum(np.abs(coherent_amplitudes(alpha, cutoff)) ** 2))
+    report.require(abs(tail_mass - (1.0 - kept_mass)), 1e-10)
+
+    report.analytic = {
+        # np.max carries a NaN through, where max() would keep its other operand
+        "max_deviation_from_rotation_formula": float(np.max(devs)),
+        "excited_population_final": pe,
+        "rotation_formula_final": math.sin(mag * times[-1]) ** 2,
+        "tail_mass": tail_mass,
+    }
     return report
 
 
@@ -430,7 +430,7 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
     for k, (ia, ib) in enumerate(relations):
         specs = [direction[ia], direction[ib]]
         _, _, p_exact = _two_site(joint_distribution(singlet, specs))
-        report.passed = report.passed and abs(p_exact - p_formula) < 1e-12
+        report.require(abs(p_exact - p_formula), 1e-12)
         if shots > 0:
             _, _, n_sat = _two_site(
                 sample_counts(singlet, specs, shots, seed, stream=k)
@@ -439,14 +439,16 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
         report.analytic[f"relation_{k:02d}_satisfied"] = p_formula
 
     lhv_max = lhv_max_satisfied(n)
+    ceiling = (2.0 * n - 1.0) / (2.0 * n)
     bound = 2.0 * n * (1.0 - p_formula)
     approx = math.pi**2 / (8.0 * n)
-    report.passed = report.passed and lhv_max == 2 * n - 1
-    report.passed = report.passed and p_formula > (2.0 * n - 1.0) / (2.0 * n)
+    report.require(abs(lhv_max - (2 * n - 1)), 0)
+    # p_formula beats the ceiling by at least 0.05 over n = 2..8
+    report.require(ceiling - p_formula, 0.0)
 
     report.analytic["satisfaction_probability"] = p_formula
     report.analytic["lhv_max_satisfied"] = float(lhv_max)
-    report.analytic["lhv_satisfaction_ceiling"] = (2.0 * n - 1.0) / (2.0 * n)
+    report.analytic["lhv_satisfaction_ceiling"] = ceiling
     report.analytic["failure_probability_bound"] = bound
     report.analytic["large_chain_approximation"] = approx
     report.analytic["bound_to_approximation_ratio"] = bound / approx
@@ -518,12 +520,6 @@ def aux_particle_phase(
     x = 1.0 if kind is ModeKind.BOSON else -1.0
     coinc = coincidence_rate(phi, x)
     anti = coincidence_rate(phi, -x)
-    passed = (
-        abs(cond - 0.5) < ANALYTIC_ATOL
-        and abs(coinc_exact - coinc) < ANALYTIC_ATOL
-        and abs(anti_exact - anti) < ANALYTIC_ATOL
-        and ordering_gap < ANALYTIC_ATOL
-    )
 
     report = ExperimentReport(
         experiment="aux-phase",
@@ -537,8 +533,11 @@ def aux_particle_phase(
             "exchange_sign": x,
             "ordering_gap": ordering_gap,
         },
-        passed=passed,
     )
+    report.require(abs(cond - 0.5), ANALYTIC_ATOL)
+    report.require(abs(coinc_exact - coinc), ANALYTIC_ATOL)
+    report.require(abs(anti_exact - anti), ANALYTIC_ATOL)
+    report.require(ordering_gap, ANALYTIC_ATOL)
     if shots > 0:
         n_kept, n_coinc, _ = _two_site(sample_counts(psi, specs, shots, seed))
         _record(report, "conditioning_probability", n_kept, shots, 0.5)
@@ -609,21 +608,19 @@ def fermion_nogo() -> ExperimentReport:
         pair_op("up_a", "down_a"), pair_op("up_b", "down_b")
     )
 
-    passed = (
-        results["boson_quadrature_commutator"] < 1e-12
-        and abs(results["fermion_quadrature_commutator"] - 2.0) < ANALYTIC_ATOL
-        and results["fermion_pair_commutator"] < 1e-12
-        and results["boson_signaling_tvd"] < 1e-10
-        and abs(results["fermion_signaling_tvd"] - 0.5) < ANALYTIC_ATOL
-    )
-    return ExperimentReport(
+    report = ExperimentReport(
         experiment="fermion-nogo",
         params={},
         seed=0,
         shots=0,
         analytic=results,
-        passed=passed,
     )
+    report.require(results["boson_quadrature_commutator"], 1e-12)
+    report.require(abs(results["fermion_quadrature_commutator"] - 2.0), ANALYTIC_ATOL)
+    report.require(results["fermion_pair_commutator"], 1e-12)
+    report.require(results["boson_signaling_tvd"], 1e-10)
+    report.require(abs(results["fermion_signaling_tvd"] - 0.5), ANALYTIC_ATOL)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +663,7 @@ def coherent_factorization(
     mean_b = float(number_operator(reg, "b").expectation(delocalized).real)
     expected_mean = abs(alpha) ** 2 / 2.0
 
-    passed = (
-        fidelity > 1.0 - 10.0 * tail_bound
-        and abs(mean_a - expected_mean) < 1e-6
-        and abs(mean_b - expected_mean) < 1e-6
-    )
-    return ExperimentReport(
+    report = ExperimentReport(
         experiment="coherent-factorization",
         params={
             "alpha": _complex_repr(alpha),
@@ -686,8 +678,11 @@ def coherent_factorization(
             "mean_occupation_site_b": mean_b,
             "expected_local_mean": expected_mean,
         },
-        passed=passed,
     )
+    report.require(1.0 - fidelity, 10.0 * tail_bound)
+    report.require(abs(mean_a - expected_mean), 1e-6)
+    report.require(abs(mean_b - expected_mean), 1e-6)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -823,25 +818,21 @@ def collective_chain(phi: float, shots: int, seed: int) -> ExperimentReport:
     alt, _, _ = _collective_exact(phi, _CHAIN_SPECIES_ORDER)
     ordering_gap = max(abs(out[k] - alt[k]) for k in out)
 
-    passed = (
-        abs(out["direct_postselection_probability"] - 0.5) < ANALYTIC_ATOL
-        and out["direct_photon_fidelity"] > 1.0 - 1e-9
-        and abs(out["stage2_postselection_probability"] - 0.25) < ANALYTIC_ATOL
-        and out["positron_fidelity_exchange"] > 1.0 - 1e-9
-        and out["positron_fidelity_naive"] < 1e-9
-        and abs(out["stage3_postselection_probability"] - 0.5) < ANALYTIC_ATOL
-        and out["stage3_phase_pi_fidelity"] > 1.0 - 1e-9
-        and ordering_gap < ANALYTIC_ATOL
-    )
-
     report = ExperimentReport(
         experiment="collective-chain",
         params={"phi": phi},
         seed=seed,
         shots=shots,
         analytic={**out, "ordering_gap": ordering_gap},
-        passed=passed,
     )
+    report.require(abs(out["direct_postselection_probability"] - 0.5), ANALYTIC_ATOL)
+    report.require(1.0 - out["direct_photon_fidelity"], 1e-9)
+    report.require(abs(out["stage2_postselection_probability"] - 0.25), ANALYTIC_ATOL)
+    report.require(1.0 - out["positron_fidelity_exchange"], 1e-9)
+    report.require(out["positron_fidelity_naive"], 1e-9)
+    report.require(abs(out["stage3_postselection_probability"] - 0.5), ANALYTIC_ATOL)
+    report.require(1.0 - out["stage3_phase_pi_fidelity"], 1e-9)
+    report.require(ordering_gap, ANALYTIC_ATOL)
     if shots > 0:
         # sample the direct variant's post-selection rate
         counts = sample_counts(direct, [lepton_spec], shots, seed)
@@ -889,14 +880,6 @@ def ab_gauge_check(
 
     pred0 = coincidence_rate(phi, +1.0)
     pred2 = coincidence_rate(phi + kick, +1.0)
-    passed = (
-        abs(cond0 - 0.5) < ANALYTIC_ATOL
-        and abs(cond1 - 0.5) < ANALYTIC_ATOL
-        and abs(cond2 - 0.5) < ANALYTIC_ATOL
-        and tvd_both < ANALYTIC_ATOL
-        and abs(coinc0 - pred0) < ANALYTIC_ATOL
-        and abs(coinc2 - pred2) < ANALYTIC_ATOL
-    )
 
     report = ExperimentReport(
         experiment="gauge-check",
@@ -909,8 +892,12 @@ def ab_gauge_check(
             "kicked_test_only_coincidence": pred2,
             "conditioning_probability": 0.5,
         },
-        passed=passed,
     )
+    for cond in (cond0, cond1, cond2):
+        report.require(abs(cond - 0.5), ANALYTIC_ATOL)
+    report.require(tvd_both, ANALYTIC_ATOL)
+    report.require(abs(coinc0 - pred0), ANALYTIC_ATOL)
+    report.require(abs(coinc2 - pred2), ANALYTIC_ATOL)
     if shots > 0:
         runs = (
             ("baseline_coincidence", baseline, pred0),

@@ -364,7 +364,7 @@ def test_batch_rejects_entries_sharing_an_output_file(jobs, tmp_path, monkeypatc
         result = _run_cli(["batch", "batch.json", "--jobs", jobs])
         assert result.exit_code == EXIT_CONFIG
         error = json.loads(result.stderr)["error"]
-        assert error["type"] == "ConfigError"
+        assert error["type"] == "ConfigError" and error["entry"] == 1
         assert "batch entries 0 and 1" in error["message"]
         assert not Path("same.json").exists()
 
@@ -379,7 +379,7 @@ def test_batch_rejects_an_entry_writing_the_batch_file(tmp_path, monkeypatch):
         result = _run_cli(["batch", "b.json"])
         assert result.exit_code == EXIT_CONFIG
         error = json.loads(result.stderr)["error"]
-        assert error["type"] == "ConfigError"
+        assert error["type"] == "ConfigError" and error["entry"] == 1
         assert "batch entry 1 writes the batch file" in error["message"]
         assert Path("b.json").read_text() == text
         assert not Path("first.json").exists()
@@ -394,7 +394,8 @@ def test_batch_rejects_hard_linked_outputs(tmp_path, monkeypatch):
     Path("batch.json").write_text(json.dumps(entries))
     result = _run_cli(["batch", "batch.json"])
     assert result.exit_code == EXIT_CONFIG
-    assert "batch entries 0 and 1" in json.loads(result.stderr)["error"]["message"]
+    error = json.loads(result.stderr)["error"]
+    assert "batch entries 0 and 1" in error["message"] and error["entry"] == 1
     assert Path("x.json").read_text() == "old"
     # a hard link to the batch file is the batch file
     os.link("batch.json", "c.json")
@@ -402,7 +403,8 @@ def test_batch_rejects_hard_linked_outputs(tmp_path, monkeypatch):
         [{"experiment": "fermion-nogo", "seed": 1, "out": "c.json"}]))
     result = _run_cli(["batch", "batch.json"])
     assert result.exit_code == EXIT_CONFIG
-    assert "writes the batch file" in json.loads(result.stderr)["error"]["message"]
+    error = json.loads(result.stderr)["error"]
+    assert "writes the batch file" in error["message"] and error["entry"] == 0
 
 
 def test_empty_output_path_exits_config_error(tmp_path):
@@ -700,6 +702,7 @@ def test_batch_rejects_bad_entry_and_keeps_stdout(entry, tmp_path):
         # a bad key stops the batch before any entry runs
         assert "batch entry 0" in error["error"]["message"]
         assert "'shot'" in error["error"]["message"]
+        assert error["error"]["entry"] == 0
         assert proc.stdout == ""
     else:
         assert json.loads(proc.stdout)["experiment"] == "fermion-nogo"

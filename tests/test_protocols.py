@@ -160,7 +160,7 @@ def test_bell_chain_closed_forms():
 
 
 def test_bell_chain_quantum_beats_every_lhv():
-    for n in range(2, 6):
+    for n in range(2, 9):
         r = bell_chain(n, shots=0, seed=0)
         assert r.analytic["lhv_max_satisfied"] == 2 * n - 1
         assert (
@@ -387,6 +387,9 @@ def test_coherent_factorization_exact_identity():
 def test_coherent_factorization_vacuum_case():
     r = coherent_factorization(0.0, 4)
     assert r.analytic["fidelity"] == pytest.approx(1.0)
+    # the vacuum has no tail, so a zero fidelity budget still passes
+    r = coherent_factorization(0.0, 4, tail_bound=0.0)
+    assert r.analytic["fidelity"] == 1.0 and r.passed
 
 
 def test_coherent_factorization_tail_guard():
@@ -504,6 +507,19 @@ def test_report_schema_and_flags():
     assert "swap_fidelity" in set(r.analytic) - set(r.empirical)
     for key, gap in r.discrepancies.items():
         assert gap == abs(r.analytic[key] - r.empirical[key].value)
+
+
+def test_require_folds_checks_by_the_guard_rule():
+    with pytest.raises(TypeError):
+        protocols.ExperimentReport("x", {}, 0, 0, passed=False)
+    r = protocols.ExperimentReport("x", {}, 0, 0)
+    assert r.passed
+    r.require(1e-10, 1e-10)  # a gap equal to its bound passes
+    assert r.passed
+    r.require(float("nan"), 1.0)  # a NaN gap fails
+    assert not r.passed
+    r.require(0.0, 1.0)  # a later passing check does not clear the failure
+    assert r.passed is False and r.to_dict()["pass"] is False
 
 
 def test_phi_canonicalized_mod_two_pi():
