@@ -9,7 +9,9 @@ from the repository root with::
     qwave batch tests/golden/batch.json
 
 ``catalog.json`` pins the ``qwave list`` output the same way; regenerate it
-with ``qwave list > tests/golden/catalog.json``.
+with ``qwave list > tests/golden/catalog.json``. ``run-help.txt`` pins
+``qwave run --help`` at a terminal width of 80 columns; regenerate it with
+``COLUMNS=80 qwave run --help > tests/golden/run-help.txt``.
 """
 
 import json
@@ -44,6 +46,14 @@ def test_catalog_matches_golden_bytes():
     result = CliRunner().invoke(main, ["list"])
     assert result.exit_code == EXIT_OK
     assert result.stdout_bytes == (GOLDEN / "catalog.json").read_bytes()
+
+
+def test_run_help_matches_golden_bytes():
+    # COLUMNS fixes the width click wraps the option help texts to
+    result = CliRunner(env={"COLUMNS": "80"}).invoke(
+        main, ["run", "--help"], prog_name="qwave")
+    assert result.exit_code == EXIT_OK
+    assert result.stdout_bytes == (GOLDEN / "run-help.txt").read_bytes()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
