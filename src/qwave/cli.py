@@ -48,12 +48,13 @@ class ParamSpec:
 
     def parse(self, raw):
         try:
+            # float() and int() would read a JSON true as 1
+            if isinstance(raw, (bool, np.bool_)):
+                raise TypeError(f"must not be a bool, got {raw}")
             if self.kind == "float":
                 return _finite(float(raw))
             if self.kind == "int":
-                # int() would truncate 2.9 and accept True; only strings use it
-                if isinstance(raw, bool):
-                    raise TypeError(f"must be an integer, got {raw}")
+                # int() would truncate 2.9; only strings use it
                 return int(raw) if isinstance(raw, str) else operator.index(raw)
             if self.kind == "complex":
                 return _finite(complex(str(raw).replace(" ", "")))
@@ -65,7 +66,7 @@ class ParamSpec:
             if self.kind == "float_list":
                 if not isinstance(raw, (list, tuple)):
                     raw = [x for x in str(raw).split(",") if x.strip()]
-                return [_finite(float(x)) for x in raw]
+                return [ParamSpec(self.name, "float").parse(x) for x in raw]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"parameter {self.name!r}: {exc}") from exc
         raise ConfigError(f"parameter {self.name!r}: unknown kind {self.kind!r}")
@@ -87,20 +88,24 @@ def _finite(x):
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """A registered experiment. Whether the runner takes shots and seed, and
-    each optional parameter's default, are read once from its signature."""
+    """A registered experiment. Whether the runner takes shots and seed, its
+    parameters (from ``PARAMS``) and each optional parameter's default are
+    read once from its signature."""
 
     name: str
     runner: Callable[..., ExperimentReport]
-    params: tuple[ParamSpec, ...]
     description: str
     topic: str
     takes: frozenset[str] = field(init=False)  # subset of {"shots", "seed"}
+    params: tuple[ParamSpec, ...] = field(init=False)
     defaults: dict = field(init=False, compare=False)  # optional name -> default
 
     def __post_init__(self):
         signature = inspect.signature(self.runner).parameters
         object.__setattr__(self, "takes", frozenset(signature) & {"shots", "seed"})
+        object.__setattr__(self, "params", tuple(
+            PARAMS[name] for name in signature if name not in self.takes
+        ))
         object.__setattr__(self, "defaults", {
             name: p.default for name, p in signature.items()
             if p.default is not p.empty
@@ -109,6 +114,27 @@ class ExperimentDef:
     def run(self, params: dict, shots: int, seed: int) -> ExperimentReport:
         run_args = {"shots": shots, "seed": seed}
         return self.runner(**params, **{k: run_args[k] for k in self.takes})
+
+
+#: Every run parameter, keyed by name: one kind and one help text per name,
+#: whichever experiments take it.
+PARAMS: dict[str, ParamSpec] = {spec.name: spec for spec in (
+    ParamSpec("phi", "float",
+              help="relative phase of the split photon; phase of the test "
+                   "particle; phase of the split electron"),
+    ParamSpec("alpha", "complex",
+              help="coherent drive amplitude; delocalized-mode amplitude"),
+    ParamSpec("cutoff", "int",
+              help="field occupation cutoff; per-mode occupation cutoff"),
+    ParamSpec("times", "float_list",
+              help="comma-separated times; defaults to a quarter-period grid"),
+    ParamSpec("tail_bound", "float",
+              help="allowed occupation tail above the cutoff"),
+    ParamSpec("n", "int", help="half the number of chained relations"),
+    ParamSpec("statistics", "choice", choices=("boson", "fermion"),
+              help="particle statistics"),
+    ParamSpec("kick", "float", help="phase kick applied at site B"),
+)}
 
 
 EXPERIMENTS: dict[str, ExperimentDef] = {}
@@ -121,7 +147,6 @@ def _register(defn: ExperimentDef) -> None:
 _register(ExperimentDef(
     name="photon-swap",
     runner=protocols.photon_swap_experiment,
-    params=(ParamSpec("phi", "float", help="relative phase of the split photon"),),
     description="Swap a split single photon onto two remote two-level atoms "
                 "and read the phase out of transverse-basis coincidences.",
     topic="single-particle entanglement correlations",
@@ -129,14 +154,6 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     name="rabi",
     runner=protocols.rabi_rotation,
-    params=(
-        ParamSpec("alpha", "complex", help="coherent drive amplitude"),
-        ParamSpec("cutoff", "int", help="field occupation cutoff"),
-        ParamSpec("times", "float_list",
-                  help="comma-separated times; defaults to a quarter-period grid"),
-        ParamSpec("tail_bound", "float",
-                  help="allowed occupation tail above the cutoff"),
-    ),
     description="Coherent-field-driven rotation of a two-level system vs the "
                 "classical rotation formula.",
     topic="coherent-state phase reference",
@@ -144,7 +161,6 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     name="bell-chain",
     runner=protocols.bell_chain,
-    params=(ParamSpec("n", "int", help="half the number of chained relations"),),
     description="Chained singlet anti-correlations against exhaustively "
                 "enumerated deterministic local assignments.",
     topic="nonlocal correlations without local causes",
@@ -152,11 +168,6 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     name="aux-phase",
     runner=protocols.aux_particle_phase,
-    params=(
-        ParamSpec("phi", "float", help="phase of the test particle"),
-        ParamSpec("statistics", "choice", choices=("boson", "fermion"),
-                  help="particle statistics"),
-    ),
     description="Phase readout from local correlations given an auxiliary "
                 "identical particle with known phase.",
     topic="auxiliary-particle phase estimation",
@@ -164,7 +175,6 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     name="fermion-nogo",
     runner=protocols.fermion_nogo,
-    params=(),
     description="Quadrature commutators, the fermion-pair loophole and the "
                 "signaling cost of pretending fermionic quadratures are local.",
     topic="fermionic phase obstruction",
@@ -172,12 +182,6 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     name="coherent-factorization",
     runner=protocols.coherent_factorization,
-    params=(
-        ParamSpec("alpha", "complex", help="delocalized-mode amplitude"),
-        ParamSpec("cutoff", "int", help="per-mode occupation cutoff"),
-        ParamSpec("tail_bound", "float",
-                  help="allowed occupation tail above the cutoff"),
-    ),
     description="A delocalized-mode coherent state equals a product of local "
                 "coherent states: entanglement-free phase reference.",
     topic="coherent-state phase reference",
@@ -185,7 +189,6 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     name="collective-chain",
     runner=protocols.collective_chain,
-    params=(ParamSpec("phi", "float", help="phase of the split electron"),),
     description="Pair-annihilation and post-selection chain transferring a "
                 "split electron's phase to a positron and then to photons "
                 "with a known phase.",
@@ -194,10 +197,6 @@ _register(ExperimentDef(
 _register(ExperimentDef(
     name="gauge-check",
     runner=protocols.ab_gauge_check,
-    params=(
-        ParamSpec("phi", "float", help="phase of the test particle"),
-        ParamSpec("kick", "float", help="phase kick applied at site B"),
-    ),
     description="Correlations are unchanged when a potential pulse kicks "
                 "every charge at one site; kicking the test particle alone "
                 "shifts the effective phase.",
@@ -458,8 +457,9 @@ def render_csv(report: ExperimentReport) -> str:
 # ---------------------------------------------------------------------------
 
 def _configure_logging() -> None:
-    level = os.environ.get("QWAVE_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # only a level name sets the level (logging.BASIC_FORMAT is a format)
+    level = logging.getLevelName(os.environ.get("QWAVE_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(name)s %(levelname)s %(message)s")
 
 
@@ -470,19 +470,13 @@ def main():
 
 
 def _parameter_options(command):
-    """One option per parameter name in the registry, ``--`` plus the name
-    with ``_`` as ``-``. Values stay raw strings: the chosen experiment's
-    ParamSpec parses them."""
-    helps: dict[str, list[str]] = {}
-    for defn in EXPERIMENTS.values():
-        for spec in defn.params:
-            texts = helps.setdefault(spec.name, [])
-            if spec.help not in texts:
-                texts.append(spec.help)
+    """One option per entry of ``PARAMS``, ``--`` plus the name with ``_``
+    as ``-``. Values stay raw strings: the chosen experiment's ParamSpec
+    parses them."""
     # click lists options in reverse order of application
-    for name, texts in reversed(helps.items()):
-        command = click.option("--" + name.replace("_", "-"), name,
-                               default=None, help="; ".join(texts))(command)
+    for spec in reversed(PARAMS.values()):
+        command = click.option("--" + spec.name.replace("_", "-"), spec.name,
+                               default=None, help=spec.help)(command)
     return command
 
 

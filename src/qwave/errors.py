@@ -1,8 +1,8 @@
 """Exception hierarchy for the simulator.
 
-Everything raised by the physics layers derives from SimulationError so
-callers (notably the CLI) can distinguish modeling errors from
-configuration and I/O problems.
+The physics layers raise SimulationError subclasses, or ValueError for a bad
+argument or a failing ``check_within`` guard (its default error). The CLI
+maps both to exit 3 (protocol), ConfigError to 2 and OSError to 4 (I/O).
 """
 
 

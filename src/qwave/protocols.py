@@ -679,9 +679,13 @@ def coherent_factorization(
             "expected_local_mean": expected_mean,
         },
     )
-    report.require(1.0 - fidelity, 10.0 * tail_bound)
-    report.require(abs(mean_a - expected_mean), 1e-6)
-    report.require(abs(mean_b - expected_mean), 1e-6)
+    # T, the tail above the cutoff at alpha, bounds both truncation errors:
+    # 1 - fidelity <= T and |mean - |alpha|^2 / 2| <= (cutoff + 1) T / (2 (1 - T))
+    tail = poisson_tail(alpha, cutoff)
+    mean_bound = (cutoff + 1) * tail / (2.0 * (1.0 - tail)) + ANALYTIC_ATOL
+    report.require(1.0 - fidelity, tail + ANALYTIC_ATOL)
+    report.require(abs(mean_a - expected_mean), mean_bound)
+    report.require(abs(mean_b - expected_mean), mean_bound)
     return report
 
 

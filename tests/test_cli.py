@@ -259,6 +259,33 @@ def test_batch_with_non_integer_seed_exits_config_error(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("experiment, params, name", [
+    ("photon-swap", {"phi": True}, "phi"),
+    ("rabi", {"alpha": 2, "cutoff": 24, "times": [True, 0.5]}, "times"),
+    ("rabi", {"alpha": 2, "cutoff": 24, "tail_bound": False}, "tail_bound"),
+], ids=["phi", "times", "tail_bound"])
+def test_batch_with_boolean_float_exits_config_error(experiment, params, name,
+                                                     tmp_path):
+    # float() reads true as 1.0, so a JSON bool would run at a value never given
+    entries = [{"experiment": experiment, "params": params, "seed": 1,
+                "out": str(tmp_path / "x.json")}]
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps(entries))
+    result = _run_cli(["batch", str(batch_file)])
+    assert result.exit_code == EXIT_CONFIG
+    assert '"ConfigError"' in result.stderr and f"'{name}'" in result.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("value", [np.True_, [0.5, np.False_]],
+                         ids=["numpy-bool", "numpy-bool-element"])
+def test_float_parameters_reject_numpy_bools(value):
+    name = "times" if isinstance(value, list) else "tail_bound"
+    with pytest.raises(ConfigError, match=f"'{name}'"):
+        RunConfig("rabi", {"alpha": 2, "cutoff": 24, name: value},
+                  shots=0, seed=1).resolve()
+
+
 def test_run_reports_the_parsed_seed(tmp_path):
     out = tmp_path / "x.json"
     config = RunConfig("photon-swap", {"phi": 0.5}, shots="100", seed="7",
@@ -558,6 +585,20 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["experiment"] == "photon-swap"
+
+
+def test_log_level_names_only_set_the_level(tmp_path):
+    # logging.BASIC_FORMAT is a format string, not a level
+    out = tmp_path / "nogo.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwave.cli", "run", "fermion-nogo",
+         "--seed", "1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(_child_env(), QWAVE_LOG="basic_format"),
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(out.read_text())["experiment"] == "fermion-nogo"
 
 
 def test_cli_import_does_not_load_scipy_stats():

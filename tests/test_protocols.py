@@ -392,6 +392,21 @@ def test_coherent_factorization_vacuum_case():
     assert r.analytic["fidelity"] == 1.0 and r.passed
 
 
+@pytest.mark.parametrize("alpha, cutoff", [(0.5, 4), (1 + 1j, 10)])
+def test_coherent_factorization_passes_at_any_accepted_tail(alpha, cutoff):
+    # the fidelity and mean bounds follow the tail the guard accepted
+    assert coherent_factorization(alpha, cutoff, tail_bound=1e-3).passed
+
+
+@pytest.mark.parametrize("alpha, cutoff", [(2.0, 24), (3.0, 40)])
+def test_coherent_factorization_fails_a_wrong_route_one(alpha, cutoff,
+                                                        monkeypatch):
+    creation = protocols.creation
+    monkeypatch.setattr(protocols, "creation",
+                        lambda reg, label: 1.001 * creation(reg, label))
+    assert not coherent_factorization(alpha, cutoff).passed
+
+
 def test_coherent_factorization_tail_guard():
     with pytest.raises(TailBoundExceededError):
         coherent_factorization(4.0, 6)
