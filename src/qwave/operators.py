@@ -9,7 +9,10 @@ behave like stringless hardcore modes: annihilation is the lowering
 operator taking the excited level to the ground level.
 
 Time evolution is exact: ``exp(-iHt)`` through the eigendecomposition of
-the (hermitian) generator. No series expansion, no Trotterization.
+each connected block of the (hermitian) generator, computed once per
+operator. The couplers conserve excitation or charge, so a generator is
+block diagonal up to a permutation of the basis, and its blocks are small.
+No series expansion, no Trotterization.
 """
 
 from __future__ import annotations
@@ -54,12 +57,25 @@ class OperatorMatrix:
     def dag(self) -> "OperatorMatrix":
         return OperatorMatrix(self.register, self.elements.conj().T)
 
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition; requires hermiticity."""
-        check_within(np.abs(self.elements - self.elements.conj().T).max(),
-                     NORM_ATOL, "eigendecomposition requires a hermitian operator",
-                     error=NotHermitianError)
-        return np.linalg.eigh(self.elements)
+    def eigh(self) -> "BlockSpectrum":
+        """Eigendecomposition block by block; requires hermiticity. Computed
+        on the first call and kept on the operator, whose elements are
+        read-only."""
+        spectrum = self.__dict__.get("_spectrum")
+        if spectrum is None:
+            mat = self.elements
+            rows, cols = np.divmod(np.flatnonzero(mat != 0), len(mat))
+            # |H - H^H| is zero wherever H[i, j] and H[j, i] both are
+            gap = np.abs(mat[rows, cols] - mat[cols, rows].conj()).max(initial=0.0)
+            check_within(gap, NORM_ATOL,
+                         "eigendecomposition requires a hermitian operator",
+                         error=NotHermitianError)
+            # like np.linalg.eigh, the blocks read the lower triangle
+            lower = rows > cols
+            label = _connected_components(len(mat), rows[lower], cols[lower])
+            spectrum = BlockSpectrum.of(mat, label)
+            object.__setattr__(self, "_spectrum", spectrum)
+        return spectrum
 
     def expectation(self, state: StateVector) -> complex:
         _check_same_register(self.register, state.register)
@@ -84,6 +100,85 @@ class OperatorMatrix:
 
     def __neg__(self) -> "OperatorMatrix":
         return OperatorMatrix(self.register, -self.elements)
+
+
+def _connected_components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Component label of each of ``dim`` basis indices in the graph whose
+    edges join ``rows[e]`` and ``cols[e]`` (the nonzero entries of a
+    matrix). Each label is the smallest index of its component.
+
+    Min-label hooking with full pointer jumping: every round, each root
+    points to the smallest root it shares an edge with, and every index
+    then jumps to its new root. A round merges each root that has a
+    smaller neighbouring root, so the rounds end when no edge joins two
+    roots.
+    """
+    label = np.arange(dim)
+    while len(rows):
+        lr, lc = label[rows], label[cols]
+        # an edge inside a component stays inside it
+        joins = lr != lc
+        rows, cols, lr, lc = rows[joins], cols[joins], lr[joins], lc[joins]
+        np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
+        jumped = label[label]
+        while (jumped != label).any():
+            label, jumped = jumped, jumped[jumped]
+    return label
+
+
+@dataclass(frozen=True)
+class BlockSpectrum:
+    """Eigendecomposition of a hermitian matrix that is block diagonal up to
+    a permutation of the basis, one group of equal-size blocks at a time.
+
+    Each group is ``(index, w, v)``: ``index[k]`` holds the ascending basis
+    indices of block k, ``w[k]`` its eigenvalues and ``v[k]`` its
+    eigenvectors (columns), so ``H[index[k]][:, index[k]] = v[k] diag(w[k])
+    v[k]^H``. Like ``np.linalg.eigh``, it reads each block's lower triangle.
+    """
+
+    dim: int
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def of(cls, mat: np.ndarray, label: np.ndarray) -> "BlockSpectrum":
+        """Decompose the blocks of ``mat`` that ``label`` gives (one label
+        per basis index, shared by the indices of a block), each group of
+        equal-size blocks by one batched ``np.linalg.eigh``."""
+        d = len(mat)
+        size = np.bincount(label, minlength=d)[label]
+        # by block size, then block, then basis index
+        order = np.argsort(size * d + label, kind="stable")
+        size = size[order]
+        cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), d]
+        groups = []
+        for start, stop in zip(cuts, cuts[1:]):
+            index = order[start:stop].reshape(-1, size[start])
+            blocks = mat[index[:, :, None], index[:, None, :]]
+            if index.shape[1] == 1:  # a 1 x 1 block is its own decomposition
+                w, v = blocks[:, 0].real, np.ones_like(blocks)
+            else:
+                w, v = np.linalg.eigh(blocks)
+            groups.append((index, w, v))
+        return cls(d, tuple(groups))
+
+    @property
+    def max_abs_eigenvalue(self) -> float:
+        """Largest |eigenvalue|, the fastest phase rate of exp(-iHt)."""
+        return max(float(np.abs(w).max()) for _, w, _ in self.groups)
+
+    def propagate(self, amplitudes: np.ndarray, times) -> np.ndarray:
+        """exp(-iHt) applied to ``amplitudes`` at each of ``times``, as an
+        array of shape ``(len(times), dim)``, row i at ``times[i]``."""
+        times = np.asarray(times, dtype=float).reshape(-1, 1, 1)
+        out = np.empty((times.shape[0], self.dim), dtype=complex)
+        for index, w, v in self.groups:
+            # per block k: coeffs[k] = v[k]^H amplitudes[index[k]]
+            coeffs = np.matmul(amplitudes[index][:, None, :], v.conj())[:, 0]
+            phases = np.exp(-1j * w * times)
+            phases *= coeffs
+            out[:, index] = np.matmul(v, phases[..., None])[..., 0]
+        return out
 
 
 def identity(register: ModeRegister) -> OperatorMatrix:
@@ -290,11 +385,10 @@ def phase_kick(register: ModeRegister, mode: str, phi: float) -> OperatorMatrix:
 
 
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, t: float) -> StateVector:
-    """Exact exp(-iHt)|psi> via the spectral decomposition of H."""
+    """Exact exp(-iHt)|psi> through the eigendecomposition of each connected
+    block of H, which ``OperatorMatrix.eigh`` computes once per operator."""
     _check_same_register(state.register, hamiltonian.register)
-    w, v = hamiltonian.eigh()
-    phases = np.exp(-1j * w * t)
-    amps = v @ (phases * (v.conj().T @ state.amplitudes))
+    amps = hamiltonian.eigh().propagate(state.amplitudes, [t])[0]
     return StateVector(state.register, amps)
 
 

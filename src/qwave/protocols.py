@@ -87,6 +87,17 @@ TWO_PI = 2.0 * math.pi
 #: Tolerance for "exact simulation reproduces the closed form" checks.
 ANALYTIC_ATOL = 1e-10
 
+#: Bound on count * KL(freq || p) of every sampled frequency. By the
+#: Chernoff bound a correct run exceeds it with probability at most
+#: 2 exp(-12.5), about 7.5e-6, for any count and p; 12.5 = 5**2 / 2, so it
+#: reads as 5 sigma wherever count * p * (1 - p) is large.
+SAMPLED_KL_BOUND = 12.5
+
+#: Most times one rabi run reports. Each time is one row of the report and
+#: one row of the propagated amplitudes, so the cap bounds both before the
+#: register is built.
+MAX_RABI_TIMES = 4096
+
 
 @dataclass(frozen=True)
 class EmpiricalStat:
@@ -143,15 +154,25 @@ class ExperimentReport:
         }
 
 
+def _bernoulli_kl(f: float, p: float) -> float:
+    """Relative entropy KL(f || p) of two Bernoulli laws, with 0 log 0 = 0:
+    infinite when f puts weight on an outcome that p gives none."""
+    kl = 0.0
+    for a, b in ((f, p), (1.0 - f, 1.0 - p)):
+        if a > 0.0:
+            kl += a * math.log(a / b) if b > 0.0 else math.inf
+    return kl
+
+
 def _record(
     report: ExperimentReport, name: str, hits: int, count: int, p: float
 ) -> None:
     """Store the sampled frequency hits / count under ``name`` and require
-    it within 5 sigma of the predicted probability p."""
+    it within the Chernoff bound of the predicted probability p:
+    ``count * KL(freq || p) <= SAMPLED_KL_BOUND``."""
     freq = hits / count
     report.empirical[name] = EmpiricalStat(freq, count)
-    sigma = math.sqrt(max(p * (1.0 - p), 0.0) / count)
-    report.require(abs(freq - p), 5.0 * sigma + 1e-15)
+    report.require(count * _bernoulli_kl(freq, p), SAMPLED_KL_BOUND)
 
 
 def _two_site(table: dict) -> tuple:
@@ -309,28 +330,34 @@ def rabi_rotation(
     mag = abs(alpha)
     if mag <= 0.0:
         raise ValueError("alpha must be nonzero for a rotation rate")
-    reg = build_register([boson("field", cutoff), two_level("atom")])
-    psi0 = coherent_state(reg, "field", alpha, tail_bound)
-
     t_end = math.pi / (2.0 * mag)
     if times is not None:
+        if len(times) > MAX_RABI_TIMES:
+            raise ValueError(
+                f"times holds {len(times)} times, more than "
+                f"MAX_RABI_TIMES = {MAX_RABI_TIMES}"
+            )
         times = [float(t) for t in times]
         if not times:
             raise ValueError("times must not be empty")
         if any(t < 0.0 for t in times):
             raise ValueError("times must be nonnegative")
 
-    w, v = swap_coupler(reg, "field", "atom", 1.0).eigh()
+    reg = build_register([boson("field", cutoff), two_level("atom")])
+    psi0 = coherent_state(reg, "field", alpha, tail_bound)
+    spectrum = swap_coupler(reg, "field", "atom", 1.0).eigh()
     # each phase (w t, sqrt(n) t, |alpha| t) is at most rate * t; one past
     # the float range would turn into NaN. The default grid ends at t_end.
-    rate = max(float(np.abs(w).max()), mag)
+    rate = max(spectrum.max_abs_eigenvalue, mag)
     for t in [t_end] if times is None else times:
         if not math.isfinite(rate * t):
             raise ValueError(f"phase at time {t:.17g} overflows for alpha={alpha}")
     if times is None:
         times = [float(t) for t in np.linspace(0.0, t_end, 65)]
-    coeffs = v.conj().T @ psi0.amplitudes
+    amps = spectrum.propagate(psi0.amplitudes, times)
     atom_excited = reg.occupation_table()[:, reg.position("atom")] == 1
+    excited = np.abs(amps[:, atom_excited]) ** 2
+    norms = np.linalg.norm(amps, axis=1)
     # |n, g> couples only to |n-1, e>, at rate sqrt(n)
     p_n = np.abs(psi0.amplitudes.reshape(cutoff + 1, 2)[:, 0]) ** 2
     sqrt_n = np.sqrt(np.arange(cutoff + 1.0))
@@ -347,10 +374,10 @@ def rabi_rotation(
         shots=0,
     )
     devs = [0.0]
-    for t in times:
-        amps = v @ (np.exp(-1j * w * t) * coeffs)
-        report.require(abs(np.linalg.norm(amps) - 1.0), 1e-9)
-        pe = float(np.sum(np.abs(amps[atom_excited]) ** 2))
+    for t, norm, row in zip(times, norms, excited):
+        report.require(abs(norm - 1.0), 1e-9)
+        # one sum per row: a sum along the rows of the table rounds differently
+        pe = float(np.sum(row))
         closed_form = float(np.sum(p_n * np.sin(sqrt_n * t) ** 2))
         report.require(abs(pe - closed_form), 1e-10)
         if t <= t_end + 1e-12:
@@ -636,22 +663,26 @@ def coherent_factorization(
     pre-shared entanglement for bosons.
 
     Route one expands the delocalized-mode coherent state by repeatedly
-    applying (a_dag + b_dag)/sqrt(2); route two multiplies per-site
-    amplitude profiles. Reports the fidelity between the two and the local
-    mean occupations (|alpha|^2 / 2 each). Exact-only.
+    applying (a_dag + b_dag)/sqrt(2) to the table of amplitudes over the
+    two occupations; route two multiplies per-site amplitude profiles.
+    Reports the fidelity between the two and the local mean occupations
+    (|alpha|^2 / 2 each). Exact-only.
     """
     alpha = complex(alpha)
     # the local amplitudes alpha / sqrt(2) have the smaller tail
     check_tail_bound(alpha, cutoff, tail_bound)
     reg = build_register([boson("a", cutoff, Site.A), boson("b", cutoff, Site.B)])
 
-    lift = (1.0 / math.sqrt(2.0)) * (creation(reg, "a") + creation(reg, "b"))
-    term = vacuum_state(reg).amplitudes.copy()
+    # (a_dag + b_dag) acts on the (n_a, n_b) amplitude table as one mode's
+    # raising matrix applied along each axis
+    up = creation(build_register([boson("a", cutoff)]), "a").elements
+    term = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    term[0, 0] = 1.0
     total = term.copy()
     for k in range(1, cutoff + 1):
-        term = (alpha / k) * (lift.elements @ term)
+        term = alpha / (k * math.sqrt(2.0)) * (up @ term + term @ up.T)
         total += term
-    delocalized = from_amplitudes(reg, total, normalize=True)
+    delocalized = from_amplitudes(reg, total.ravel(), normalize=True)
 
     local = coherent_state(
         build_register([boson("a", cutoff)]), "a", alpha / math.sqrt(2.0), tail_bound

@@ -545,6 +545,25 @@ def test_rabi_with_empty_times_exits_protocol_error(times):
                          shots=0, seed=1)) == EXIT_PROTOCOL
 
 
+def test_rabi_with_more_times_than_the_cap_exits_protocol_error(capsys):
+    times = [0.001 * i for i in range(protocols.MAX_RABI_TIMES + 1)]
+    # the cap is checked before the register is built, so the dimension
+    # over budget at this cutoff is never reached
+    for cutoff in (24, 100_000):
+        config = RunConfig("rabi", {"alpha": 2, "cutoff": cutoff,
+                                    "times": times}, shots=0, seed=1)
+        assert run(config) == EXIT_PROTOCOL
+        out, err = capsys.readouterr()
+        error = json.loads(err)["error"]
+        assert out == "" and error["type"] == "ValueError"
+        assert error["message"] == (
+            "times holds 4097 times, more than MAX_RABI_TIMES = 4096")
+    config = RunConfig("rabi", {"alpha": 2, "cutoff": 24, "times": times[:-1]},
+                       shots=0, seed=1)
+    assert run(config) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["params"]["times"]) == 4096
+
+
 def test_run_without_out_prints_to_stdout():
     result = _run_cli(
         ["run", "fermion-nogo", "--seed", "8"]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -126,10 +127,12 @@ def test_rabi_maxima_carry_a_nan(monkeypatch):
     eigh = OperatorMatrix.eigh
 
     def nan_eigh(op):
-        w, v = eigh(op)
+        # a NaN in one eigenvector of one block of the coupler
+        spectrum = eigh(op)
+        *kept, (index, w, v) = spectrum.groups
         v = v.copy()
-        v[0, 0] = math.nan
-        return w, v
+        v[0, 0, 0] = math.nan
+        return dataclasses.replace(spectrum, groups=(*kept, (index, w, v)))
 
     monkeypatch.setattr(OperatorMatrix, "eigh", nan_eigh)
     report = rabi_rotation(2.0, 24)
@@ -535,6 +538,38 @@ def test_require_folds_checks_by_the_guard_rule():
     assert not r.passed
     r.require(0.0, 1.0)  # a later passing check does not clear the failure
     assert r.passed is False and r.to_dict()["pass"] is False
+
+
+def _recorded(hits: int, count: int, p: float) -> protocols.ExperimentReport:
+    report = protocols.ExperimentReport("x", {}, 0, count)
+    protocols._record(report, "rate", hits, count, p)
+    return report
+
+
+def test_sampled_checks_pass_correct_runs_at_small_counts():
+    # each relation holds with p = 0.990, so one miss in 2 shots (f = 0.5)
+    # is an ordinary draw that a normal approximation reads as 7 sigma out
+    assert all(bell_chain(8, 2, seed).passed for seed in range(200))
+    # the one kept shot lands on an outcome of probability 0.0223
+    assert aux_particle_phase(0.3, "fermion", 1, 13).passed
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.97])
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_sampled_check_fails_a_law_shifted_by_ten_sigma(p, direction):
+    shots = 100_000
+    shifted = p + direction * 10.0 * math.sqrt(p * (1.0 - p) / shots)
+    for seed in range(50):
+        hits = int(np.random.default_rng(seed).binomial(shots, shifted))
+        assert not _recorded(hits, shots, p).passed, seed
+        assert _recorded(hits, shots, shifted).passed, seed
+
+
+def test_sampled_check_fails_a_hit_on_an_impossible_outcome():
+    assert not _recorded(1, 100_000, 0.0).passed
+    assert not _recorded(1, 1, 0.0).passed
+    assert not _recorded(99_999, 100_000, 1.0).passed
+    assert _recorded(0, 10, 0.0).passed and _recorded(10, 10, 1.0).passed
 
 
 def test_phi_canonicalized_mod_two_pi():
