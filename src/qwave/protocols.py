@@ -675,7 +675,8 @@ def coherent_factorization(
 
     # (a_dag + b_dag) acts on the (n_a, n_b) amplitude table as one mode's
     # raising matrix applied along each axis
-    up = creation(build_register([boson("a", cutoff)]), "a").elements
+    one_mode = build_register([boson("a", cutoff)])
+    up = creation(one_mode, "a").elements
     term = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     term[0, 0] = 1.0
     total = term.copy()
@@ -684,9 +685,7 @@ def coherent_factorization(
         total += term
     delocalized = from_amplitudes(reg, total.ravel(), normalize=True)
 
-    local = coherent_state(
-        build_register([boson("a", cutoff)]), "a", alpha / math.sqrt(2.0), tail_bound
-    ).amplitudes
+    local = coherent_state(one_mode, "a", alpha / math.sqrt(2.0), tail_bound).amplitudes
     product = from_amplitudes(reg, np.kron(local, local))
 
     fidelity = delocalized.fidelity(product)
