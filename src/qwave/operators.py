@@ -159,6 +159,9 @@ class BlockSpectrum:
                 w, v = blocks[:, 0].real, np.ones_like(blocks)
             else:
                 w, v = np.linalg.eigh(blocks)
+            # every caller of the operator's eigh shares these arrays
+            for a in (index, w, v):
+                a.flags.writeable = False
             groups.append((index, w, v))
         return cls(d, tuple(groups))
 

@@ -17,13 +17,13 @@ from qwave import (
     build_register,
     collective_chain,
     evolve,
+    fermion,
     from_amplitudes,
     nucleon_coupler,
     pair_exchange,
     quadrature,
     swap_coupler,
     two_level,
-    fermion,
 )
 from qwave import protocols
 
@@ -144,6 +144,8 @@ def test_spectrum_is_computed_once_per_operator(monkeypatch):
     # blocks, which need no call
     assert calls == [(24, 2, 2)]
     assert [index.shape for index, _, _ in spectrum.groups] == [(2, 1), (24, 2)]
+    # the one spectrum every caller shares cannot be written through
+    assert not any(a.flags.writeable for group in spectrum.groups for a in group)
 
 
 def test_collective_chain_decomposes_its_hamiltonian_once_per_order(monkeypatch):
