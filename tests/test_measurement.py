@@ -352,7 +352,8 @@ def test_sample_rejects_noncommuting():
     sz = spin_direction_measurement(reg, "s", 0.0, "z")
     sx = spin_direction_measurement(reg, "s", np.pi / 2.0, "x")
     psi = basis_state(reg, (1,))
-    message = "'z' and 'x' do not commute, max |PQ - QP|: 5.000e-01 exceeds bound 1e-10"
+    message = ("'z' and 'x' do not commute, max |(PQ - QP)R|: 5.000e-01 "
+               "exceeds bound 1e-10")
     with pytest.raises(NonCommutingSpecsError, match=re.escape(message)):
         sample(psi, [sz, sx], 10, seed=0)
 
