@@ -219,14 +219,14 @@ def _cuts(rng, d, parts):
     return sorted(rng.choice(np.arange(1, d), size=parts - 1, replace=False))
 
 
-def _bad(kind, rng, mats, d):
+def _bad(kind, rng, mats, d, eps):
     if kind == "oblique":
         s = np.eye(d) + 0.5 * rng.normal(size=(d, d))
         s_inv = np.linalg.inv(s)
         return [s @ m @ s_inv for m in mats]
     if kind == "perturbed":
         h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return [mats[0] + 1e-3 * (h + h.conj().T), *mats[1:]]
+        return [mats[0] + eps * (h + h.conj().T), *mats[1:]]
     if kind == "incomplete":
         return mats[:-1]
     if kind == "overlapping":
@@ -239,11 +239,13 @@ def _bad(kind, rng, mats, d):
 @given(d=st.integers(2, 48), parts=st.integers(2, 4),
        kind=st.sampled_from(["valid", "oblique", "perturbed", "incomplete",
                              "overlapping"]),
-       seed=st.integers(0, 2**32 - 1))
-def test_random_specs_agree_with_dense(d, parts, kind, seed):
+       eps=st.sampled_from([1e-8, 1e-5, 1e-2]), seed=st.integers(0, 2**32 - 1))
+def test_random_specs_agree_with_dense(d, parts, kind, eps, seed):
+    # a perturbation of size eps (100 bounds and up) is caught both ways
     rng = np.random.default_rng(seed)
     parts = min(parts, d)
-    mats = _bad(kind, rng, _projectors(_unitary(rng, d), _cuts(rng, d, parts)), d)
+    mats = _projectors(_unitary(rng, d), _cuts(rng, d, parts))
+    mats = _bad(kind, rng, mats, d, eps)
     reg = build_register([boson("a", d - 1)])
     dense = _dense_failure(mats)
     assert _probe_failure(reg, mats) == dense
