@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, pdtrc
@@ -39,15 +40,36 @@ from .fock import (
 )
 
 
+class _Built:
+    """A matrix built inside qwave that nothing else references. Handed to
+    ``OperatorMatrix``, it is frozen in place instead of copied."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _adopt(register: ModeRegister, array: np.ndarray) -> "OperatorMatrix":
+    """Operator on ``register`` that takes over ``array``, a matrix its
+    caller built and keeps no other reference to."""
+    return OperatorMatrix(register, _Built(array))
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix acting on a register's Hilbert space."""
+    """Dense complex matrix acting on a register's Hilbert space. Its
+    elements are a read-only, C-contiguous copy of the array given."""
 
     register: ModeRegister
     elements: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.elements, dtype=complex).copy()
+        if type(self.elements) is _Built:
+            # copied only if it is not complex and C-contiguous already
+            mat = np.ascontiguousarray(self.elements.array, dtype=complex)
+        else:
+            mat = np.array(self.elements, dtype=complex, order="C")
         d = self.register.dim
         if mat.shape != (d, d):
             raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
@@ -55,7 +77,7 @@ class OperatorMatrix:
         object.__setattr__(self, "elements", mat)
 
     def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.register, self.elements.conj().T)
+        return _adopt(self.register, np.conjugate(self.elements.T, order="C"))
 
     def eigh(self) -> "BlockSpectrum":
         """Eigendecomposition block by block; requires hermiticity. Computed
@@ -64,9 +86,7 @@ class OperatorMatrix:
         spectrum = self.__dict__.get("_spectrum")
         if spectrum is None:
             mat = self.elements
-            rows, cols = np.divmod(np.flatnonzero(mat != 0), len(mat))
-            # |H - H^H| is zero wherever H[i, j] and H[j, i] both are
-            gap = np.abs(mat[rows, cols] - mat[cols, rows].conj()).max(initial=0.0)
+            gap, rows, cols = _hermiticity_gap(mat)
             check_within(gap, NORM_ATOL,
                          "eigendecomposition requires a hermitian operator",
                          error=NotHermitianError)
@@ -83,23 +103,35 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return OperatorMatrix(self.register, self.elements @ other.elements)
+        return _adopt(self.register, self.elements @ other.elements)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return OperatorMatrix(self.register, self.elements + other.elements)
+        return _adopt(self.register, self.elements + other.elements)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return OperatorMatrix(self.register, self.elements - other.elements)
+        return _adopt(self.register, self.elements - other.elements)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.register, self.elements * scalar)
+        return _adopt(self.register, self.elements * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.register, -self.elements)
+        return _adopt(self.register, -self.elements)
+
+
+def _hermiticity_gap(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """max |H[r, c] - conj(H[c, r])| over the nonzero pattern (r, c) of a
+    square matrix H, and that pattern as row and column index arrays in C
+    order. The gap equals the dense scan max |H - H^H|: an entry outside the
+    pattern and its mirror contribute 0 when both are zero and are read at
+    the mirror otherwise, and a NaN entry is nonzero, so a NaN gap carries
+    through."""
+    rows, cols = np.divmod(np.flatnonzero(mat != 0), len(mat))
+    gap = np.abs(mat[rows, cols] - mat[cols, rows].conj()).max(initial=0.0)
+    return gap, rows, cols
 
 
 def _connected_components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -185,7 +217,7 @@ class BlockSpectrum:
 
 
 def identity(register: ModeRegister) -> OperatorMatrix:
-    return OperatorMatrix(register, np.eye(register.dim, dtype=complex))
+    return _adopt(register, np.eye(register.dim, dtype=complex))
 
 
 def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> np.ndarray:
@@ -198,6 +230,18 @@ def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> np.ndarray:
     all zero. The cost is a constant number of numpy calls plus one write
     per nonzero of the result.
     """
+    rows, cols, vals = _scatter_pattern(register, factors)
+    mat = np.zeros((register.dim, register.dim), dtype=complex)
+    mat[rows, cols] = vals
+    return mat
+
+
+def _scatter_pattern(
+    register: ModeRegister, factors: dict[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where and what :func:`embed` writes: row and column index arrays of
+    shape (basis indices with all factor digits zero, factor nonzeros), and
+    the values, which broadcast along the rows of both."""
     dims = register.dims
     positions = sorted(register.position(label) for label in factors)
     rows = cols = np.zeros(1, dtype=np.intp)
@@ -216,9 +260,36 @@ def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> np.ndarray:
         vals = (vals[:, None] * local[r, c]).ravel()
     zero_digits = tuple(0 if q in positions else slice(None) for q in range(len(dims)))
     base = np.arange(register.dim).reshape(dims)[zero_digits].reshape(-1, 1)
+    return base + rows, base + cols, vals
+
+
+def _ladder_hermitian(
+    register: ModeRegister,
+    create: Sequence[str],
+    annihilate: Sequence[str],
+    strength: complex,
+) -> OperatorMatrix:
+    """strength * (h + h^H) for the ladder product on distinct modes
+    h = a_dag(create[0]) a_dag(create[1]) ... a(annihilate[0]) a(annihilate[1]) ...,
+    written into one buffer.
+
+    Each ladder operator is the embed of per-mode factors, so h is the
+    embed of their products mode by mode. h changes some mode's occupation,
+    so no nonzero v = h[r, c] has a nonzero mirror h[c, r], and the buffer
+    takes strength * v at (r, c) and strength * conj(v) at (c, r).
+    """
+    terms = [{label: f.T for label, f in _annihilation_factors(register, mode).items()}
+             for mode in create]
+    terms += [_annihilation_factors(register, mode) for mode in annihilate]
+    factors = {}
+    for term in terms:
+        for label, f in term.items():
+            factors[label] = factors[label] @ f if label in factors else f
+    rows, cols, vals = _scatter_pattern(register, factors)
     mat = np.zeros((register.dim, register.dim), dtype=complex)
-    mat[base + rows, base + cols] = vals
-    return mat
+    mat[rows, cols] = strength * vals
+    mat[cols, rows] = strength * np.conj(vals)
+    return _adopt(register, mat)
 
 
 #: Jordan-Wigner sign factor (-1)**n of an earlier fermion mode.
@@ -238,6 +309,13 @@ def annihilation(register: ModeRegister, mode: str) -> OperatorMatrix:
     earlier-declared fermion modes, which makes distinct fermion operators
     anticommute. Two-level modes are the stringless lowering operator.
     """
+    return _adopt(register, embed(register, _annihilation_factors(register, mode)))
+
+
+def _annihilation_factors(register: ModeRegister, mode: str) -> dict[str, np.ndarray]:
+    """The per-mode factors whose :func:`embed` is the annihilation operator:
+    the lowering matrix on ``mode`` and, for a fermion, the sign string on
+    every earlier-declared fermion mode."""
     p = register.position(mode)
     spec = register.modes[p]
     factors = {}
@@ -246,7 +324,7 @@ def annihilation(register: ModeRegister, mode: str) -> OperatorMatrix:
             m.label: _PARITY for m in register.modes[:p] if m.kind is ModeKind.FERMION
         }
     factors[mode] = _lowering(spec.dim)
-    return OperatorMatrix(register, embed(register, factors))
+    return factors
 
 
 def creation(register: ModeRegister, mode: str) -> OperatorMatrix:
@@ -255,7 +333,7 @@ def creation(register: ModeRegister, mode: str) -> OperatorMatrix:
 
 def number_operator(register: ModeRegister, mode: str) -> OperatorMatrix:
     n = np.arange(register.mode(mode).dim)
-    return OperatorMatrix(register, embed(register, {mode: np.diag(n)}))
+    return _adopt(register, embed(register, {mode: np.diag(n)}))
 
 
 def quadrature(register: ModeRegister, mode: str) -> OperatorMatrix:
@@ -264,8 +342,7 @@ def quadrature(register: ModeRegister, mode: str) -> OperatorMatrix:
     For a fermion mode this includes the sign string, so quadratures of
     distinct fermion modes do not commute; bosonic ones do.
     """
-    a = annihilation(register, mode)
-    return OperatorMatrix(register, a.elements + a.elements.conj().T)
+    return _ladder_hermitian(register, (), (mode,), 1.0)
 
 
 def pair_exchange(register: ModeRegister, mode1: str, mode2: str) -> OperatorMatrix:
@@ -278,7 +355,7 @@ def pair_exchange(register: ModeRegister, mode1: str, mode2: str) -> OperatorMat
     x = annihilation(register, mode1)
     y = annihilation(register, mode2)
     t = x.elements.conj().T @ y.elements
-    return OperatorMatrix(register, t + t.conj().T)
+    return _adopt(register, t + t.conj().T)
 
 
 def swap_coupler(
@@ -296,9 +373,7 @@ def swap_coupler(
         raise KindMismatchError(f"{boson_mode!r} must be bosonic, is {bk.value}")
     if tk is not ModeKind.TWO_LEVEL:
         raise KindMismatchError(f"{twolevel_mode!r} must be two-level, is {tk.value}")
-    raise_field = _lowering(register.mode(boson_mode).dim).T
-    h = embed(register, {boson_mode: raise_field, twolevel_mode: _lowering(2)})
-    return OperatorMatrix(register, strength * (h + h.conj().T))
+    return _ladder_hermitian(register, (boson_mode,), (twolevel_mode,), strength)
 
 
 def nucleon_coupler(
@@ -384,7 +459,7 @@ def phase_kick(register: ModeRegister, mode: str, phi: float) -> OperatorMatrix:
     """
     n = np.arange(register.mode(mode).dim)
     kick = np.diag(np.exp(1j * phi * n))
-    return OperatorMatrix(register, embed(register, {mode: kick}))
+    return _adopt(register, embed(register, {mode: kick}))
 
 
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, t: float) -> StateVector:

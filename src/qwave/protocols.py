@@ -65,6 +65,8 @@ from .measurement import (
 )
 from .operators import (
     OperatorMatrix,
+    _adopt,
+    _ladder_hermitian,
     annihilation,
     apply,
     check_tail_bound,
@@ -75,7 +77,6 @@ from .operators import (
     embed,
     evolve,
     identity,
-    number_operator,
     phase_kick,
     poisson_tail,
     quadrature,
@@ -237,7 +238,7 @@ def _absence_measurement(
 ) -> MeasurementSpec:
     """Binary measurement: all the named modes empty ("absent") or not."""
     vacuum = {l: np.diag(np.arange(reg.mode(l).dim) == 0) for l in labels}
-    absent = OperatorMatrix(reg, embed(reg, vacuum))
+    absent = _adopt(reg, embed(reg, vacuum))
     return MeasurementSpec(
         name, (("absent", absent), ("present", identity(reg) - absent))
     )
@@ -689,8 +690,9 @@ def coherent_factorization(
     product = from_amplitudes(reg, np.kron(local, local))
 
     fidelity = delocalized.fidelity(product)
-    mean_a = float(number_operator(reg, "a").expectation(delocalized).real)
-    mean_b = float(number_operator(reg, "b").expectation(delocalized).real)
+    amps, occ = delocalized.amplitudes, reg.occupation_table()
+    mean_a = float(np.vdot(amps, occ[:, 0] * amps).real)
+    mean_b = float(np.vdot(amps, occ[:, 1] * amps).real)
     expected_mean = abs(alpha) ** 2 / 2.0
 
     report = ExperimentReport(
@@ -742,12 +744,10 @@ def _collective_setup(labels: Sequence[str]):
     reg = build_register([_CHAIN_MODES[label] for label in labels])
 
     def coupler(site: str) -> OperatorMatrix:
-        h = (
-            creation(reg, "ph_" + site)
-            @ annihilation(reg, "el_" + site)
-            @ annihilation(reg, "pos_" + site)
+        # h + h^H for h = a_dag(ph) a(el) a(pos)
+        return _ladder_hermitian(
+            reg, ("ph_" + site,), ("el_" + site, "pos_" + site), 1.0
         )
-        return h + h.dag()
 
     h_total = coupler("a") + coupler("b")
     lepton_spec = _absence_measurement(
@@ -828,7 +828,7 @@ def _superposition_reset(reg: ModeRegister, mode: str) -> OperatorMatrix:
     """Unitary taking (|0> +/- |1>)/sqrt(2) to |0> and |1> on a cutoff-1
     mode: resets a mode collapsed by a superposition-basis measurement."""
     s = 1.0 / math.sqrt(2.0)
-    return OperatorMatrix(reg, embed(reg, {mode: np.array([[s, s], [s, -s]])}))
+    return _adopt(reg, embed(reg, {mode: np.array([[s, s], [s, -s]])}))
 
 
 def collective_chain(phi: float, shots: int, seed: int) -> ExperimentReport:

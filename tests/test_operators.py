@@ -410,3 +410,119 @@ def test_embed_rejects_wrong_factor_shape():
     reg = build_register([boson("b", 2), two_level("t")])
     with pytest.raises(ValueError):
         embed(reg, {"b": np.eye(2)})
+
+
+# --- builders: the same matrices, one frozen buffer each ------------------------
+
+def _mixed_register():
+    return build_register([
+        boson("b", 2, Site.A), fermion("f1", Site.A), two_level("t", Site.B),
+        fermion("f2", Site.B), boson("c", 1, Site.B),
+    ])
+
+
+def test_hermitian_builders_match_their_dense_formulas():
+    reg = _mixed_register()
+    raise_b = np.diag(np.sqrt(np.arange(1.0, 3.0)), -1)
+    lower_t = np.array([[0.0, 1.0], [0.0, 0.0]])
+    h = embed(reg, {"b": raise_b, "t": lower_t})
+    for strength in (1.0, -0.37, 2.5, 1j, 0.6 - 1.25j):
+        dense = strength * (h + h.conj().T)
+        assert np.array_equal(swap_coupler(reg, "b", "t", strength).elements, dense)
+        assert np.array_equal(nucleon_coupler(reg, "b", "t", strength).elements, dense)
+    for mode in ("b", "f1", "t", "f2", "c"):
+        a = annihilation(reg, mode).elements
+        assert np.array_equal(quadrature(reg, mode).elements, a + a.conj().T)
+    # ladder products with sign strings, as the collective chain's couplers
+    for create, annihilate in ((("b",), ("f1", "f2")), (("c",), ("f2", "f1")),
+                               (("f2", "t"), ("b",)), (("f1",), ("c", "t", "f2"))):
+        h = np.eye(reg.dim)
+        for mode in create:
+            h = h @ creation(reg, mode).elements
+        for mode in annihilate:
+            h = h @ annihilation(reg, mode).elements
+        for strength in (1.0, -0.5j):
+            built = operators._ladder_hermitian(reg, create, annihilate, strength)
+            assert np.array_equal(built.elements, strength * (h + h.conj().T))
+
+
+def test_spec_projectors_match_their_dense_formulas():
+    from qwave import plus_minus_basis, quadrature_basis
+
+    reg = _mixed_register()
+    eye = np.eye(reg.dim)
+    for mode in ("f1", "t", "f2", "c"):
+        x = quadrature(reg, mode).elements
+        spec = quadrature_basis(reg, mode)
+        assert np.array_equal(spec.projector("+1").elements, (eye + x) / 2.0)
+        assert np.array_equal(spec.projector("-1").elements, (eye - x) / 2.0)
+    for pair in (("t", "f2"), ("f2", "c")):
+        x, y = (annihilation(reg, m).elements for m in pair)
+        t = x.conj().T @ y
+        t = t + t.conj().T
+        t2 = t @ t
+        spec = plus_minus_basis(reg, *pair)
+        assert np.array_equal(spec.projector("+").elements, (t2 + t) / 2.0)
+        assert np.array_equal(spec.projector("-").elements, (t2 - t) / 2.0)
+        assert np.array_equal(spec.projector("other").elements, eye - t2)
+
+
+def test_operator_copies_caller_arrays():
+    from qwave import OperatorMatrix
+
+    reg = build_register([boson("a", 2)])
+    # complex and C-contiguous, float, and Fortran-ordered caller arrays
+    for arr in (np.zeros((3, 3), dtype=complex), np.zeros((3, 3)),
+                np.asfortranarray(np.arange(9.0).reshape(3, 3))):
+        before = arr.astype(complex)
+        op = OperatorMatrix(reg, arr)
+        assert not np.shares_memory(op.elements, arr)
+        arr[0, 1] = 7.0
+        assert np.array_equal(op.elements, before)
+        assert arr.flags.writeable
+
+
+def test_builders_hand_over_one_read_only_c_contiguous_matrix(monkeypatch):
+    from qwave import (OperatorMatrix, plus_minus_basis, quadrature_basis,
+                       spin_direction_measurement, vacuum_one_superposition_basis)
+
+    reg = _mixed_register()
+    inits = []
+    post_init = OperatorMatrix.__post_init__
+
+    def counted(op):
+        post_init(op)
+        inits.append(op)
+
+    monkeypatch.setattr(OperatorMatrix, "__post_init__", counted)
+    a, n = annihilation(reg, "b"), number_operator(reg, "b")
+    ops = [
+        identity(reg), a, creation(reg, "f2"), n, quadrature(reg, "f1"),
+        operators.pair_exchange(reg, "f1", "f2"), swap_coupler(reg, "b", "t", 0.5),
+        nucleon_coupler(reg, "b", "t", 2.0), phase_kick(reg, "c", 0.3),
+        a + n, a - n, a @ n, 2.0 * a, a * 1j, -a, a.dag(),
+        OperatorMatrix(reg, np.asfortranarray(np.eye(reg.dim))),
+    ]
+    specs = [spin_direction_measurement(reg, "t", 0.7),
+             plus_minus_basis(reg, "f2", "c"),
+             vacuum_one_superposition_basis(reg, "b"), quadrature_basis(reg, "f1")]
+    ops += [p for spec in specs for _, p in spec.projectors]
+    # every handed-over matrix still passes through __post_init__
+    assert set(map(id, ops)) <= set(map(id, inits))
+    for op in ops:
+        m = op.elements
+        assert m.dtype == complex and m.flags.c_contiguous
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+def test_a_handed_over_matrix_is_frozen_in_place():
+    reg = build_register([boson("a", 2)])
+    built = np.arange(9.0).reshape(3, 3) + 0j
+    op = operators._adopt(reg, built)
+    assert op.elements is built and not built.flags.writeable
+    # one that is not complex and C-contiguous is converted once
+    real = np.arange(9.0).reshape(3, 3).T
+    op = operators._adopt(reg, real)
+    assert op.elements.flags.c_contiguous and np.array_equal(op.elements, real)

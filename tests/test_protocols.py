@@ -1,8 +1,12 @@
 import dataclasses
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from qwave import (
     site_locality_gap,
 )
 from qwave import OperatorMatrix, protocols
+from qwave.fock import MAX_REGISTER_DIM
 from qwave.measurement import PROJECTOR_ATOL
 
 PHI_GRID = [0.0, math.pi / 3.0, math.pi / 2.0, math.pi, 4.0]
@@ -415,6 +420,44 @@ def test_coherent_factorization_tail_guard():
         coherent_factorization(4.0, 6)
     with pytest.raises(ValueError, match=r"tail_bound must be in \[0, 1\), got 3.0"):
         coherent_factorization(1000.0, 40, tail_bound=3.0)
+
+
+# --- peak memory at the dimension limit --------------------------------------------
+
+_PEAK_RSS_CHILD = """
+import resource, sys
+from qwave import protocols
+report = protocols.{call}
+# ru_maxrss is in KiB on Linux, in bytes on macOS
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(report.passed, peak / (2**20 if sys.platform == "darwin" else 2**10))
+"""
+
+# A process started by fork and exec carries into its ru_maxrss the resident
+# size it had when it called exec, which is its parent's. So the measuring
+# process is started by a small launcher, not by the test runner.
+_LAUNCHER = ("import subprocess, sys; "
+             "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
+
+
+@pytest.mark.parametrize("call, bound_mb", [
+    # one dense 256 MiB generator, plus less than one more
+    (f"rabi_rotation(40, {MAX_REGISTER_DIM // 2 - 1})", 512),
+    # means come from the occupation table, so no d x d matrix at all
+    (f"coherent_factorization(5, {math.isqrt(MAX_REGISTER_DIM) - 1})", 128),
+])
+def test_peak_memory_at_the_dimension_limit(call, bound_mb):
+    env = dict(os.environ)
+    package_root = str(Path(protocols.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, _PEAK_RSS_CHILD.format(call=call)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    passed, peak_mb = proc.stdout.split()
+    assert passed == "True"
+    assert float(peak_mb) <= bound_mb, (call, peak_mb)
 
 
 # --- collective chain -------------------------------------------------------------

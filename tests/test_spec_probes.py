@@ -31,7 +31,7 @@ from qwave import (
     vacuum_one_superposition_basis,
     vacuum_state,
 )
-from qwave import measurement
+from qwave import measurement, operators
 from qwave.measurement import PROJECTOR_ATOL
 
 # each check's name, as the spec's messages and the dense oracle give it
@@ -266,3 +266,53 @@ def test_random_commuting_verdicts_agree_with_dense(d, seed, shared):
                                             _projectors(w, _cuts(rng, d, 2)))))
             for name, w in (("a", u), ("b", v)))
     assert _probe_commute(a, b) == _dense_commute(a, b) == shared
+
+
+# --- hermiticity, read over the nonzero pattern -----------------------------------
+
+def _dense_gap(m) -> float:
+    return np.abs(m - m.conj().T).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 24),
+       kind=st.sampled_from(["dense", "sparse", "hermitian", "sparse hermitian",
+                             "nan", "inf", "zero"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_hermiticity_gap_equals_the_dense_scan(d, kind, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if "hermitian" in kind:
+        m = (m + m.conj().T) / 2.0
+    if "sparse" in kind:
+        # structural zeros on one side of a pair only, and on both
+        m[rng.random((d, d)) < 0.6] = 0.0
+    if kind == "zero":
+        m[:] = 0.0
+    if kind in ("nan", "inf"):
+        bad = np.nan if kind == "nan" else np.inf
+        r, c = rng.integers(d, size=2)
+        m[r, c] = complex(bad, 0.0) if rng.random() < 0.5 else complex(0.0, bad)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gap = operators._hermiticity_gap(m)[0]
+        dense = _dense_gap(m)
+    assert gap == dense or (np.isnan(gap) and np.isnan(dense))
+
+
+def test_oblique_specs_fail_the_hermiticity_check_at_the_dense_gap():
+    # idempotent, mutually annihilating and complete, but not hermitian
+    oblique = [np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])]
+    cases = [(build_register([boson("a", 1)]), oblique)]
+    rng = np.random.default_rng(8)
+    # on both sides of the dimension where the spec stops scanning densely
+    for d in (12, 2 * measurement._DENSE_SCAN_MAX_DIM):
+        s = np.eye(d) + 0.5 * rng.normal(size=(d, d))
+        s_inv = np.linalg.inv(s)
+        mats = [s @ m @ s_inv for m in _projectors(_unitary(rng, d), [4, 9])]
+        cases.append((build_register([boson("a", d - 1)]), mats))
+    for reg, mats in cases:
+        projectors = tuple((str(k), OperatorMatrix(reg, m)) for k, m in enumerate(mats))
+        message = (f"projector '0' of 'oblique' not hermitian: "
+                   f"{_dense_gap(mats[0]):.3e} exceeds bound {PROJECTOR_ATOL!r}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MeasurementSpec("oblique", projectors)
