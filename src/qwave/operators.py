@@ -278,8 +278,7 @@ def _ladder_hermitian(
     so no nonzero v = h[r, c] has a nonzero mirror h[c, r], and the buffer
     takes strength * v at (r, c) and strength * conj(v) at (c, r).
     """
-    terms = [{label: f.T for label, f in _annihilation_factors(register, mode).items()}
-             for mode in create]
+    terms = [_creation_factors(register, mode) for mode in create]
     terms += [_annihilation_factors(register, mode) for mode in annihilate]
     factors = {}
     for term in terms:
@@ -327,8 +326,14 @@ def _annihilation_factors(register: ModeRegister, mode: str) -> dict[str, np.nda
     return factors
 
 
+def _creation_factors(register: ModeRegister, mode: str) -> dict[str, np.ndarray]:
+    """The per-mode factors whose :func:`embed` is the creation operator:
+    the annihilation factors are real, so these are their transposes."""
+    return {label: f.T for label, f in _annihilation_factors(register, mode).items()}
+
+
 def creation(register: ModeRegister, mode: str) -> OperatorMatrix:
-    return annihilation(register, mode).dag()
+    return _adopt(register, embed(register, _creation_factors(register, mode)))
 
 
 def number_operator(register: ModeRegister, mode: str) -> OperatorMatrix:

@@ -433,6 +433,7 @@ def test_hermitian_builders_match_their_dense_formulas():
     for mode in ("b", "f1", "t", "f2", "c"):
         a = annihilation(reg, mode).elements
         assert np.array_equal(quadrature(reg, mode).elements, a + a.conj().T)
+        assert np.array_equal(creation(reg, mode).elements, a.conj().T)
     # ladder products with sign strings, as the collective chain's couplers
     for create, annihilate in ((("b",), ("f1", "f2")), (("c",), ("f2", "f1")),
                                (("f2", "t"), ("b",)), (("f1",), ("c", "t", "f2"))):
