@@ -45,8 +45,8 @@ from .fock import (
 from .operators import (
     OperatorMatrix,
     _adopt,
+    _embedded,
     _hermiticity_gap,
-    embed,
     pair_exchange,
     quadrature,
 )
@@ -58,12 +58,6 @@ PROJECTOR_ATOL = 1e-10
 #: Allowed drift of a joint distribution's total from 1 before sampling.
 #: States are normalized to NORM_ATOL, so a valid total is within ~2e-10.
 _TOTAL_PROBABILITY_ATOL = 1e-9
-
-#: Largest dimension whose projectors get the dense hermiticity scan
-#: max |P - P^H|: up to here it takes fewer numpy calls than reading the
-#: nonzero pattern (``operators._hermiticity_gap``), which gives the same
-#: value and is the cheaper read above it.
-_DENSE_SCAN_MAX_DIM = 64
 
 #: Columns of the probe block and the key of the Philox generator drawing it.
 _PROBE_COLUMNS = 2
@@ -87,10 +81,10 @@ class MeasurementSpec:
 
     Validation: every projector is hermitian and idempotent, distinct
     projectors are orthogonal and together they sum to the identity (a NaN
-    entry fails each of these checks). Hermiticity is read exactly, by a
-    dense scan up to dimension ``_DENSE_SCAN_MAX_DIM`` and over each
-    projector's nonzero pattern above it; the other three are read on the
-    probe block (see the module docstring).
+    entry fails each of these checks). Hermiticity is read exactly over
+    each projector's nonzero pattern (the same read as
+    ``OperatorMatrix.eigh``); the other three are read on the probe block
+    (see the module docstring).
     Whether the projectors act only on one site is not part of the spec;
     ``site_locality_gap(spec, site)`` answers it on request (fermionic sign
     strings can reach across sites).
@@ -111,10 +105,8 @@ class MeasurementSpec:
         r = _probes(reg.dim)
         mats = [p.elements for _, p in self.projectors]
         probed = [m @ r for m in mats]
-        dense_scan = reg.dim <= _DENSE_SCAN_MAX_DIM
         for label, m, mr in zip(labels, mats, probed):
-            gap = np.abs(m - m.conj().T).max() if dense_scan else _hermiticity_gap(m)[0]
-            check_within(gap, PROJECTOR_ATOL,
+            check_within(_hermiticity_gap(m)[0], PROJECTOR_ATOL,
                          "projector %r of %r not hermitian", label, self.name)
             check_within(np.abs(m @ mr - mr).max(), PROJECTOR_ATOL,
                          "projector %r of %r not idempotent", label, self.name)
@@ -185,7 +177,7 @@ def spin_direction_measurement(
     sigma = np.cos(theta) * sz + np.sin(theta) * sx
     eye = np.eye(2)
     projectors = tuple(
-        (label, _adopt(register, embed(register, {twolevel_mode: local})))
+        (label, _embedded(register, {twolevel_mode: local}))
         for label, local in (("+1", (eye + sigma) / 2.0), ("-1", (eye - sigma) / 2.0))
     )
     return MeasurementSpec(name or f"spin({twolevel_mode})", projectors)
@@ -239,7 +231,7 @@ def vacuum_one_superposition_basis(
     if spec.cutoff > 1:
         blocks.append(("other", np.diag(np.arange(spec.dim) >= 2).astype(float)))
     projectors = [
-        (label, _adopt(register, embed(register, {mode: block})))
+        (label, _embedded(register, {mode: block}))
         for label, block in blocks
     ]
     return MeasurementSpec(name or f"vac1({mode})", tuple(projectors))

@@ -56,6 +56,12 @@ def _adopt(register: ModeRegister, array: np.ndarray) -> "OperatorMatrix":
     return OperatorMatrix(register, _Built(array))
 
 
+def _embedded(register: ModeRegister, factors: dict[str, np.ndarray]) -> "OperatorMatrix":
+    """Operator on ``register`` whose elements are :func:`embed` of
+    ``factors``, taken over without a copy."""
+    return _adopt(register, embed(register, factors))
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Dense complex matrix acting on a register's Hilbert space. Its
@@ -308,7 +314,7 @@ def annihilation(register: ModeRegister, mode: str) -> OperatorMatrix:
     earlier-declared fermion modes, which makes distinct fermion operators
     anticommute. Two-level modes are the stringless lowering operator.
     """
-    return _adopt(register, embed(register, _annihilation_factors(register, mode)))
+    return _embedded(register, _annihilation_factors(register, mode))
 
 
 def _annihilation_factors(register: ModeRegister, mode: str) -> dict[str, np.ndarray]:
@@ -333,12 +339,12 @@ def _creation_factors(register: ModeRegister, mode: str) -> dict[str, np.ndarray
 
 
 def creation(register: ModeRegister, mode: str) -> OperatorMatrix:
-    return _adopt(register, embed(register, _creation_factors(register, mode)))
+    return _embedded(register, _creation_factors(register, mode))
 
 
 def number_operator(register: ModeRegister, mode: str) -> OperatorMatrix:
     n = np.arange(register.mode(mode).dim)
-    return _adopt(register, embed(register, {mode: np.diag(n)}))
+    return _embedded(register, {mode: np.diag(n)})
 
 
 def quadrature(register: ModeRegister, mode: str) -> OperatorMatrix:
@@ -464,7 +470,7 @@ def phase_kick(register: ModeRegister, mode: str, phi: float) -> OperatorMatrix:
     """
     n = np.arange(register.mode(mode).dim)
     kick = np.diag(np.exp(1j * phi * n))
-    return _adopt(register, embed(register, {mode: kick}))
+    return _embedded(register, {mode: kick})
 
 
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, t: float) -> StateVector:

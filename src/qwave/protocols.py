@@ -65,7 +65,7 @@ from .measurement import (
 )
 from .operators import (
     OperatorMatrix,
-    _adopt,
+    _embedded,
     _ladder_hermitian,
     annihilation,
     apply,
@@ -74,7 +74,6 @@ from .operators import (
     coherent_state,
     commutator_norm,
     creation,
-    embed,
     evolve,
     identity,
     phase_kick,
@@ -238,7 +237,7 @@ def _absence_measurement(
 ) -> MeasurementSpec:
     """Binary measurement: all the named modes empty ("absent") or not."""
     vacuum = {l: np.diag(np.arange(reg.mode(l).dim) == 0) for l in labels}
-    absent = _adopt(reg, embed(reg, vacuum))
+    absent = _embedded(reg, vacuum)
     return MeasurementSpec(
         name, (("absent", absent), ("present", identity(reg) - absent))
     )
@@ -828,7 +827,7 @@ def _superposition_reset(reg: ModeRegister, mode: str) -> OperatorMatrix:
     """Unitary taking (|0> +/- |1>)/sqrt(2) to |0> and |1> on a cutoff-1
     mode: resets a mode collapsed by a superposition-basis measurement."""
     s = 1.0 / math.sqrt(2.0)
-    return _adopt(reg, embed(reg, {mode: np.array([[s, s], [s, -s]])}))
+    return _embedded(reg, {mode: np.array([[s, s], [s, -s]])})
 
 
 def collective_chain(phi: float, shots: int, seed: int) -> ExperimentReport:

@@ -304,8 +304,7 @@ def test_oblique_specs_fail_the_hermiticity_check_at_the_dense_gap():
     oblique = [np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])]
     cases = [(build_register([boson("a", 1)]), oblique)]
     rng = np.random.default_rng(8)
-    # on both sides of the dimension where the spec stops scanning densely
-    for d in (12, 2 * measurement._DENSE_SCAN_MAX_DIM):
+    for d in (12, 128):
         s = np.eye(d) + 0.5 * rng.normal(size=(d, d))
         s_inv = np.linalg.inv(s)
         mats = [s @ m @ s_inv for m in _projectors(_unitary(rng, d), [4, 9])]
