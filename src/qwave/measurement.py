@@ -41,12 +41,12 @@ from .fock import (
     Site,
     StateVector,
     _check_same_register,
+    _hermiticity_gap,
 )
 from .operators import (
     OperatorMatrix,
     _adopt,
-    _embedded,
-    _hermiticity_gap,
+    embed,
     pair_exchange,
     quadrature,
 )
@@ -177,7 +177,7 @@ def spin_direction_measurement(
     sigma = np.cos(theta) * sz + np.sin(theta) * sx
     eye = np.eye(2)
     projectors = tuple(
-        (label, _embedded(register, {twolevel_mode: local}))
+        (label, embed(register, {twolevel_mode: local}))
         for label, local in (("+1", (eye + sigma) / 2.0), ("-1", (eye - sigma) / 2.0))
     )
     return MeasurementSpec(name or f"spin({twolevel_mode})", projectors)
@@ -231,7 +231,7 @@ def vacuum_one_superposition_basis(
     if spec.cutoff > 1:
         blocks.append(("other", np.diag(np.arange(spec.dim) >= 2).astype(float)))
     projectors = [
-        (label, _embedded(register, {mode: block}))
+        (label, embed(register, {mode: block}))
         for label, block in blocks
     ]
     return MeasurementSpec(name or f"vac1({mode})", tuple(projectors))

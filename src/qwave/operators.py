@@ -28,6 +28,7 @@ from .errors import (
     KindMismatchError,
     NotHermitianError,
     TailBoundExceededError,
+    UnknownModeError,
     check_within,
 )
 from .fock import (
@@ -36,6 +37,7 @@ from .fock import (
     ModeRegister,
     StateVector,
     _check_same_register,
+    _hermiticity_gap,
     from_amplitudes,
 )
 
@@ -54,12 +56,6 @@ def _adopt(register: ModeRegister, array: np.ndarray) -> "OperatorMatrix":
     """Operator on ``register`` that takes over ``array``, a matrix its
     caller built and keeps no other reference to."""
     return OperatorMatrix(register, _Built(array))
-
-
-def _embedded(register: ModeRegister, factors: dict[str, np.ndarray]) -> "OperatorMatrix":
-    """Operator on ``register`` whose elements are :func:`embed` of
-    ``factors``, taken over without a copy."""
-    return _adopt(register, embed(register, factors))
 
 
 @dataclass(frozen=True)
@@ -103,10 +99,6 @@ class OperatorMatrix:
             object.__setattr__(self, "_spectrum", spectrum)
         return spectrum
 
-    def expectation(self, state: StateVector) -> complex:
-        _check_same_register(self.register, state.register)
-        return complex(np.vdot(state.amplitudes, self.elements @ state.amplitudes))
-
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
         return _adopt(self.register, self.elements @ other.elements)
@@ -126,18 +118,6 @@ class OperatorMatrix:
 
     def __neg__(self) -> "OperatorMatrix":
         return _adopt(self.register, -self.elements)
-
-
-def _hermiticity_gap(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """max |H[r, c] - conj(H[c, r])| over the nonzero pattern (r, c) of a
-    square matrix H, and that pattern as row and column index arrays in C
-    order. The gap equals the dense scan max |H - H^H|: an entry outside the
-    pattern and its mirror contribute 0 when both are zero and are read at
-    the mirror otherwise, and a NaN entry is nonzero, so a NaN gap carries
-    through."""
-    rows, cols = np.divmod(np.flatnonzero(mat != 0), len(mat))
-    gap = np.abs(mat[rows, cols] - mat[cols, rows].conj()).max(initial=0.0)
-    return gap, rows, cols
 
 
 def _connected_components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -226,9 +206,9 @@ def identity(register: ModeRegister) -> OperatorMatrix:
     return _adopt(register, np.eye(register.dim, dtype=complex))
 
 
-def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> np.ndarray:
-    """Dense tensor product, in declaration order, of the given per-mode
-    matrices, with the identity on every other mode.
+def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> OperatorMatrix:
+    """Operator that is the tensor product, in declaration order, of the
+    given per-mode matrices, with the identity on every other mode.
 
     Built by scattering nonzeros rather than chaining Kronecker products:
     the factors' nonzero entries combine into flat (row, col) offsets and
@@ -239,7 +219,7 @@ def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> np.ndarray:
     rows, cols, vals = _scatter_pattern(register, factors)
     mat = np.zeros((register.dim, register.dim), dtype=complex)
     mat[rows, cols] = vals
-    return mat
+    return _adopt(register, mat)
 
 
 def _scatter_pattern(
@@ -282,8 +262,12 @@ def _ladder_hermitian(
     Each ladder operator is the embed of per-mode factors, so h is the
     embed of their products mode by mode. h changes some mode's occupation,
     so no nonzero v = h[r, c] has a nonzero mirror h[c, r], and the buffer
-    takes strength * v at (r, c) and strength * conj(v) at (c, r).
+    takes strength * v at (r, c) and strength * conj(v) at (c, r). A
+    repeated mode would break this (a_dag a is diagonal), so it raises
+    UnknownModeError before anything is built.
     """
+    if len(set(create) | set(annihilate)) < len(create) + len(annihilate):
+        raise UnknownModeError("the two modes must be distinct")
     terms = [_creation_factors(register, mode) for mode in create]
     terms += [_annihilation_factors(register, mode) for mode in annihilate]
     factors = {}
@@ -314,7 +298,7 @@ def annihilation(register: ModeRegister, mode: str) -> OperatorMatrix:
     earlier-declared fermion modes, which makes distinct fermion operators
     anticommute. Two-level modes are the stringless lowering operator.
     """
-    return _embedded(register, _annihilation_factors(register, mode))
+    return embed(register, _annihilation_factors(register, mode))
 
 
 def _annihilation_factors(register: ModeRegister, mode: str) -> dict[str, np.ndarray]:
@@ -339,12 +323,12 @@ def _creation_factors(register: ModeRegister, mode: str) -> dict[str, np.ndarray
 
 
 def creation(register: ModeRegister, mode: str) -> OperatorMatrix:
-    return _embedded(register, _creation_factors(register, mode))
+    return embed(register, _creation_factors(register, mode))
 
 
 def number_operator(register: ModeRegister, mode: str) -> OperatorMatrix:
     n = np.arange(register.mode(mode).dim)
-    return _embedded(register, {mode: np.diag(n)})
+    return embed(register, {mode: np.diag(n)})
 
 
 def quadrature(register: ModeRegister, mode: str) -> OperatorMatrix:
@@ -363,10 +347,7 @@ def pair_exchange(register: ModeRegister, mode1: str, mode2: str) -> OperatorMat
     to the pair; its eigenvalues on the one-particle sector are +/-1 with
     eigenstates (|10> +/- |01>)/sqrt(2).
     """
-    x = annihilation(register, mode1)
-    y = annihilation(register, mode2)
-    t = x.elements.conj().T @ y.elements
-    return _adopt(register, t + t.conj().T)
+    return _ladder_hermitian(register, (mode1,), (mode2,), 1.0)
 
 
 def swap_coupler(
@@ -470,7 +451,7 @@ def phase_kick(register: ModeRegister, mode: str, phi: float) -> OperatorMatrix:
     """
     n = np.arange(register.mode(mode).dim)
     kick = np.diag(np.exp(1j * phi * n))
-    return _embedded(register, {mode: kick})
+    return embed(register, {mode: kick})
 
 
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, t: float) -> StateVector:

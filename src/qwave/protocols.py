@@ -65,15 +65,14 @@ from .measurement import (
 )
 from .operators import (
     OperatorMatrix,
-    _embedded,
     _ladder_hermitian,
-    annihilation,
     apply,
     check_tail_bound,
     coherent_amplitudes,
     coherent_state,
     commutator_norm,
     creation,
+    embed,
     evolve,
     identity,
     phase_kick,
@@ -237,7 +236,7 @@ def _absence_measurement(
 ) -> MeasurementSpec:
     """Binary measurement: all the named modes empty ("absent") or not."""
     vacuum = {l: np.diag(np.arange(reg.mode(l).dim) == 0) for l in labels}
-    absent = _embedded(reg, vacuum)
+    absent = embed(reg, vacuum)
     return MeasurementSpec(
         name, (("absent", absent), ("present", identity(reg) - absent))
     )
@@ -626,13 +625,10 @@ def fermion_nogo() -> ExperimentReport:
         ]
     )
 
-    def pair_op(up: str, down: str) -> OperatorMatrix:
-        create_pair = creation(regp, up) @ creation(regp, down)
-        destroy_pair = annihilation(regp, down) @ annihilation(regp, up)
-        return create_pair + destroy_pair
-
+    # c_dag(up) c_dag(down) + c(down) c(up) at each site
     results["fermion_pair_commutator"] = commutator_norm(
-        pair_op("up_a", "down_a"), pair_op("up_b", "down_b")
+        _ladder_hermitian(regp, ("up_a", "down_a"), (), 1.0),
+        _ladder_hermitian(regp, ("up_b", "down_b"), (), 1.0),
     )
 
     report = ExperimentReport(
@@ -827,7 +823,7 @@ def _superposition_reset(reg: ModeRegister, mode: str) -> OperatorMatrix:
     """Unitary taking (|0> +/- |1>)/sqrt(2) to |0> and |1> on a cutoff-1
     mode: resets a mode collapsed by a superposition-basis measurement."""
     s = 1.0 / math.sqrt(2.0)
-    return _embedded(reg, {mode: np.array([[s, s], [s, -s]])})
+    return embed(reg, {mode: np.array([[s, s], [s, -s]])})
 
 
 def collective_chain(phi: float, shots: int, seed: int) -> ExperimentReport:

@@ -171,7 +171,8 @@ def test_coherent_state_alpha_zero_is_vacuum():
 def test_coherent_state_mean_occupation():
     reg = build_register([boson("m", 20)])
     psi = coherent_state(reg, "m", 2.0, 1e-8)
-    mean = number_operator(reg, "m").expectation(psi).real
+    n = number_operator(reg, "m")
+    mean = np.vdot(psi.amplitudes, n.elements @ psi.amplitudes).real
     assert abs(mean - 4.0) < 1e-6
 
 
@@ -402,8 +403,8 @@ def test_embed_matches_kron_in_declaration_order():
         ref = np.ones((1, 1))
         for m in reg.modes:
             ref = np.kron(ref, factors.get(m.label, np.eye(m.dim)))
-        assert np.abs(embed(reg, factors) - ref).max() < 1e-14
-    assert np.array_equal(embed(reg, {}), np.eye(reg.dim))
+        assert np.abs(embed(reg, factors).elements - ref).max() < 1e-14
+    assert np.array_equal(embed(reg, {}).elements, np.eye(reg.dim))
 
 
 def test_embed_rejects_wrong_factor_shape():
@@ -425,7 +426,7 @@ def test_hermitian_builders_match_their_dense_formulas():
     reg = _mixed_register()
     raise_b = np.diag(np.sqrt(np.arange(1.0, 3.0)), -1)
     lower_t = np.array([[0.0, 1.0], [0.0, 0.0]])
-    h = embed(reg, {"b": raise_b, "t": lower_t})
+    h = embed(reg, {"b": raise_b, "t": lower_t}).elements
     for strength in (1.0, -0.37, 2.5, 1j, 0.6 - 1.25j):
         dense = strength * (h + h.conj().T)
         assert np.array_equal(swap_coupler(reg, "b", "t", strength).elements, dense)
@@ -445,6 +446,36 @@ def test_hermitian_builders_match_their_dense_formulas():
         for strength in (1.0, -0.5j):
             built = operators._ladder_hermitian(reg, create, annihilate, strength)
             assert np.array_equal(built.elements, strength * (h + h.conj().T))
+    # particle transfer x_dag y + h.c.: fermions with f2 declared between
+    # them (a sign string), a cutoff-2 boson pair and a boson-fermion pair
+    wide = build_register([fermion("f1"), fermion("f2"), boson("b", 2),
+                           fermion("f3"), boson("c", 2)])
+    for pair in (("f1", "f3"), ("f3", "f1"), ("b", "c"), ("c", "b"),
+                 ("b", "f3"), ("f1", "c")):
+        x, y = (annihilation(wide, m).elements for m in pair)
+        t = x.conj().T @ y
+        assert np.array_equal(operators.pair_exchange(wide, *pair).elements,
+                              t + t.conj().T)
+    # fermion-nogo's same-site pair operator c_dag(up) c_dag(down) + c(down) c(up)
+    pairs = build_register([fermion("ua", Site.A), fermion("da", Site.A),
+                            fermion("ub", Site.B), fermion("db", Site.B)])
+    for up, down in (("ua", "da"), ("ub", "db"), ("da", "ub")):
+        cu, cd = (annihilation(pairs, m).elements for m in (up, down))
+        dense = cu.conj().T @ cd.conj().T + cd @ cu
+        built = operators._ladder_hermitian(pairs, (up, down), (), 1.0)
+        assert np.array_equal(built.elements, dense)
+
+
+def test_a_repeated_mode_is_rejected_before_any_build():
+    from qwave import UnknownModeError, plus_minus_basis
+
+    reg = build_register([fermion("a", Site.A), fermion("b", Site.A)])
+    with pytest.raises(UnknownModeError, match="the two modes must be distinct"):
+        operators.pair_exchange(reg, "a", "a")
+    with pytest.raises(UnknownModeError, match="the two modes must be distinct"):
+        plus_minus_basis(reg, "a", "a")
+    with pytest.raises(UnknownModeError, match="the two modes must be distinct"):
+        operators._ladder_hermitian(reg, ("a", "b"), ("b",), 1.0)
 
 
 def test_spec_projectors_match_their_dense_formulas():
@@ -501,6 +532,7 @@ def test_builders_hand_over_one_read_only_c_contiguous_matrix(monkeypatch):
         identity(reg), a, creation(reg, "f2"), n, quadrature(reg, "f1"),
         operators.pair_exchange(reg, "f1", "f2"), swap_coupler(reg, "b", "t", 0.5),
         nucleon_coupler(reg, "b", "t", 2.0), phase_kick(reg, "c", 0.3),
+        embed(reg, {"t": np.eye(2), "c": np.ones((2, 2))}),
         a + n, a - n, a @ n, 2.0 * a, a * 1j, -a, a.dag(),
         OperatorMatrix(reg, np.asfortranarray(np.eye(reg.dim))),
     ]
