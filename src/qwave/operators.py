@@ -18,12 +18,13 @@ No series expansion, no Trotterization.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
+from ._cephes import lgam, pdtrc
 from .errors import (
     KindMismatchError,
     NotHermitianError,
@@ -383,15 +384,17 @@ def nucleon_coupler(
 def poisson_tail(alpha: complex, cutoff: int) -> float:
     """Probability mass of a coherent state's occupation above the cutoff.
 
-    ``pdtrc`` is the Poisson survival function ``scipy.stats.poisson.sf``
-    computes; calling it directly keeps ``scipy.stats`` off the import path.
-    A mean |alpha|^2 beyond the float range leaves all the mass in the tail.
+    ``pdtrc`` is the Poisson survival function, ported from the cephes code
+    that ``scipy.special.pdtrc`` and ``scipy.stats.poisson.sf`` run and equal
+    to it bit for bit. A negative cutoff or a NaN alpha gives NaN, which no
+    tail bound admits. A mean |alpha|^2 beyond the float range leaves all
+    the mass in the tail.
     """
     try:
         mean = abs(alpha) ** 2
     except OverflowError:
         return 1.0
-    return float(pdtrc(cutoff, mean))
+    return pdtrc(cutoff, mean)
 
 
 def check_tail_bound(alpha: complex, cutoff: int, tail_bound: float) -> None:
@@ -406,15 +409,30 @@ def check_tail_bound(alpha: complex, cutoff: int, tail_bound: float) -> None:
                  error=TailBoundExceededError)
 
 
+# lgam(n + 1) = log(n!) for n = 0, 1, ...; grows to the largest cutoff seen
+_LOG_FACTORIALS: list[float] = []
+_LOG_FACTORIALS_LOCK = threading.Lock()
+
+
+def _log_factorials(cutoff: int) -> np.ndarray:
+    with _LOG_FACTORIALS_LOCK:
+        table = _LOG_FACTORIALS
+        table.extend(lgam(n + 1.0) for n in range(len(table), cutoff + 1))
+        return np.array(table[: cutoff + 1])
+
+
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cutoff (not renormalized)."""
+    """Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cutoff (not
+    renormalized). log(n!) is the ported cephes ``lgam(n + 1)``, equal to
+    ``scipy.special.gammaln(n + 1)`` bit for bit, so the amplitudes are
+    those the gammaln formula gives."""
     n = np.arange(cutoff + 1)
     mag = np.abs(alpha)
     if mag == 0.0:
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[0] = 1.0
         return amps
-    log_mag = -0.5 * mag**2 + n * np.log(mag) - 0.5 * gammaln(n + 1.0)
+    log_mag = -0.5 * mag**2 + n * np.log(mag) - 0.5 * _log_factorials(cutoff)
     phase = n * np.angle(alpha)
     return np.exp(log_mag) * np.exp(1j * phase)
 

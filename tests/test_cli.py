@@ -633,6 +633,24 @@ def test_cli_import_does_not_load_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
+def test_coherent_runs_in_a_fresh_interpreter_load_no_scipy(tmp_path):
+    # gammaln and pdtrc are ported (qwave._cephes): neither the import nor
+    # the two experiments that build coherent states load any of scipy
+    script = "\n".join([
+        "import sys, qwave, qwave.cli",
+        "from qwave.cli import RunConfig, run",
+        "for name in ('rabi', 'coherent-factorization'):",
+        "    config = RunConfig(name, {'alpha': '2.0', 'cutoff': 24}, seed=1,",
+        f"                       output_path={str(tmp_path / 'out.json')!r})",
+        "    assert run(config) == 0, name",
+        "print('scipy' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_register_over_dimension_budget_exits_protocol_error():
     result = _run_cli(["run", "rabi", "--alpha", "1", "--cutoff", "100000",
                        "--seed", "1"])

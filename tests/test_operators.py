@@ -188,7 +188,8 @@ def test_coherent_state_tail_bound():
 
 
 def test_nan_alpha_is_a_tail_failure():
-    # pdtrc of a NaN mean is NaN, which no tail bound admits
+    # the ported pdtrc gives NaN for a NaN mean, as cephes does, and no
+    # tail bound admits NaN
     message = "alpha=nan: nan exceeds bound 1e-08"
     with pytest.raises(TailBoundExceededError, match=message):
         operators.check_tail_bound(float("nan"), 10, 1e-8)
