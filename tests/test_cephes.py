@@ -3,12 +3,14 @@ test dependency only: ``lgam`` against ``scipy.special.gammaln`` and
 ``pdtrc`` against ``scipy.special.pdtrc``, bit for bit."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import special
 
-from qwave import _cephes
+from qwave import _cephes, operators
 from qwave.fock import MAX_REGISTER_DIM
 from qwave.operators import coherent_amplitudes, poisson_tail
 
@@ -121,3 +123,21 @@ def test_coherent_amplitudes_equal_the_gammaln_formula(alpha, cutoff):
         log_mag = -0.5 * mag**2 + n * np.log(mag) - 0.5 * special.gammaln(n + 1.0)
         expected = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
     assert np.array_equal(coherent_amplitudes(alpha, cutoff), expected)
+
+
+def test_log_factorial_table_grows_once_under_concurrent_callers(monkeypatch):
+    # cli batch --jobs N builds coherent states on several threads at once
+    monkeypatch.setattr(operators, "_LOG_FACTORIALS", [])
+    cutoffs = [5, 800, 40, 330, 1, 160, 540, 24] * 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            tables = list(pool.map(operators._log_factorials, cutoffs,
+                                   timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    full = [_cephes.lgam(n + 1.0) for n in range(max(cutoffs) + 1)]
+    assert operators._LOG_FACTORIALS == full
+    for cutoff, table in zip(cutoffs, tables):
+        assert table.tolist() == full[: cutoff + 1]
