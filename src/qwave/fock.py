@@ -257,14 +257,24 @@ def prepare_superposition(
     return StateVector(register, amps)
 
 
-def _hermiticity_gap(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def _hermiticity_gap(
+    mat: np.ndarray, pattern: np.ndarray | None = None
+) -> tuple[float, np.ndarray, np.ndarray]:
     """max |H[r, c] - conj(H[c, r])| over the nonzero pattern (r, c) of a
-    square matrix H, and that pattern as row and column index arrays in C
-    order. The gap equals the dense scan max |H - H^H|: an entry outside the
-    pattern and its mirror contribute 0 when both are zero and are read at
-    the mirror otherwise, and a NaN entry is nonzero, so a NaN gap carries
-    through."""
-    rows, cols = np.divmod(np.flatnonzero(mat != 0), len(mat))
+    square matrix H, and that pattern as row and column index arrays. The
+    gap equals the dense scan max |H - H^H|: an entry outside the pattern
+    and its mirror contribute 0 when both are zero and are read at the
+    mirror otherwise, and a NaN entry is nonzero, so a NaN gap carries
+    through.
+
+    ``pattern`` holds the flat indices ``r * len(H) + c`` of H's nonzero
+    entries when the caller knows them, in any order and possibly
+    repeated; neither the gap nor the pattern's connected components
+    depend on that. Without it the pattern is found by scanning H, in C
+    order."""
+    if pattern is None:
+        pattern = np.flatnonzero(mat != 0)
+    rows, cols = np.divmod(pattern, len(mat))
     gap = np.abs(mat[rows, cols] - mat[cols, rows].conj()).max(initial=0.0)
     return gap, rows, cols
 

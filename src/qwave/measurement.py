@@ -41,7 +41,6 @@ from .fock import (
     Site,
     StateVector,
     _check_same_register,
-    _hermiticity_gap,
 )
 from .operators import (
     OperatorMatrix,
@@ -83,7 +82,8 @@ class MeasurementSpec:
     projectors are orthogonal and together they sum to the identity (a NaN
     entry fails each of these checks). Hermiticity is read exactly over
     each projector's nonzero pattern (the same read as
-    ``OperatorMatrix.eigh``); the other three are read on the probe block
+    ``OperatorMatrix.eigh``, over the pattern a builder kept when there is
+    one); the other three are read on the probe block
     (see the module docstring).
     Whether the projectors act only on one site is not part of the spec;
     ``site_locality_gap(spec, site)`` answers it on request (fermionic sign
@@ -105,8 +105,8 @@ class MeasurementSpec:
         r = _probes(reg.dim)
         mats = [p.elements for _, p in self.projectors]
         probed = [m @ r for m in mats]
-        for label, m, mr in zip(labels, mats, probed):
-            check_within(_hermiticity_gap(m)[0], PROJECTOR_ATOL,
+        for (label, p), m, mr in zip(self.projectors, mats, probed):
+            check_within(p._hermiticity_gap()[0], PROJECTOR_ATOL,
                          "projector %r of %r not hermitian", label, self.name)
             check_within(np.abs(m @ mr - mr).max(), PROJECTOR_ATOL,
                          "projector %r of %r not idempotent", label, self.name)

@@ -44,43 +44,68 @@ from .fock import (
 
 
 class _Built:
-    """A matrix built inside qwave that nothing else references. Handed to
-    ``OperatorMatrix``, it is frozen in place instead of copied."""
+    """A matrix built inside qwave that nothing else references, and, when
+    its builder knows it, its nonzero pattern. Handed to ``OperatorMatrix``,
+    the matrix is frozen in place instead of copied."""
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "pattern")
 
-    def __init__(self, array: np.ndarray):
+    def __init__(self, array: np.ndarray, pattern: np.ndarray | None):
         self.array = array
+        self.pattern = pattern
 
 
-def _adopt(register: ModeRegister, array: np.ndarray) -> "OperatorMatrix":
+def _adopt(
+    register: ModeRegister, array: np.ndarray, pattern: np.ndarray | None = None
+) -> "OperatorMatrix":
     """Operator on ``register`` that takes over ``array``, a matrix its
-    caller built and keeps no other reference to."""
-    return OperatorMatrix(register, _Built(array))
+    caller built and keeps no other reference to. ``pattern``, if given,
+    holds the flat indices ``row * dim + col`` of exactly the array's
+    nonzero entries, in any order and possibly repeated."""
+    return OperatorMatrix(register, _Built(array, pattern))
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Dense complex matrix acting on a register's Hilbert space. Its
-    elements are a read-only, C-contiguous copy of the array given."""
+    elements are a read-only, C-contiguous copy of the array given.
+
+    An operator from ``identity``, ``embed`` or a builder on it (ladder
+    operators, couplers, quadratures, phase kicks, the projectors of the
+    spin and vacuum-one measurements), or a sum or difference of two such
+    operators, also keeps its nonzero pattern privately. ``eigh`` and the
+    hermiticity check of ``MeasurementSpec`` then read O(nonzeros) entries
+    instead of scanning all dim^2. Any other operator (a caller's array, a
+    product, a scalar multiple, ``dag()``) is scanned when its pattern is
+    needed.
+    """
 
     register: ModeRegister
     elements: np.ndarray
 
     def __post_init__(self):
         if type(self.elements) is _Built:
+            pattern = self.elements.pattern
             # copied only if it is not complex and C-contiguous already
             mat = np.ascontiguousarray(self.elements.array, dtype=complex)
         else:
+            pattern = None
             mat = np.array(self.elements, dtype=complex, order="C")
         d = self.register.dim
         if mat.shape != (d, d):
             raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
         mat.flags.writeable = False
         object.__setattr__(self, "elements", mat)
+        if pattern is not None:
+            object.__setattr__(self, "_pattern", pattern)
 
     def dag(self) -> "OperatorMatrix":
         return _adopt(self.register, np.conjugate(self.elements.T, order="C"))
+
+    def _hermiticity_gap(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """``fock._hermiticity_gap`` of the elements, over the kept pattern
+        when there is one."""
+        return _hermiticity_gap(self.elements, self.__dict__.get("_pattern"))
 
     def eigh(self) -> "BlockSpectrum":
         """Eigendecomposition block by block; requires hermiticity. Computed
@@ -88,13 +113,13 @@ class OperatorMatrix:
         read-only."""
         spectrum = self.__dict__.get("_spectrum")
         if spectrum is None:
-            mat = self.elements
-            gap, rows, cols = _hermiticity_gap(mat)
+            gap, rows, cols = self._hermiticity_gap()
             check_within(gap, NORM_ATOL,
                          "eigendecomposition requires a hermitian operator",
                          error=NotHermitianError)
             # like np.linalg.eigh, the blocks read the lower triangle
             lower = rows > cols
+            mat = self.elements
             label = _connected_components(len(mat), rows[lower], cols[lower])
             spectrum = BlockSpectrum.of(mat, label)
             object.__setattr__(self, "_spectrum", spectrum)
@@ -106,11 +131,20 @@ class OperatorMatrix:
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return _adopt(self.register, self.elements + other.elements)
+        return self._combined(other, self.elements + other.elements)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return _adopt(self.register, self.elements - other.elements)
+        return self._combined(other, self.elements - other.elements)
+
+    def _combined(self, other: "OperatorMatrix", mat: np.ndarray) -> "OperatorMatrix":
+        """The sum or difference ``mat`` of the two operators; it keeps the
+        union of their patterns, less the entries that came out exactly 0."""
+        p, q = self.__dict__.get("_pattern"), other.__dict__.get("_pattern")
+        if p is None or q is None:
+            return _adopt(self.register, mat)
+        pattern = np.concatenate((p, q))
+        return _adopt(self.register, mat, pattern[mat.ravel()[pattern] != 0])
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
         return _adopt(self.register, self.elements * scalar)
@@ -204,7 +238,13 @@ class BlockSpectrum:
 
 
 def identity(register: ModeRegister) -> OperatorMatrix:
-    return _adopt(register, np.eye(register.dim, dtype=complex))
+    d = register.dim
+    return _adopt(register, np.eye(d, dtype=complex), np.arange(0, d * d, d + 1))
+
+
+#: One mode's factor as (dim, rows, cols, vals): the nonzero entries of a
+#: dim x dim matrix, vals[k] at (rows[k], cols[k]).
+_Factor = tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
 def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> OperatorMatrix:
@@ -215,39 +255,69 @@ def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> OperatorMat
     the factors' nonzero entries combine into flat (row, col) offsets and
     values, which land once on every basis index whose factor digits are
     all zero. The cost is a constant number of numpy calls plus one write
-    per nonzero of the result.
+    per nonzero of the result, and the operator keeps the flat indices
+    written as its nonzero pattern.
     """
-    rows, cols, vals = _scatter_pattern(register, factors)
-    mat = np.zeros((register.dim, register.dim), dtype=complex)
-    mat[rows, cols] = vals
-    return _adopt(register, mat)
+    triplets = {}
+    for p in sorted(register.position(label) for label in factors):
+        mode = register.modes[p]
+        local = np.asarray(factors[mode.label])
+        if local.shape != (mode.dim, mode.dim):
+            raise ValueError(
+                f"factor for {mode.label!r} has shape {local.shape}, "
+                f"expected ({mode.dim}, {mode.dim})"
+            )
+        r, c = np.nonzero(local)
+        triplets[p] = (mode.dim, r, c, local[r, c])
+    return _embed(register, triplets)
+
+
+def _embed(register: ModeRegister, factors: dict[int, _Factor]) -> OperatorMatrix:
+    """:func:`embed` of per-mode factors given by their nonzero entries and
+    keyed by mode position."""
+    d = register.dim
+    diagonal, rows, cols, vals = _scatter_pattern(register, factors)
+    mat = np.zeros((d, d), dtype=complex)
+    return _adopt(register, mat, _scatter(mat, diagonal, rows, cols, vals))
+
+
+def _scatter(
+    mat: np.ndarray, diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    vals: np.ndarray,
+) -> np.ndarray:
+    """Write what :func:`_scatter_pattern` gives into ``mat``, skipping the
+    values that are 0, and return the flat indices written."""
+    # strength 0, or a product of nonzeros that underflows
+    if np.count_nonzero(vals) < len(vals):
+        keep = vals != 0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    pattern = diagonal + (rows * len(mat) + cols)
+    mat.reshape(-1)[pattern] = vals
+    return pattern.ravel()
 
 
 def _scatter_pattern(
-    register: ModeRegister, factors: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where and what :func:`embed` writes: row and column index arrays of
-    shape (basis indices with all factor digits zero, factor nonzeros), and
-    the values, which broadcast along the rows of both."""
+    register: ModeRegister, factors: dict[int, _Factor]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where and what :func:`embed` writes: entry (base + rows[k], base +
+    cols[k]) takes vals[k], for every basis index ``base`` whose factor
+    digits are all zero. Returns the flat indices ``base * (dim + 1)`` of
+    those bases as a column, and rows, cols and vals over the products of
+    the factors' nonzeros."""
     dims = register.dims
-    positions = sorted(register.position(label) for label in factors)
+    positions = sorted(factors)
     rows = cols = np.zeros(1, dtype=np.intp)
     vals = np.ones(1)
     for p in positions:
-        local = np.asarray(factors[register.modes[p].label])
-        if local.shape != (dims[p], dims[p]):
-            raise ValueError(
-                f"factor for {register.modes[p].label!r} has shape "
-                f"{local.shape}, expected ({dims[p]}, {dims[p]})"
-            )
+        _, r, c, v = factors[p]
         stride = math.prod(dims[p + 1 :])
-        r, c = np.nonzero(local)
         rows = (rows[:, None] + r * stride).ravel()
         cols = (cols[:, None] + c * stride).ravel()
-        vals = (vals[:, None] * local[r, c]).ravel()
+        vals = (vals[:, None] * v).ravel()
     zero_digits = tuple(0 if q in positions else slice(None) for q in range(len(dims)))
-    base = np.arange(register.dim).reshape(dims)[zero_digits].reshape(-1, 1)
-    return base + rows, base + cols, vals
+    d = register.dim
+    diagonal = np.arange(0, d * d, d + 1).reshape(dims)[zero_digits].reshape(-1, 1)
+    return diagonal, rows, cols, vals
 
 
 def _ladder_hermitian(
@@ -273,22 +343,39 @@ def _ladder_hermitian(
     terms += [_annihilation_factors(register, mode) for mode in annihilate]
     factors = {}
     for term in terms:
-        for label, f in term.items():
-            factors[label] = factors[label] @ f if label in factors else f
-    rows, cols, vals = _scatter_pattern(register, factors)
+        for p, f in term.items():
+            factors[p] = _product(factors[p], f) if p in factors else f
+    diagonal, rows, cols, vals = _scatter_pattern(register, factors)
     mat = np.zeros((register.dim, register.dim), dtype=complex)
-    mat[rows, cols] = strength * vals
-    mat[cols, rows] = strength * np.conj(vals)
-    return _adopt(register, mat)
+    upper = _scatter(mat, diagonal, rows, cols, strength * vals)
+    lower = _scatter(mat, diagonal, cols, rows, strength * np.conj(vals))
+    return _adopt(register, mat, np.concatenate((upper, lower)))
+
+
+def _dense(factor: _Factor) -> np.ndarray:
+    dim, rows, cols, vals = factor
+    mat = np.zeros((dim, dim), dtype=vals.dtype)
+    mat[rows, cols] = vals
+    return mat
+
+
+def _product(f: _Factor, g: _Factor) -> _Factor:
+    """The factor f g of two factors on one mode. Factors meet on a mode
+    only where a fermion's sign string crosses another fermion's factor,
+    so the product is a 2 x 2 matmul."""
+    m = _dense(f) @ _dense(g)
+    r, c = np.nonzero(m)
+    return f[0], r, c, m[r, c]
 
 
 #: Jordan-Wigner sign factor (-1)**n of an earlier fermion mode.
-_PARITY = np.diag([1.0, -1.0])
+_PARITY: _Factor = (2, np.arange(2), np.arange(2), np.array([1.0, -1.0]))
 
 
-def _lowering(dim: int) -> np.ndarray:
+def _lowering(dim: int) -> _Factor:
     """Truncated lowering matrix sqrt(n) |n-1><n| of one mode."""
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    n = np.arange(1, dim)
+    return dim, n - 1, n, np.sqrt(n)
 
 
 def annihilation(register: ModeRegister, mode: str) -> OperatorMatrix:
@@ -299,32 +386,34 @@ def annihilation(register: ModeRegister, mode: str) -> OperatorMatrix:
     earlier-declared fermion modes, which makes distinct fermion operators
     anticommute. Two-level modes are the stringless lowering operator.
     """
-    return embed(register, _annihilation_factors(register, mode))
+    return _embed(register, _annihilation_factors(register, mode))
 
 
-def _annihilation_factors(register: ModeRegister, mode: str) -> dict[str, np.ndarray]:
-    """The per-mode factors whose :func:`embed` is the annihilation operator:
-    the lowering matrix on ``mode`` and, for a fermion, the sign string on
-    every earlier-declared fermion mode."""
+def _annihilation_factors(register: ModeRegister, mode: str) -> dict[int, _Factor]:
+    """The per-mode factors, keyed by mode position, whose :func:`embed` is
+    the annihilation operator: the lowering matrix on ``mode`` and, for a
+    fermion, the sign string on every earlier-declared fermion mode."""
     p = register.position(mode)
     spec = register.modes[p]
     factors = {}
     if spec.kind is ModeKind.FERMION:
         factors = {
-            m.label: _PARITY for m in register.modes[:p] if m.kind is ModeKind.FERMION
+            q: _PARITY for q, m in enumerate(register.modes[:p])
+            if m.kind is ModeKind.FERMION
         }
-    factors[mode] = _lowering(spec.dim)
+    factors[p] = _lowering(spec.dim)
     return factors
 
 
-def _creation_factors(register: ModeRegister, mode: str) -> dict[str, np.ndarray]:
+def _creation_factors(register: ModeRegister, mode: str) -> dict[int, _Factor]:
     """The per-mode factors whose :func:`embed` is the creation operator:
     the annihilation factors are real, so these are their transposes."""
-    return {label: f.T for label, f in _annihilation_factors(register, mode).items()}
+    return {q: (dim, cols, rows, vals) for q, (dim, rows, cols, vals)
+            in _annihilation_factors(register, mode).items()}
 
 
 def creation(register: ModeRegister, mode: str) -> OperatorMatrix:
-    return embed(register, _creation_factors(register, mode))
+    return _embed(register, _creation_factors(register, mode))
 
 
 def number_operator(register: ModeRegister, mode: str) -> OperatorMatrix:

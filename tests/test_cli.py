@@ -620,35 +620,27 @@ def test_log_level_names_only_set_the_level(tmp_path):
     assert json.loads(out.read_text())["experiment"] == "fermion-nogo"
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about 1 s of a cold start; qwave needs only scipy.special
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qwave.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_coherent_runs_in_a_fresh_interpreter_load_no_scipy(tmp_path):
-    # gammaln and pdtrc are ported (qwave._cephes): neither the import nor
-    # the two experiments that build coherent states load any of scipy
+def test_fresh_interpreter_runs_every_experiment_without_scipy(tmp_path):
+    # scipy is a test dependency only (lgam and pdtrc are ported in
+    # qwave._cephes): neither importing the CLI nor running every entry of
+    # the golden batch, which covers all eight experiments, loads any of it
+    batch = Path(__file__).parent / "golden" / "batch.json"
     script = "\n".join([
-        "import sys, qwave, qwave.cli",
+        "import json, sys, qwave.cli",
         "from qwave.cli import RunConfig, run",
-        "for name in ('rabi', 'coherent-factorization'):",
-        "    config = RunConfig(name, {'alpha': '2.0', 'cutoff': 24}, seed=1,",
-        f"                       output_path={str(tmp_path / 'out.json')!r})",
-        "    assert run(config) == 0, name",
+        "print('scipy' in sys.modules)",
+        f"entries = json.loads(open({str(batch)!r}).read())",
+        "for i, e in enumerate(entries):",
+        "    config = RunConfig(e['experiment'], e['params'], shots=e['shots'],",
+        f"                       seed=e['seed'], output_path={str(tmp_path)!r} + f'/{{i}}.json')",
+        "    assert run(config) == 0, e['out']",
+        "print(len({e['experiment'] for e in entries}))",
         "print('scipy' in sys.modules)",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "8", "False"]
 
 
 def test_register_over_dimension_budget_exits_protocol_error():

@@ -1,0 +1,197 @@
+"""The nonzero pattern an operator keeps from its builder.
+
+``embed``, the hermitian couplers, ``identity`` and sums or differences of
+such operators keep the flat indices of their nonzero entries, and
+``eigh`` and ``MeasurementSpec`` read them instead of scanning all dim^2
+entries. ``np.nonzero(elements)`` is the oracle: the kept pattern, taken
+as a set, equals it, and the spectrum read through the pattern equals
+the one read by the scan, bit for bit.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qwave import (
+    MeasurementSpec,
+    NotHermitianError,
+    OperatorMatrix,
+    Site,
+    annihilation,
+    boson,
+    build_register,
+    creation,
+    fermion,
+    identity,
+    pair_exchange,
+    phase_kick,
+    quadrature,
+    spin_direction_measurement,
+    swap_coupler,
+    two_level,
+    vacuum_one_superposition_basis,
+)
+from qwave import operators, protocols
+from qwave.fock import _hermiticity_gap
+from qwave.operators import embed
+
+STRENGTHS = (0.0, 1.0, -0.37, 1j, 0.6 - 1.25j)
+
+
+def _pattern(op: OperatorMatrix):
+    return op.__dict__.get("_pattern")
+
+
+def _assert_pattern_is_nonzero_set(op: OperatorMatrix):
+    pattern = _pattern(op)
+    assert pattern is not None
+    assert set(pattern.tolist()) == set(np.flatnonzero(op.elements).tolist())
+
+
+@st.composite
+def _registers(draw):
+    """Registers of dimension 4 to 512: modes of every kind, drawn in order
+    and kept while the dimension stays within 512."""
+    kinds = draw(st.lists(st.sampled_from(["boson", "fermion", "two_level"]),
+                          min_size=1, max_size=7))
+    modes, dim = [], 1
+    for i, kind in enumerate(kinds):
+        site = draw(st.sampled_from([Site.A, Site.B]))
+        if kind == "boson":
+            mode = boson(f"m{i}", draw(st.integers(1, 255)), site)
+        elif kind == "fermion":
+            mode = fermion(f"m{i}", site)
+        else:
+            mode = two_level(f"m{i}", site)
+        if dim * mode.dim > 512:
+            break
+        modes.append(mode)
+        dim *= mode.dim
+    if dim < 4:
+        modes.append(boson("pad", 3))
+    return build_register(modes)
+
+
+def _random_factor(rng, dim):
+    f = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    f[rng.random((dim, dim)) < 0.6] = 0.0
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(reg=_registers(), seed=st.integers(0, 2**32 - 1),
+       strength=st.sampled_from(STRENGTHS))
+def test_every_builder_keeps_exactly_its_nonzero_pattern(reg, seed, strength):
+    rng = np.random.default_rng(seed)
+    labels = [m.label for m in reg.modes]
+    mode = labels[rng.integers(len(labels))]
+    ops = [annihilation(reg, mode), creation(reg, mode), quadrature(reg, mode),
+           phase_kick(reg, mode, float(rng.uniform(-4.0, 4.0))), identity(reg)]
+    picked = rng.permutation(labels)[: rng.integers(len(labels) + 1)]
+    ops.append(embed(reg, {l: _random_factor(rng, reg.mode(l).dim) for l in picked}))
+    ops += [p for _, p in vacuum_one_superposition_basis(reg, mode).projectors]
+    if len(labels) > 1:
+        a, b = rng.choice(labels, 2, replace=False)
+        ops.append(pair_exchange(reg, a, b))
+        ops.append(operators._ladder_hermitian(reg, (a,), (b,), strength))
+    bosons = [m.label for m in reg.modes if m.kind.value == "boson"]
+    atoms = [m.label for m in reg.modes if m.kind.value == "two_level"]
+    if bosons and atoms:
+        h = swap_coupler(reg, bosons[0], atoms[0], strength)
+        ops.append(h)
+        if strength == 0.0:
+            assert len(_pattern(h)) == 0
+        theta = float(rng.choice([0.0, math.pi / 2, rng.uniform(0.0, 2 * math.pi)]))
+        ops += [p for _, p in
+                spin_direction_measurement(reg, atoms[0], theta).projectors]
+    # sums and differences of patterned operators, and a full cancellation
+    x, y = ops[rng.integers(len(ops))], ops[rng.integers(len(ops))]
+    ops += [x + y, x - y, ops[2] - ops[2]]
+    assert len(_pattern(ops[-1])) == 0
+    for op in ops:
+        _assert_pattern_is_nonzero_set(op)
+
+
+def test_a_product_of_factors_that_underflows_drops_out_of_the_pattern():
+    reg = build_register([boson("a", 1), boson("b", 1)])
+    tiny = np.array([[1e-200, 0.0], [0.0, 1.0]])
+    op = embed(reg, {"a": tiny, "b": tiny})
+    assert op.elements[0, 0] == 0.0
+    _assert_pattern_is_nonzero_set(op)
+
+
+def test_only_builders_and_their_sums_keep_a_pattern():
+    reg = build_register([boson("field", 3), two_level("atom")])
+    a = annihilation(reg, "field")
+    h = swap_coupler(reg, "field", "atom", 0.5)
+    for op in (OperatorMatrix(reg, h.elements), a @ h, 2.0 * h, h * 1j, -h,
+               h.dag(), h + 2.0 * a):
+        assert _pattern(op) is None
+    assert _pattern(h + a) is not None
+
+
+def _couplers():
+    swap_reg = build_register([
+        boson("light_a", 1, Site.A), boson("light_b", 1, Site.B),
+        two_level("atom_a", Site.A), two_level("atom_b", Site.B),
+    ])
+    rabi_reg = build_register([boson("field", 160), two_level("atom")])
+    fermions = build_register([fermion("a", Site.A), fermion("b", Site.B),
+                               fermion("c", Site.B)])
+    swap_a = swap_coupler(swap_reg, "light_a", "atom_a", 1.0)
+    yield "photon-swap", swap_a + swap_coupler(swap_reg, "light_b", "atom_b", 1.0)
+    yield "cancelled", swap_a - swap_a
+    yield "rabi", swap_coupler(rabi_reg, "field", "atom", 1.0)
+    yield "rabi-shifted", (swap_coupler(rabi_reg, "field", "atom", -0.37)
+                           + identity(rabi_reg))
+    for order in (protocols._CHAIN_SITE_ORDER, protocols._CHAIN_SPECIES_ORDER):
+        yield f"collective-chain {order}", protocols._collective_setup(order)[1]
+    yield "pair-exchange", pair_exchange(fermions, "a", "c")
+    yield "fermion-quadrature", quadrature(fermions, "b")
+
+
+@pytest.mark.parametrize("name, op", list(_couplers()),
+                         ids=[name for name, _ in _couplers()])
+def test_pattern_read_equals_dense_read(name, op):
+    assert _pattern(op) is not None
+    dense = OperatorMatrix(op.register, op.elements)
+    assert _pattern(dense) is None
+    assert (_hermiticity_gap(op.elements, _pattern(op))[0]
+            == _hermiticity_gap(op.elements)[0])
+    got, want = op.eigh(), dense.eigh()
+    assert len(got.groups) == len(want.groups)
+    for g, w in zip(got.groups, want.groups):
+        for a, b in zip(g, w):
+            assert np.array_equal(a, b)
+
+
+def _not_hermitian(gap: str) -> str:
+    return re.escape(
+        f"eigendecomposition requires a hermitian operator: {gap} exceeds bound 1e-10"
+    )
+
+
+@pytest.mark.parametrize("strength, gap", [(math.nan, "nan"), (1j, "2.000e+00")])
+def test_a_non_hermitian_coupler_fails_at_eigh_with_either_read(strength, gap):
+    reg = build_register([boson("field", 1), two_level("atom")])
+    h = swap_coupler(reg, "field", "atom", strength)
+    assert _pattern(h) is not None
+    for op in (h, OperatorMatrix(reg, h.elements)):
+        with pytest.raises(NotHermitianError, match=_not_hermitian(gap)):
+            op.eigh()
+
+
+def test_spec_reads_a_kept_pattern_for_hermiticity():
+    reg = build_register([boson("b", 1), two_level("t")])
+    skew = np.array([[0.5, 0.5], [0.0, 0.5]])
+    bad = embed(reg, {"t": skew})
+    rest = embed(reg, {"t": np.eye(2) - skew})
+    assert _pattern(bad) is not None
+    message = re.escape("projector '0' of 'skew' not hermitian: 5.000e-01")
+    for p, q in ((bad, rest), (OperatorMatrix(reg, bad.elements), rest)):
+        with pytest.raises(ValueError, match=message):
+            MeasurementSpec("skew", (("0", p), ("1", q)))

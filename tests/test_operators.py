@@ -410,8 +410,11 @@ def test_embed_matches_kron_in_declaration_order():
 
 def test_embed_rejects_wrong_factor_shape():
     reg = build_register([boson("b", 2), two_level("t")])
-    with pytest.raises(ValueError):
-        embed(reg, {"b": np.eye(2)})
+    # too small, and not square; the message names the mode and both shapes
+    for label, shape, expected in (("b", (2, 2), (3, 3)), ("t", (3, 2), (2, 2))):
+        message = f"factor for {label!r} has shape {shape}, expected {expected}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            embed(reg, {label: np.ones(shape)})
 
 
 # --- builders: the same matrices, one frozen buffer each ------------------------
