@@ -620,15 +620,27 @@ def test_log_level_names_only_set_the_level(tmp_path):
     assert json.loads(out.read_text())["experiment"] == "fermion-nogo"
 
 
-def test_fresh_interpreter_runs_every_experiment_without_scipy(tmp_path):
+def test_cli_import_does_not_load_scipy_stats():
     # scipy is a test dependency only (lgam and pdtrc are ported in
-    # qwave._cephes): neither importing the CLI nor running every entry of
-    # the golden batch, which covers all eight experiments, loads any of it
+    # qwave._cephes), so importing the CLI loads no scipy module at all
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qwave.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_coherent_runs_in_a_fresh_interpreter_load_no_scipy(tmp_path):
+    # running every entry of the golden batch, which covers all eight
+    # experiments and both that build coherent states, loads no scipy either
     batch = Path(__file__).parent / "golden" / "batch.json"
     script = "\n".join([
-        "import json, sys, qwave.cli",
+        "import json, sys",
         "from qwave.cli import RunConfig, run",
-        "print('scipy' in sys.modules)",
         f"entries = json.loads(open({str(batch)!r}).read())",
         "for i, e in enumerate(entries):",
         "    config = RunConfig(e['experiment'], e['params'], shots=e['shots'],",
@@ -640,7 +652,7 @@ def test_fresh_interpreter_runs_every_experiment_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "8", "False"]
+    assert proc.stdout.split() == ["8", "False"]
 
 
 def test_register_over_dimension_budget_exits_protocol_error():
