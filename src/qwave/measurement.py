@@ -20,6 +20,7 @@ is at least max_j |E_ij|^2 (Freivalds, IFIP Congress 1977).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
@@ -45,6 +46,7 @@ from .fock import (
 from .operators import (
     OperatorMatrix,
     _adopt,
+    _cached,
     embed,
     pair_exchange,
     quadrature,
@@ -74,7 +76,7 @@ def _probes(dim: int) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSpec:
     """Labeled complete set of orthogonal projectors.
 
@@ -88,12 +90,17 @@ class MeasurementSpec:
     Whether the projectors act only on one site is not part of the spec;
     ``site_locality_gap(spec, site)`` answers it on request (fermionic sign
     strings can reach across sites).
+
+    Specs compare and hash by identity. Each keeps a weak set of the specs
+    it has passed ``joint_distribution``'s commuting check with, so a pair
+    that has passed is not read again.
     """
 
     name: str
     projectors: tuple[tuple[str, OperatorMatrix], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "_commutes", weakref.WeakSet())
         if not self.projectors:
             raise ValueError("measurement needs at least one projector")
         reg = self.register
@@ -161,6 +168,7 @@ def site_locality_gap(spec: MeasurementSpec, site: Site) -> float:
     return float(np.abs(t).max())
 
 
+@_cached
 def spin_direction_measurement(
     register: ModeRegister, twolevel_mode: str, theta: float, name: str | None = None
 ) -> MeasurementSpec:
@@ -183,6 +191,7 @@ def spin_direction_measurement(
     return MeasurementSpec(name or f"spin({twolevel_mode})", projectors)
 
 
+@_cached
 def plus_minus_basis(
     register: ModeRegister, mode1: str, mode2: str, name: str | None = None
 ) -> MeasurementSpec:
@@ -212,6 +221,7 @@ def plus_minus_basis(
     return MeasurementSpec(name or f"pm({mode1},{mode2})", projectors)
 
 
+@_cached
 def vacuum_one_superposition_basis(
     register: ModeRegister, mode: str, name: str | None = None
 ) -> MeasurementSpec:
@@ -237,6 +247,7 @@ def vacuum_one_superposition_basis(
     return MeasurementSpec(name or f"vac1({mode})", tuple(projectors))
 
 
+@_cached
 def quadrature_basis(
     register: ModeRegister, mode: str, name: str | None = None
 ) -> MeasurementSpec:
@@ -249,33 +260,45 @@ def quadrature_basis(
     spec = register.mode(mode)
     if spec.cutoff != 1:
         raise InvalidCutoffError("quadrature basis supported for cutoff-1 modes")
-    x = quadrature(register, mode).elements
-    plus = np.eye(register.dim, dtype=complex)
+    x = quadrature(register, mode)
+    d = register.dim
+    plus = np.eye(d, dtype=complex)
     minus = plus.copy()
-    plus += x
-    minus -= x
+    plus += x.elements
+    minus -= x.elements
     plus /= 2.0
     minus /= 2.0
-    projectors = (("+1", _adopt(register, plus)), ("-1", _adopt(register, minus)))
+    # x has a zero diagonal, so no entry of I +/- x cancels
+    pattern = np.concatenate((np.arange(0, d * d, d + 1), x.__dict__["_pattern"]))
+    projectors = (("+1", _adopt(register, plus, pattern)),
+                  ("-1", _adopt(register, minus, pattern)))
     return MeasurementSpec(name or f"quad({mode})", projectors)
 
 
 def _check_commuting(specs: list[MeasurementSpec]) -> None:
     """Every pair of projectors from two different specs commutes, read as
-    max |(PQ - QP)R| on the probe block; the specs share one register."""
-    if len(specs) < 2:
-        return
-    r = _probes(specs[0].register.dim)
-    probed = [[(p.elements, p.elements @ r) for _, p in s.projectors]
-              for s in specs]
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            for p, pr in probed[i]:
-                for q, qr in probed[j]:
+    max |(PQ - QP)R| on the probe block; the specs share one register. A
+    pair of specs that passed once is not read again; a failing pair is
+    read, and raises, on every call."""
+    probed = {}
+
+    def probe(s: MeasurementSpec) -> list:
+        if s not in probed:
+            r = _probes(s.register.dim)
+            probed[s] = [(p.elements, p.elements @ r) for _, p in s.projectors]
+        return probed[s]
+
+    for i, s in enumerate(specs):
+        for t in specs[i + 1:]:
+            if t in s._commutes:
+                continue
+            for p, pr in probe(s):
+                for q, qr in probe(t):
                     check_within(np.abs(p @ qr - q @ pr).max(), PROJECTOR_ATOL,
                                  "%r and %r do not commute, max |(PQ - QP)R|",
-                                 specs[i].name, specs[j].name,
-                                 error=NonCommutingSpecsError)
+                                 s.name, t.name, error=NonCommutingSpecsError)
+            s._commutes.add(t)
+            t._commutes.add(s)
 
 
 def joint_distribution(

@@ -17,8 +17,10 @@ No series expansion, no Trotterization.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,12 +74,12 @@ class OperatorMatrix:
 
     An operator from ``identity``, ``embed`` or a builder on it (ladder
     operators, couplers, quadratures, phase kicks, the projectors of the
-    spin and vacuum-one measurements), or a sum or difference of two such
-    operators, also keeps its nonzero pattern privately. ``eigh`` and the
-    hermiticity check of ``MeasurementSpec`` then read O(nonzeros) entries
-    instead of scanning all dim^2. Any other operator (a caller's array, a
-    product, a scalar multiple, ``dag()``) is scanned when its pattern is
-    needed.
+    spin, vacuum-one and quadrature measurements), or a sum or difference
+    of two such operators, also keeps its nonzero pattern privately.
+    ``eigh`` and the hermiticity check of ``MeasurementSpec`` then read
+    O(nonzeros) entries instead of scanning all dim^2. Any other operator
+    (a caller's array, a product, a scalar multiple, ``dag()``) is scanned
+    when its pattern is needed.
     """
 
     register: ModeRegister
@@ -508,6 +510,107 @@ def _log_factorials(cutoff: int) -> np.ndarray:
         table = _LOG_FACTORIALS
         table.extend(lgam(n + 1.0) for n in range(len(table), cutoff + 1))
         return np.array(table[: cutoff + 1])
+
+
+#: Largest register dimension whose builds :func:`_cached` keeps: 64 is
+#: collective-chain's, the largest of the experiments.
+_CACHE_MAX_DIM = 64
+
+#: Most bytes of arrays the kept builds hold together.
+_CACHE_BYTES = 4 << 20
+
+
+class _Store:
+    """Least-recently-used store of builds, each charged the bytes of the
+    arrays it holds; the oldest go once the total exceeds ``_CACHE_BYTES``."""
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()  # key -> (build, bytes)
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def get(self, key):
+        """The build kept under ``key``, or None. Raises TypeError when the
+        key cannot be hashed."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, build, nbytes: int):
+        """Keep ``build`` under ``key`` and return it, or return the build a
+        concurrent caller kept there first."""
+        with self._lock:
+            entry = self._entries.setdefault(key, (build, nbytes))
+            if entry[0] is build:
+                self.nbytes += nbytes
+                while self.nbytes > _CACHE_BYTES:
+                    self.nbytes -= self._entries.popitem(last=False)[1][1]
+            return entry[0]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_CACHE = _Store()
+
+
+def _held_operators(build):
+    """The operators in a build: an operator, the projectors of a
+    measurement spec, or those of the items of a tuple."""
+    if isinstance(build, OperatorMatrix):
+        yield build
+    elif isinstance(build, tuple):
+        for item in build:
+            yield from _held_operators(item)
+    else:
+        yield from _held_operators(getattr(build, "projectors", ()))
+
+
+def _charge(build) -> tuple[int, int]:
+    """Largest register dimension among a build's operators, and the bytes
+    of the distinct arrays they hold: elements, pattern and spectrum."""
+    dim, arrays = 0, {}
+    for op in _held_operators(build):
+        dim = max(dim, op.register.dim)
+        held = [op.elements, op.__dict__.get("_pattern")]
+        spectrum = op.__dict__.get("_spectrum")
+        if spectrum is not None:
+            held += [a for group in spectrum.groups for a in group]
+        arrays.update((id(a), a.nbytes) for a in held if a is not None)
+    return dim, sum(arrays.values())
+
+
+def _cached(builder):
+    """``builder``, a pure function of hashable arguments that builds
+    operators or specs, with its results kept in one process-wide store
+    keyed by (builder, arguments and their types). A result is kept only
+    when its registers have dim <= ``_CACHE_MAX_DIM``; an argument that
+    cannot be hashed builds afresh. The kept builds are immutable, so a
+    caller cannot tell a kept one from a fresh one but by identity."""
+
+    @functools.wraps(builder)
+    def cached(*args, **kwargs):
+        names = sorted(kwargs)
+        values = (*args, *(kwargs[n] for n in names))
+        key = (builder, tuple(names), values, tuple(map(type, values)))
+        try:
+            build = _CACHE.get(key)
+        except TypeError:
+            return builder(*args, **kwargs)
+        if build is None:
+            # built outside the lock: a setup builds its specs through the store
+            build = builder(*args, **kwargs)
+            dim, nbytes = _charge(build)
+            if dim <= _CACHE_MAX_DIM and nbytes <= _CACHE_BYTES:
+                build = _CACHE.put(key, build, nbytes)
+        return build
+
+    return cached
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:

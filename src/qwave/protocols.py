@@ -65,6 +65,7 @@ from .measurement import (
 )
 from .operators import (
     OperatorMatrix,
+    _cached,
     _ladder_hermitian,
     apply,
     check_tail_bound,
@@ -231,8 +232,9 @@ def _split_pair(reg: ModeRegister, outer: str, inner: str, phi: float) -> StateV
     )
 
 
+@_cached
 def _absence_measurement(
-    reg: ModeRegister, labels: Sequence[str], name: str
+    reg: ModeRegister, labels: tuple[str, ...], name: str
 ) -> MeasurementSpec:
     """Binary measurement: all the named modes empty ("absent") or not."""
     vacuum = {l: np.diag(np.arange(reg.mode(l).dim) == 0) for l in labels}
@@ -245,6 +247,31 @@ def _absence_measurement(
 # ---------------------------------------------------------------------------
 # split photon -> two atoms -> spin correlations
 # ---------------------------------------------------------------------------
+
+@_cached
+def _photon_swap_setup() -> tuple[ModeRegister, OperatorMatrix, MeasurementSpec,
+                                  MeasurementSpec]:
+    """Register, swap coupler sum (its spectrum computed) and the two
+    equatorial spin measurements of photon-swap; none depends on phi."""
+    reg = build_register(
+        [
+            boson("light_a", 1, Site.A),
+            boson("light_b", 1, Site.B),
+            two_level("atom_a", Site.A),
+            two_level("atom_b", Site.B),
+        ]
+    )
+    h = swap_coupler(reg, "light_a", "atom_a", 1.0) + swap_coupler(
+        reg, "light_b", "atom_b", 1.0
+    )
+    h.eigh()
+    return (
+        reg,
+        h,
+        spin_direction_measurement(reg, "atom_a", math.pi / 2.0, "x_a"),
+        spin_direction_measurement(reg, "atom_b", math.pi / 2.0, "x_b"),
+    )
+
 
 def photon_swap_experiment(phi: float, shots: int, seed: int) -> ExperimentReport:
     """Swap a split single photon onto two remote two-level atoms and read
@@ -259,26 +286,11 @@ def photon_swap_experiment(phi: float, shots: int, seed: int) -> ExperimentRepor
     two contributing outcomes.
     """
     phi = phi % TWO_PI
-    reg = build_register(
-        [
-            boson("light_a", 1, Site.A),
-            boson("light_b", 1, Site.B),
-            two_level("atom_a", Site.A),
-            two_level("atom_b", Site.B),
-        ]
-    )
+    reg, h, *specs = _photon_swap_setup()
     psi0 = prepare_superposition(reg, "light_a", "light_b", phi)
-    h = swap_coupler(reg, "light_a", "atom_a", 1.0) + swap_coupler(
-        reg, "light_b", "atom_b", 1.0
-    )
     psi1 = evolve(psi0, h, math.pi / 2.0)
     target = prepare_superposition(reg, "atom_a", "atom_b", phi)
     swap_fidelity = psi1.fidelity(target)
-
-    specs = [
-        spin_direction_measurement(reg, "atom_a", math.pi / 2.0, "x_a"),
-        spin_direction_measurement(reg, "atom_b", math.pi / 2.0, "x_b"),
-    ]
     _, coinc_exact, anti_exact = _two_site(joint_distribution(psi1, specs))
     coinc = coincidence_rate(phi, +1.0)
     anti = coincidence_rate(phi, -1.0)
@@ -733,9 +745,11 @@ _CHAIN_MODES = {spec.label: spec for spec in (
 )}
 
 
-def _collective_setup(labels: Sequence[str]):
-    """Register, annihilation coupler and lepton-absence measurement of the
-    collective chain, with its modes declared in the order ``labels``."""
+@_cached
+def _collective_setup(labels: tuple[str, ...]):
+    """Register, annihilation coupler (its spectrum computed) and
+    lepton-absence measurement of the collective chain, with its modes
+    declared in the order ``labels``."""
     reg = build_register([_CHAIN_MODES[label] for label in labels])
 
     def coupler(site: str) -> OperatorMatrix:
@@ -745,14 +759,15 @@ def _collective_setup(labels: Sequence[str]):
         )
 
     h_total = coupler("a") + coupler("b")
+    h_total.eigh()
     lepton_spec = _absence_measurement(
-        reg, ["el_a", "el_b", "pos_a", "pos_b"], "leptons"
+        reg, ("el_a", "el_b", "pos_a", "pos_b"), "leptons"
     )
     return reg, h_total, lepton_spec
 
 
 def _collective_exact(
-    phi: float, labels: Sequence[str]
+    phi: float, labels: tuple[str, ...]
 ) -> tuple[dict[str, float], StateVector, MeasurementSpec]:
     """Exact quantities of the collective chain for one declaration order,
     with the direct variant's state before post-selection and the

@@ -25,7 +25,7 @@ from qwave import (
     swap_coupler,
     two_level,
 )
-from qwave import protocols
+from qwave import operators, protocols
 
 TIMES = [0.0, 0.3, 1.7, 5.0]
 
@@ -155,9 +155,14 @@ def test_collective_chain_decomposes_its_hamiltonian_once_per_order(monkeypatch)
               for order in (protocols._CHAIN_SITE_ORDER,
                             protocols._CHAIN_SPECIES_ORDER)]
     assert groups == [2, 2]
+    operators._CACHE.clear()
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     # h_total evolves three states per declaration order
     assert collective_chain(0.3, 0, 1).passed
     assert len(calls) == sum(groups)
+    # the coupler does not depend on phi: another run keeps its spectrum
+    calls.clear()
+    assert collective_chain(2.1, 0, 1).passed
+    assert calls == []

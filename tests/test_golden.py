@@ -2,7 +2,10 @@
 
 Each entry of ``tests/golden/batch.json`` is run through ``cli.run``,
 ``qwave batch`` and ``qwave run``, and its report must match the stored
-file byte for byte. A refactor that changes any of them changes the
+file byte for byte. A fresh interpreter also runs the batch reversed,
+shuffled and under ``--jobs 2``, so no report may depend on what ran
+before it in the process (specs and couplers that do not depend on phi are
+kept per process). A refactor that changes any of them changes the
 reports users get; if that is intended, say so and regenerate every file
 from the repository root with::
 
@@ -15,11 +18,16 @@ with ``qwave list > tests/golden/catalog.json``. ``run-help.txt`` pins
 """
 
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qwave
 from qwave.cli import EXIT_OK, RunConfig, main, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,6 +71,32 @@ def test_batch_reports_match_golden_bytes_for_any_jobs(jobs, tmp_path):
     batch_file.write_text(json.dumps(entries))
     result = CliRunner().invoke(main, ["batch", str(batch_file), "--jobs", jobs])
     assert result.exit_code == EXIT_OK, result.output
+    for entry in entries:
+        name = Path(entry["out"]).name
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("order, jobs", [("reversed", "1"), ("shuffled", "1"),
+                                         ("listed", "2")])
+def test_reports_do_not_depend_on_what_ran_before_them(order, jobs, tmp_path):
+    # a fresh interpreter starts with no kept specs or couplers, so each
+    # report follows exactly the runs the batch made before it
+    entries = [dict(e, out=str(tmp_path / Path(e["out"]).name)) for e in ENTRIES]
+    if order == "reversed":
+        entries.reverse()
+    elif order == "shuffled":
+        random.Random(22).shuffle(entries)
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps(entries))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(qwave.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwave.cli", "batch", str(batch_file), "--jobs", jobs],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
     for entry in entries:
         name = Path(entry["out"]).name
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -1,9 +1,9 @@
 """The nonzero pattern an operator keeps from its builder.
 
-``embed``, the hermitian couplers, ``identity`` and sums or differences of
-such operators keep the flat indices of their nonzero entries, and
-``eigh`` and ``MeasurementSpec`` read them instead of scanning all dim^2
-entries. ``np.nonzero(elements)`` is the oracle: the kept pattern, taken
+``embed``, the hermitian couplers, ``identity``, the projectors of
+``quadrature_basis`` and sums or differences of such operators keep the
+flat indices of their nonzero entries, and ``eigh`` and
+``MeasurementSpec`` read them instead of scanning all dim^2 entries. ``np.nonzero(elements)`` is the oracle: the kept pattern, taken
 as a set, equals it, and the spectrum read through the pattern equals
 the one read by the scan, bit for bit.
 """
@@ -30,6 +30,7 @@ from qwave import (
     pair_exchange,
     phase_kick,
     quadrature,
+    quadrature_basis,
     spin_direction_measurement,
     swap_coupler,
     two_level,
@@ -94,6 +95,10 @@ def test_every_builder_keeps_exactly_its_nonzero_pattern(reg, seed, strength):
     picked = rng.permutation(labels)[: rng.integers(len(labels) + 1)]
     ops.append(embed(reg, {l: _random_factor(rng, reg.mode(l).dim) for l in picked}))
     ops += [p for _, p in vacuum_one_superposition_basis(reg, mode).projectors]
+    cutoff_one = [m.label for m in reg.modes if m.cutoff == 1]
+    if cutoff_one:
+        quad_mode = cutoff_one[rng.integers(len(cutoff_one))]
+        ops += [p for _, p in quadrature_basis(reg, quad_mode).projectors]
     if len(labels) > 1:
         a, b = rng.choice(labels, 2, replace=False)
         ops.append(pair_exchange(reg, a, b))
