@@ -23,7 +23,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -91,15 +90,19 @@ class MeasurementSpec:
     ``site_locality_gap(spec, site)`` answers it on request (fermionic sign
     strings can reach across sites).
 
-    Specs compare and hash by identity. Each keeps a weak set of the specs
-    it has passed ``joint_distribution``'s commuting check with, so a pair
-    that has passed is not read again.
+    Specs hold their (label, projector) pairs as a tuple and compare and
+    hash by identity. Each keeps the read-only probe product P R of each
+    projector, in projector order, and a weak set of the specs it has
+    passed ``joint_distribution``'s commuting check with, so a pair that
+    has passed is not read again.
     """
 
     name: str
     projectors: tuple[tuple[str, OperatorMatrix], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "projectors",
+                           tuple((label, p) for label, p in self.projectors))
         object.__setattr__(self, "_commutes", weakref.WeakSet())
         if not self.projectors:
             raise ValueError("measurement needs at least one projector")
@@ -112,6 +115,9 @@ class MeasurementSpec:
         r = _probes(reg.dim)
         mats = [p.elements for _, p in self.projectors]
         probed = [m @ r for m in mats]
+        for mr in probed:
+            mr.flags.writeable = False
+        object.__setattr__(self, "_probed", tuple(probed))
         for (label, p), m, mr in zip(self.projectors, mats, probed):
             check_within(p._hermiticity_gap()[0], PROJECTOR_ATOL,
                          "projector %r of %r not hermitian", label, self.name)
@@ -277,24 +283,17 @@ def quadrature_basis(
 
 def _check_commuting(specs: list[MeasurementSpec]) -> None:
     """Every pair of projectors from two different specs commutes, read as
-    max |(PQ - QP)R| on the probe block; the specs share one register. A
-    pair of specs that passed once is not read again; a failing pair is
-    read, and raises, on every call."""
-    probed = {}
-
-    def probe(s: MeasurementSpec) -> list:
-        if s not in probed:
-            r = _probes(s.register.dim)
-            probed[s] = [(p.elements, p.elements @ r) for _, p in s.projectors]
-        return probed[s]
-
+    max |P (QR) - Q (PR)| from the probe products the specs keep; the specs
+    share one register. A pair of specs that passed once is not read again;
+    a failing pair is read, and raises, on every call."""
     for i, s in enumerate(specs):
         for t in specs[i + 1:]:
             if t in s._commutes:
                 continue
-            for p, pr in probe(s):
-                for q, qr in probe(t):
-                    check_within(np.abs(p @ qr - q @ pr).max(), PROJECTOR_ATOL,
+            for (_, p), pr in zip(s.projectors, s._probed):
+                for (_, q), qr in zip(t.projectors, t._probed):
+                    check_within(np.abs(p.elements @ qr - q.elements @ pr).max(),
+                                 PROJECTOR_ATOL,
                                  "%r and %r do not commute, max |(PQ - QP)R|",
                                  s.name, t.name, error=NonCommutingSpecsError)
             s._commutes.add(t)
@@ -304,19 +303,18 @@ def _check_commuting(specs: list[MeasurementSpec]) -> None:
 def joint_distribution(
     state: StateVector, specs: list[MeasurementSpec]
 ) -> dict[tuple[str, ...], float]:
-    """Exact joint Born distribution of pairwise-commuting measurements."""
+    """Exact joint Born distribution of pairwise-commuting measurements, in
+    ``itertools.product`` order; each prefix P_k ... P_1 psi is made once."""
     if not specs:
         raise ValueError("need at least one measurement spec")
     for s in specs:
         _check_same_register(state.register, s.register)
     _check_commuting(specs)
-    dist = {}
-    for combo in iter_product(*(s.projectors for s in specs)):
-        v = state.amplitudes
-        for _, p in combo:
-            v = p.elements @ v
-        dist[tuple(label for label, _ in combo)] = float(np.real(np.vdot(v, v)))
-    return dist
+    prefixes = [((), state.amplitudes)]
+    for s in specs:
+        prefixes = [(labels + (label,), p.elements @ v)
+                    for labels, v in prefixes for label, p in s.projectors]
+    return {labels: float(np.real(np.vdot(v, v))) for labels, v in prefixes}
 
 
 def born_probabilities(state: StateVector, spec: MeasurementSpec) -> dict[str, float]:
@@ -341,10 +339,10 @@ def _draw(
     if len(set(names)) != len(names):
         raise ValueError("measurement specs must have unique names for sampling")
     dist = joint_distribution(state, specs)
-    combos = list(dist.keys())
+    combos = list(dist)
     if shots == 0:
         return names, combos, np.zeros(len(combos), dtype=np.int64), None
-    probs = np.array([dist[c] for c in combos])
+    probs = np.array(list(dist.values()))
     check_within(-probs.min(), PROJECTOR_ATOL,
                  "negative joint probability, -min", error=SimulationError)
     check_within(abs(probs.sum() - 1.0), _TOTAL_PROBABILITY_ATOL,

@@ -559,28 +559,29 @@ class _Store:
 _CACHE = _Store()
 
 
-def _held_operators(build):
-    """The operators in a build: an operator, the projectors of a
-    measurement spec, or those of the items of a tuple."""
+def _held_arrays(build):
+    """(register dim, arrays) of each operator in a build (an operator, a
+    measurement spec or a tuple of them): its elements, pattern and
+    spectrum; and (0, probe products) of each spec."""
     if isinstance(build, OperatorMatrix):
-        yield build
+        spectrum = build.__dict__.get("_spectrum")
+        groups = spectrum.groups if spectrum is not None else ()
+        yield build.register.dim, [build.elements, build.__dict__.get("_pattern"),
+                                   *(a for group in groups for a in group)]
     elif isinstance(build, tuple):
         for item in build:
-            yield from _held_operators(item)
+            yield from _held_arrays(item)
     else:
-        yield from _held_operators(getattr(build, "projectors", ()))
+        yield from _held_arrays(getattr(build, "projectors", ()))
+        yield 0, getattr(build, "_probed", ())
 
 
 def _charge(build) -> tuple[int, int]:
     """Largest register dimension among a build's operators, and the bytes
-    of the distinct arrays they hold: elements, pattern and spectrum."""
+    of the distinct arrays the build holds."""
     dim, arrays = 0, {}
-    for op in _held_operators(build):
-        dim = max(dim, op.register.dim)
-        held = [op.elements, op.__dict__.get("_pattern")]
-        spectrum = op.__dict__.get("_spectrum")
-        if spectrum is not None:
-            held += [a for group in spectrum.groups for a in group]
+    for op_dim, held in _held_arrays(build):
+        dim = max(dim, op_dim)
         arrays.update((id(a), a.nbytes) for a in held if a is not None)
     return dim, sum(arrays.values())
 

@@ -351,7 +351,7 @@ def rabi_rotation(
         times = [float(t) for t in times]
         if not times:
             raise ValueError("times must not be empty")
-        if any(t < 0.0 for t in times):
+        if any(not t >= 0.0 for t in times):  # NaN too
             raise ValueError("times must be nonnegative")
 
     reg = build_register([boson("field", cutoff), two_level("atom")])

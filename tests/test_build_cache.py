@@ -5,7 +5,8 @@ and collective-chain setups keep their results in one least-recently-used
 store (``operators._CACHE``), keyed by builder and arguments, for registers
 of dim <= ``_CACHE_MAX_DIM`` and within ``_CACHE_BYTES``. Specs compare and
 hash by identity and remember which specs they have passed the commuting
-check with.
+check with. Each build is charged the bytes of the distinct arrays it
+holds, a spec's probe products among them.
 """
 
 import math
@@ -240,3 +241,41 @@ def test_the_setups_keep_their_coupler_spectra():
     reg, h, leptons = protocols._collective_setup(protocols._CHAIN_SITE_ORDER)
     assert "_spectrum" in h.__dict__
     assert protocols._collective_setup(protocols._CHAIN_SITE_ORDER)[2] is leptons
+
+
+def _op_arrays(op):
+    spectrum = op.__dict__.get("_spectrum")
+    groups = spectrum.groups if spectrum is not None else ()
+    pattern = op.__dict__.get("_pattern")
+    return [op.elements, *([] if pattern is None else [pattern]),
+            *(a for group in groups for a in group)]
+
+
+def _spec_arrays(spec):
+    return [a for _, p in spec.projectors for a in _op_arrays(p)] + list(spec._probed)
+
+
+def _distinct_bytes(arrays) -> int:
+    return sum({id(a): a.nbytes for a in arrays}.values())
+
+
+def test_the_store_charges_a_specs_probe_products():
+    reg = _atoms(3)
+    spec = spin_direction_measurement(reg, "t1", 0.4)
+    probes = sum(pr.nbytes for pr in spec._probed)
+    assert probes == 2 * reg.dim * 2 * 16  # two (dim, 2) complex products
+    assert operators._charge(spec) == (reg.dim, _distinct_bytes(_spec_arrays(spec)))
+    assert _CACHE.nbytes == _held_bytes() == _distinct_bytes(_spec_arrays(spec))
+    without = _distinct_bytes(a for _, p in spec.projectors for a in _op_arrays(p))
+    assert _CACHE.nbytes == without + probes
+
+
+def test_the_store_charges_every_array_of_the_photon_swap_setup():
+    setup = reg, h, spec_a, spec_b = protocols._photon_swap_setup()
+    held = _op_arrays(h) + _spec_arrays(spec_a) + _spec_arrays(spec_b)
+    assert operators._charge(setup) == (reg.dim, _distinct_bytes(held))
+    # the setup, and each spec it built through the store
+    assert len(_CACHE._entries) == 3
+    assert _CACHE.nbytes == _held_bytes() == (
+        _distinct_bytes(held) + _distinct_bytes(_spec_arrays(spec_a))
+        + _distinct_bytes(_spec_arrays(spec_b)))

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -219,6 +220,47 @@ def test_spec_validation_rejects_bad_projectors():
         message += f" exceeds bound {PROJECTOR_ATOL!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             MeasurementSpec(*args)
+
+
+def test_a_spec_keeps_its_projectors_when_the_given_list_changes():
+    reg = build_register([two_level("t")])
+    z = spin_direction_measurement(reg, "t", 0.0)
+    given = [["1", z.projector("+1")], ["0", z.projector("-1")]]
+    spec = MeasurementSpec("z", given)
+    before = spec.projectors
+    # replace outcome "1" by "0"'s projector after validation
+    given[0] = ["1", z.projector("-1")]
+    given[1][1] = z.projector("+1")
+    assert spec.projectors is before and isinstance(before, tuple)
+    assert spec.projector("1") is z.projector("+1")
+    assert spec.projector("0") is z.projector("-1")
+    psi = from_amplitudes(reg, [0.6, 0.8])
+    assert born_probabilities(psi, spec) == pytest.approx({"1": 0.64, "0": 0.36})
+    # the kept probe products are those of the kept projectors, read-only
+    r = measurement._probes(reg.dim)
+    for (_, p), pr in zip(spec.projectors, spec._probed):
+        assert np.array_equal(pr, p.elements @ r)
+        assert not pr.flags.writeable
+
+
+def test_joint_distribution_extends_prefixes_in_product_order():
+    reg = build_register([two_level("t0", Site.A), boson("a", 1, Site.B),
+                          boson("b", 1, Site.B), two_level("t1", Site.A)])
+    specs = [spin_direction_measurement(reg, "t0", 0.0, "z0"),
+             plus_minus_basis(reg, "a", "b", "pm"),
+             spin_direction_measurement(reg, "t1", 0.9, "s1")]
+    assert [len(s.projectors) for s in specs] == [2, 3, 2]
+    # t0 always excited: every outcome after "-1" of z0 has probability 0
+    excited = reg.occupation_table()[:, reg.position("t0")] == 1
+    amps = np.random.default_rng(5).normal(size=(reg.dim, 2)) @ [1.0, 1j]
+    psi = from_amplitudes(reg, np.where(excited, amps, 0.0), normalize=True)
+    dist = joint_distribution(psi, specs)
+    assert list(dist) == list(itertools.product(*map(_labels, specs)))
+    for (l1, l2, l3), prob in dist.items():
+        p1, p2, p3 = (s.projector(l) for s, l in zip(specs, (l1, l2, l3)))
+        v = p3.elements @ (p2.elements @ (p1.elements @ psi.amplitudes))
+        assert prob == np.vdot(v, v).real
+        assert (prob == 0.0) == (l1 == "-1")
 
 
 def test_spec_rejects_nan_projector():

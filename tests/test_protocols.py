@@ -128,6 +128,21 @@ def test_rabi_rejects_a_time_whose_phase_overflows():
     assert rabi_rotation(1e-310, 10, times=[1.0]).passed
 
 
+def test_rabi_rejects_a_nan_time_before_building_anything(monkeypatch):
+    def no_build(modes):
+        raise AssertionError("register built")
+
+    monkeypatch.setattr(protocols, "build_register", no_build)
+    # at cutoff 2047 the register has dim 4096, the largest accepted
+    for times in ([math.nan], [0.5, math.nan], [-1.0]):
+        with pytest.raises(ValueError, match="^times must be nonnegative$"):
+            rabi_rotation(2.0, 2047, times=times)
+    # inf passes this check and fails later, on its overflowing phase
+    for times in ([0.5], [math.inf]):
+        with pytest.raises(AssertionError, match="register built"):
+            rabi_rotation(2.0, 2047, times=times)
+
+
 def test_rabi_maxima_carry_a_nan(monkeypatch):
     eigh = OperatorMatrix.eigh
 
