@@ -45,7 +45,6 @@ from .fock import (
 from .operators import (
     OperatorMatrix,
     _adopt,
-    _cached,
     embed,
     pair_exchange,
     quadrature,
@@ -174,7 +173,6 @@ def site_locality_gap(spec: MeasurementSpec, site: Site) -> float:
     return float(np.abs(t).max())
 
 
-@_cached
 def spin_direction_measurement(
     register: ModeRegister, twolevel_mode: str, theta: float, name: str | None = None
 ) -> MeasurementSpec:
@@ -197,7 +195,6 @@ def spin_direction_measurement(
     return MeasurementSpec(name or f"spin({twolevel_mode})", projectors)
 
 
-@_cached
 def plus_minus_basis(
     register: ModeRegister, mode1: str, mode2: str, name: str | None = None
 ) -> MeasurementSpec:
@@ -227,7 +224,6 @@ def plus_minus_basis(
     return MeasurementSpec(name or f"pm({mode1},{mode2})", projectors)
 
 
-@_cached
 def vacuum_one_superposition_basis(
     register: ModeRegister, mode: str, name: str | None = None
 ) -> MeasurementSpec:
@@ -253,7 +249,6 @@ def vacuum_one_superposition_basis(
     return MeasurementSpec(name or f"vac1({mode})", tuple(projectors))
 
 
-@_cached
 def quadrature_basis(
     register: ModeRegister, mode: str, name: str | None = None
 ) -> MeasurementSpec:

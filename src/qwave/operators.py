@@ -17,10 +17,8 @@ No series expansion, no Trotterization.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -510,108 +508,6 @@ def _log_factorials(cutoff: int) -> np.ndarray:
         table = _LOG_FACTORIALS
         table.extend(lgam(n + 1.0) for n in range(len(table), cutoff + 1))
         return np.array(table[: cutoff + 1])
-
-
-#: Largest register dimension whose builds :func:`_cached` keeps: 64 is
-#: collective-chain's, the largest of the experiments.
-_CACHE_MAX_DIM = 64
-
-#: Most bytes of arrays the kept builds hold together.
-_CACHE_BYTES = 4 << 20
-
-
-class _Store:
-    """Least-recently-used store of builds, each charged the bytes of the
-    arrays it holds; the oldest go once the total exceeds ``_CACHE_BYTES``."""
-
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()  # key -> (build, bytes)
-        self._lock = threading.Lock()
-        self.nbytes = 0
-
-    def get(self, key):
-        """The build kept under ``key``, or None. Raises TypeError when the
-        key cannot be hashed."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry[0]
-
-    def put(self, key, build, nbytes: int):
-        """Keep ``build`` under ``key`` and return it, or return the build a
-        concurrent caller kept there first."""
-        with self._lock:
-            entry = self._entries.setdefault(key, (build, nbytes))
-            if entry[0] is build:
-                self.nbytes += nbytes
-                while self.nbytes > _CACHE_BYTES:
-                    self.nbytes -= self._entries.popitem(last=False)[1][1]
-            return entry[0]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-
-_CACHE = _Store()
-
-
-def _held_arrays(build):
-    """(register dim, arrays) of each operator in a build (an operator, a
-    measurement spec or a tuple of them): its elements, pattern and
-    spectrum; and (0, probe products) of each spec."""
-    if isinstance(build, OperatorMatrix):
-        spectrum = build.__dict__.get("_spectrum")
-        groups = spectrum.groups if spectrum is not None else ()
-        yield build.register.dim, [build.elements, build.__dict__.get("_pattern"),
-                                   *(a for group in groups for a in group)]
-    elif isinstance(build, tuple):
-        for item in build:
-            yield from _held_arrays(item)
-    else:
-        yield from _held_arrays(getattr(build, "projectors", ()))
-        yield 0, getattr(build, "_probed", ())
-
-
-def _charge(build) -> tuple[int, int]:
-    """Largest register dimension among a build's operators, and the bytes
-    of the distinct arrays the build holds."""
-    dim, arrays = 0, {}
-    for op_dim, held in _held_arrays(build):
-        dim = max(dim, op_dim)
-        arrays.update((id(a), a.nbytes) for a in held if a is not None)
-    return dim, sum(arrays.values())
-
-
-def _cached(builder):
-    """``builder``, a pure function of hashable arguments that builds
-    operators or specs, with its results kept in one process-wide store
-    keyed by (builder, arguments and their types). A result is kept only
-    when its registers have dim <= ``_CACHE_MAX_DIM``; an argument that
-    cannot be hashed builds afresh. The kept builds are immutable, so a
-    caller cannot tell a kept one from a fresh one but by identity."""
-
-    @functools.wraps(builder)
-    def cached(*args, **kwargs):
-        names = sorted(kwargs)
-        values = (*args, *(kwargs[n] for n in names))
-        key = (builder, tuple(names), values, tuple(map(type, values)))
-        try:
-            build = _CACHE.get(key)
-        except TypeError:
-            return builder(*args, **kwargs)
-        if build is None:
-            # built outside the lock: a setup builds its specs through the store
-            build = builder(*args, **kwargs)
-            dim, nbytes = _charge(build)
-            if dim <= _CACHE_MAX_DIM and nbytes <= _CACHE_BYTES:
-                build = _CACHE.put(key, build, nbytes)
-        return build
-
-    return cached
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:

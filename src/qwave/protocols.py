@@ -31,6 +31,7 @@ auxiliary particle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -65,7 +66,6 @@ from .measurement import (
 )
 from .operators import (
     OperatorMatrix,
-    _cached,
     _ladder_hermitian,
     apply,
     check_tail_bound,
@@ -232,7 +232,6 @@ def _split_pair(reg: ModeRegister, outer: str, inner: str, phi: float) -> StateV
     )
 
 
-@_cached
 def _absence_measurement(
     reg: ModeRegister, labels: tuple[str, ...], name: str
 ) -> MeasurementSpec:
@@ -248,11 +247,12 @@ def _absence_measurement(
 # split photon -> two atoms -> spin correlations
 # ---------------------------------------------------------------------------
 
-@_cached
+@functools.cache
 def _photon_swap_setup() -> tuple[ModeRegister, OperatorMatrix, MeasurementSpec,
                                   MeasurementSpec]:
-    """Register, swap coupler sum (its spectrum computed) and the two
-    equatorial spin measurements of photon-swap; none depends on phi."""
+    """Register, swap coupler sum and the two equatorial spin measurements
+    of photon-swap; none depends on phi, and the coupler keeps the
+    spectrum its first ``evolve`` computes."""
     reg = build_register(
         [
             boson("light_a", 1, Site.A),
@@ -264,7 +264,6 @@ def _photon_swap_setup() -> tuple[ModeRegister, OperatorMatrix, MeasurementSpec,
     h = swap_coupler(reg, "light_a", "atom_a", 1.0) + swap_coupler(
         reg, "light_b", "atom_b", 1.0
     )
-    h.eigh()
     return (
         reg,
         h,
@@ -427,6 +426,21 @@ def lhv_max_satisfied(n: int) -> int:
     return int(counts.max())
 
 
+@functools.cache
+def _bell_setup(n: int) -> tuple[StateVector, tuple[MeasurementSpec, ...]]:
+    """The singlet and the spin measurements along the 2n + 1 directions
+    i pi / 2n of the n-link chain, even i at A and odd i at B."""
+    reg = build_register([two_level("spin_a", Site.A), two_level("spin_b", Site.B)])
+    amps = np.zeros(reg.dim, dtype=complex)
+    amps[reg.index_of((1, 0))] = 1.0 / math.sqrt(2.0)
+    amps[reg.index_of((0, 1))] = -1.0 / math.sqrt(2.0)
+    thetas = [i * math.pi / (2.0 * n) for i in range(2 * n + 1)]
+    return from_amplitudes(reg, amps), tuple(
+        spin_direction_measurement(reg, f"spin_{s}", theta, s)
+        for theta, s in zip(thetas, "ab" * n + "a")
+    )
+
+
 def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
     """Chained anti-correlation relations on a singlet pair.
 
@@ -441,13 +455,7 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
         raise ValueError("need n >= 2 for a nontrivial chain")
     if n > 8:
         raise NTooLargeError("exhaustive enumeration supported for n <= 8")
-    reg = build_register([two_level("spin_a", Site.A), two_level("spin_b", Site.B)])
-    amps = np.zeros(reg.dim, dtype=complex)
-    amps[reg.index_of((1, 0))] = 1.0 / math.sqrt(2.0)
-    amps[reg.index_of((0, 1))] = -1.0 / math.sqrt(2.0)
-    singlet = from_amplitudes(reg, amps)
-
-    thetas = [i * math.pi / (2.0 * n) for i in range(2 * n + 1)]
+    singlet, direction = _bell_setup(n)
     p_formula = math.cos(math.pi / (4.0 * n)) ** 2
     relations = []
     for m in range(n):
@@ -460,11 +468,6 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
         seed=seed,
         shots=shots,
     )
-    # even directions are measured at A, odd ones at B; each spec built once
-    direction = [
-        spin_direction_measurement(reg, f"spin_{s}", theta, s)
-        for theta, s in zip(thetas, "ab" * n + "a")
-    ]
     for k, (ia, ib) in enumerate(relations):
         specs = [direction[ia], direction[ib]]
         _, _, p_exact = _two_site(joint_distribution(singlet, specs))
@@ -503,7 +506,25 @@ _AUX_SITE_ORDER = ("test_a", "aux_a", "test_b", "aux_b")
 _AUX_SPECIES_ORDER = ("test_a", "test_b", "aux_a", "aux_b")
 
 
-def _aux_phase_exact(phi: float, kind: ModeKind, labels: Sequence[str]):
+@functools.cache
+def _aux_setup(
+    kind: ModeKind, labels: tuple[str, ...]
+) -> tuple[ModeRegister, tuple[MeasurementSpec, MeasurementSpec]]:
+    """Register and site specs of the auxiliary-particle experiment, with
+    its four modes of ``kind`` declared in the order ``labels``."""
+    if kind is ModeKind.FERMION:
+        make = fermion
+    else:
+        make = lambda label, site: boson(label, 1, site)
+    site_of = {"test_a": Site.A, "aux_a": Site.A, "test_b": Site.B, "aux_b": Site.B}
+    reg = build_register([make(l, site_of[l]) for l in labels])
+    return reg, (
+        plus_minus_basis(reg, "test_a", "aux_a", "site_a"),
+        plus_minus_basis(reg, "test_b", "aux_b", "site_b"),
+    )
+
+
+def _aux_phase_exact(phi: float, kind: ModeKind, labels: tuple[str, ...]):
     """Register, state, site specs and exact joint distribution of the
     auxiliary-particle experiment.
 
@@ -511,17 +532,8 @@ def _aux_phase_exact(phi: float, kind: ModeKind, labels: Sequence[str]):
     fermions permutes the anticommutation bookkeeping; the conditional
     statistics must not depend on it.
     """
-    if kind is ModeKind.FERMION:
-        make = fermion
-    else:
-        make = lambda label, site: boson(label, 1, site)
-    site_of = {"test_a": Site.A, "aux_a": Site.A, "test_b": Site.B, "aux_b": Site.B}
-    reg = build_register([make(l, site_of[l]) for l in labels])
+    reg, specs = _aux_setup(kind, labels)
     psi = _split_pair(reg, "test", "aux", phi)
-    specs = [
-        plus_minus_basis(reg, "test_a", "aux_a", "site_a"),
-        plus_minus_basis(reg, "test_b", "aux_b", "site_b"),
-    ]
     return reg, psi, specs, joint_distribution(psi, specs)
 
 
@@ -745,11 +757,12 @@ _CHAIN_MODES = {spec.label: spec for spec in (
 )}
 
 
-@_cached
+@functools.cache
 def _collective_setup(labels: tuple[str, ...]):
-    """Register, annihilation coupler (its spectrum computed) and
-    lepton-absence measurement of the collective chain, with its modes
-    declared in the order ``labels``."""
+    """Register, annihilation coupler, lepton-absence measurement and the
+    two photon superposition measurements of the collective chain, with
+    its modes declared in the order ``labels``. The coupler keeps the
+    spectrum its first ``evolve`` computes."""
     reg = build_register([_CHAIN_MODES[label] for label in labels])
 
     def coupler(site: str) -> OperatorMatrix:
@@ -759,11 +772,16 @@ def _collective_setup(labels: tuple[str, ...]):
         )
 
     h_total = coupler("a") + coupler("b")
-    h_total.eigh()
     lepton_spec = _absence_measurement(
         reg, ("el_a", "el_b", "pos_a", "pos_b"), "leptons"
     )
-    return reg, h_total, lepton_spec
+    return (
+        reg,
+        h_total,
+        lepton_spec,
+        vacuum_one_superposition_basis(reg, "ph_a", "photon_a"),
+        vacuum_one_superposition_basis(reg, "ph_b", "photon_b"),
+    )
 
 
 def _collective_exact(
@@ -772,7 +790,7 @@ def _collective_exact(
     """Exact quantities of the collective chain for one declaration order,
     with the direct variant's state before post-selection and the
     lepton-absence measurement that post-selects it."""
-    reg, h_total, lepton_spec = _collective_setup(labels)
+    reg, h_total, lepton_spec, spec_pa, spec_pb = _collective_setup(labels)
     quarter = math.pi / 2.0
     vac = vacuum_state(reg)
     out: dict[str, float] = {}
@@ -800,8 +818,6 @@ def _collective_exact(
     psi1 = evolve(psi1, h_total, quarter)
 
     # stage 2: photon superposition measurements, keep (+, +)
-    spec_pa = vacuum_one_superposition_basis(reg, "ph_a", "photon_a")
-    spec_pb = vacuum_one_superposition_basis(reg, "ph_b", "photon_b")
     psi2a, p_a = post_select(psi1, spec_pa, "+")
     psi2, p_b = post_select(psi2a, spec_pb, "+")
     out["stage2_postselection_probability"] = p_a * p_b

@@ -25,7 +25,7 @@ from qwave import (
     swap_coupler,
     two_level,
 )
-from qwave import operators, protocols
+from qwave import protocols
 
 TIMES = [0.0, 0.3, 1.7, 5.0]
 
@@ -155,7 +155,7 @@ def test_collective_chain_decomposes_its_hamiltonian_once_per_order(monkeypatch)
               for order in (protocols._CHAIN_SITE_ORDER,
                             protocols._CHAIN_SPECIES_ORDER)]
     assert groups == [2, 2]
-    operators._CACHE.clear()
+    protocols._collective_setup.cache_clear()
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))

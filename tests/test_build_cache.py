@@ -1,18 +1,22 @@
-"""The process-wide store of builds that do not depend on phi.
+"""The four setups that do not depend on phi, built once per process.
 
-The four spec constructors, the absence measurement and the photon-swap
-and collective-chain setups keep their results in one least-recently-used
-store (``operators._CACHE``), keyed by builder and arguments, for registers
-of dim <= ``_CACHE_MAX_DIM`` and within ``_CACHE_BYTES``. Specs compare and
-hash by identity and remember which specs they have passed the commuting
-check with. Each build is charged the bytes of the distinct arrays it
-holds, a spec's probe products among them.
+photon-swap, bell-chain, aux-phase with gauge-check, and collective-chain
+take their register, coupler and specs from four private setups in
+``qwave.protocols``, each kept by ``functools.cache``: one photon-swap
+key, seven bell-chain keys (n = 2..8, checked before the setup is
+reached), four aux-phase keys (two statistics by two declaration orders)
+and two collective-chain keys (two declaration orders), 14 in all. The
+public spec constructors build on every call. Specs compare and hash by
+identity and remember which specs they have passed the commuting check
+with, so a kept pair is read once per process.
 """
 
+import json
 import math
 import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,20 +25,50 @@ from qwave import (
     InvalidCutoffError,
     MeasurementSpec,
     NonCommutingSpecsError,
-    Site,
+    NTooLargeError,
+    OperatorMatrix,
+    StateVector,
+    ab_gauge_check,
+    aux_particle_phase,
+    bell_chain,
     boson,
     build_register,
-    fermion,
+    collective_chain,
     joint_distribution,
-    plus_minus_basis,
+    photon_swap_experiment,
     quadrature_basis,
     spin_direction_measurement,
     two_level,
-    vacuum_one_superposition_basis,
     vacuum_state,
 )
-from qwave import operators, protocols
-from qwave.operators import _CACHE, _CACHE_BYTES, _CACHE_MAX_DIM
+from qwave import protocols
+from qwave.cli import EXIT_OK, RunConfig, run
+from qwave.fock import ModeKind
+
+GOLDEN_BATCH = Path(__file__).parent / "golden" / "batch.json"
+
+SETUPS = (protocols._photon_swap_setup, protocols._bell_setup,
+          protocols._aux_setup, protocols._collective_setup)
+
+#: Every argument tuple each setup can be called with.
+SETUP_KEYS = (
+    [(protocols._photon_swap_setup, ())]
+    + [(protocols._bell_setup, (n,)) for n in range(2, 9)]
+    + [(protocols._aux_setup, (kind, order))
+       for kind in (ModeKind.BOSON, ModeKind.FERMION)
+       for order in (protocols._AUX_SITE_ORDER, protocols._AUX_SPECIES_ORDER)]
+    + [(protocols._collective_setup, (order,))
+       for order in (protocols._CHAIN_SITE_ORDER, protocols._CHAIN_SPECIES_ORDER)]
+)
+
+
+def _clear_setups():
+    for setup in SETUPS:
+        setup.cache_clear()
+
+
+def _kept_keys() -> int:
+    return sum(setup.cache_info().currsize for setup in SETUPS)
 
 
 def _atoms(n: int):
@@ -42,170 +76,43 @@ def _atoms(n: int):
     return build_register([two_level(f"t{i}") for i in range(n)])
 
 
-@pytest.fixture(autouse=True)
-def empty_store():
-    _CACHE.clear()
-    yield
-    _CACHE.clear()
-
-
-def _held_bytes() -> int:
-    return sum(nbytes for _, nbytes in _CACHE._entries.values())
-
-
 def _assert_same_projectors(a, b):
     for (_, p), (_, q) in zip(a.projectors, b.projectors):
         assert np.array_equal(p.elements, q.elements)
 
 
-def test_the_store_never_holds_more_than_its_budget():
-    reg = _atoms(6)
-    assert reg.dim == _CACHE_MAX_DIM
-    # every angle in (0, 2] gives projectors of the same size
-    first = spin_direction_measurement(reg, "t0", 2.0)
-    one = operators._charge(first)[1]
-    count = 2 * _CACHE_BYTES // one
-    for k in range(1, count + 1):
-        spin_direction_measurement(reg, "t0", k / count)
-        assert _CACHE.nbytes == _held_bytes() <= _CACHE_BYTES
-    # full, and the oldest went first
-    assert _CACHE.nbytes > _CACHE_BYTES - one
-    assert len(_CACHE._entries) < count
-    assert spin_direction_measurement(reg, "t0", 2.0) is not first
-
-
-def test_a_kept_build_is_reused_and_the_least_recent_goes_first(monkeypatch):
-    reg = _atoms(2)
-    a = spin_direction_measurement(reg, "t0", 0.3)
-    one = operators._charge(a)[1]
-    monkeypatch.setattr(operators, "_CACHE_BYTES", 2 * one)
-    b = spin_direction_measurement(reg, "t0", 0.4)
-    assert spin_direction_measurement(reg, "t0", 0.3) is a  # a is now the newest
-    spin_direction_measurement(reg, "t0", 0.5)  # evicts b
-    assert spin_direction_measurement(reg, "t0", 0.3) is a
-    assert spin_direction_measurement(reg, "t0", 0.4) is not b
+def _specs(value):
+    """The specs a setup's value holds, in order."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _specs(item)
+    elif isinstance(value, MeasurementSpec):
+        yield value
 
 
 def test_a_register_above_the_limit_is_built_afresh_on_every_call():
-    big = _atoms(7)
-    assert big.dim == 128 > _CACHE_MAX_DIM
-    first = spin_direction_measurement(big, "t0", 0.3)
-    again = spin_direction_measurement(big, "t0", 0.3)
-    assert again is not first
-    _assert_same_projectors(first, again)
-    assert _CACHE.nbytes == 0
-    small = _atoms(6)
-    assert spin_direction_measurement(small, "t0", 0.3) is (
-        spin_direction_measurement(small, "t0", 0.3))
+    # no dim limit is left: above the old 64 and below it alike, a public
+    # constructor builds a new spec with the same projectors on every call
+    for reg in (_atoms(7), _atoms(6)):
+        first = spin_direction_measurement(reg, "t0", 0.3)
+        again = spin_direction_measurement(reg, "t0", 0.3)
+        assert again is not first
+        _assert_same_projectors(first, again)
 
 
 def test_every_constructor_keeps_its_specs():
-    reg = build_register([boson("a", 1, Site.A), boson("b", 1, Site.A),
-                          fermion("f", Site.B), two_level("t", Site.B)])
-    builds = [
-        lambda: spin_direction_measurement(reg, "t", 0.7, "spin"),
-        lambda: plus_minus_basis(reg, "a", "b"),
-        lambda: vacuum_one_superposition_basis(reg, "a"),
-        lambda: quadrature_basis(reg, "f"),
-        lambda: protocols._absence_measurement(reg, ("a", "f"), "absent"),
-    ]
-    for build in builds:
-        assert build() is build()
-    # an equal register built again finds the same spec
-    twin = build_register(list(reg.modes))
-    assert twin is not reg
-    assert quadrature_basis(twin, "f") is quadrature_basis(reg, "f")
-
-
-def test_signed_zero_angles_share_a_key_and_projectors():
-    reg = _atoms(2)
-    plus = spin_direction_measurement(reg, "t1", 0.0)
-    assert spin_direction_measurement(reg, "t1", -0.0) is plus
-    _CACHE.clear()
-    minus = spin_direction_measurement(reg, "t1", -0.0)
-    assert minus is not plus
-    _assert_same_projectors(plus, minus)
-
-
-def test_arguments_of_other_types_get_their_own_keys():
-    reg = _atoms(2)
-    assert spin_direction_measurement(reg, "t0", 1) is not (
-        spin_direction_measurement(reg, "t0", 1.0))
-    # a keyword and a positional name are different keys, equal specs
-    named = spin_direction_measurement(reg, "t0", 1.0, name="x")
-    assert named is spin_direction_measurement(reg, "t0", 1.0, name="x")
-    assert named.name == spin_direction_measurement(reg, "t0", 1.0, "x").name
-
-
-def test_an_unhashable_argument_builds_without_the_store():
-    reg = _atoms(2)
-    theta = np.array(0.3)
-    with pytest.raises(TypeError):
-        hash(theta)
-    first = spin_direction_measurement(reg, "t0", theta)
-    assert spin_direction_measurement(reg, "t0", theta) is not first
-    assert _CACHE.nbytes == 0
-    _assert_same_projectors(first, spin_direction_measurement(reg, "t0", 0.3))
-
-
-def test_a_failed_build_is_not_kept():
-    reg = build_register([boson("a", 2), two_level("t")])
-    for _ in range(2):
-        with pytest.raises(InvalidCutoffError):
-            quadrature_basis(reg, "a")
-    assert _CACHE.nbytes == 0
-
-
-def _build_in_threads(build, threads=4):
-    """Run ``build(slot)`` in more threads than cores, switching threads
-    often, and return the results by slot."""
-    barrier = threading.Barrier(threads)
-    results = [None] * threads
-
-    def run(slot):
-        barrier.wait()
-        results[slot] = build(slot)
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=run, args=(slot,)) for slot in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(w.is_alive() for w in workers)
-    return results
-
-
-def test_threads_building_the_same_keys_get_equal_arrays():
-    reg = _atoms(6)
-    psi = vacuum_state(reg)
-    other = spin_direction_measurement(reg, "t5", 0.0)
-
-    def build(thetas):
-        specs = [spin_direction_measurement(reg, "t3", t) for t in thetas]
-        return specs, [joint_distribution(psi, [s, other]) for s in specs]
-
-    # within the budget every thread gets the one build kept first
-    thetas = [k * math.pi / 16 for k in range(16)]
-    results = _build_in_threads(lambda slot: build(thetas))
-    for specs, dists in results[1:]:
-        assert all(a is b for a, b in zip(specs, results[0][0]))
-        assert dists == results[0][1]
-    assert _CACHE.nbytes == _held_bytes() <= _CACHE_BYTES
-    assert len(_CACHE._entries) == len(thetas) + 1
-    # past it, builds are evicted while other threads look them up
-    thetas = [k * math.pi / 64 for k in range(64)]
-    results = _build_in_threads(lambda slot: build(thetas[slot:] + thetas[:slot]))
-    for slot, (specs, dists) in enumerate(results):
-        for spec, theta, dist in zip(specs, thetas[slot:] + thetas[:slot], dists):
-            k = thetas.index(theta)
-            _assert_same_projectors(spec, results[0][0][k])
-            assert dist == results[0][1][k]
-    assert _CACHE.nbytes == _held_bytes() <= _CACHE_BYTES
+    # every setup constructor, at each of its keys, hands back the specs
+    # it built first
+    _clear_setups()
+    kept = [list(_specs(setup(*args))) for setup, args in SETUP_KEYS]
+    assert all(kept)
+    for (setup, args), specs in zip(SETUP_KEYS, kept):
+        again = list(_specs(setup(*args)))
+        assert len(again) == len(specs)
+        assert all(a is b for a, b in zip(again, specs))
+    # the bell-chain setup holds the 2n + 1 direction specs
+    assert [len(specs) for specs in kept[1:8]] == [2 * n + 1 for n in range(2, 9)]
+    assert _kept_keys() == len(SETUP_KEYS)
 
 
 def test_specs_compare_and_hash_by_identity():
@@ -233,14 +140,140 @@ def test_a_passed_pair_is_remembered_and_a_failing_pair_raises_every_time():
     assert sx not in sz._commutes
 
 
+def test_a_failed_build_is_not_kept():
+    reg = build_register([boson("a", 2), two_level("t")])
+    for _ in range(2):
+        with pytest.raises(InvalidCutoffError):
+            quadrature_basis(reg, "a")
+    # a chain length out of range is refused before its setup is reached
+    protocols._bell_setup.cache_clear()
+    for n, error in ((1, ValueError), (9, NTooLargeError)):
+        with pytest.raises(error):
+            bell_chain(n, 0, 1)
+    assert protocols._bell_setup.cache_info().currsize == 0
+
+
+#: One run, at shots 0, of each experiment that takes a setup; together
+#: they ask for every key of SETUP_KEYS.
+RUNS = (
+    [lambda: photon_swap_experiment(0.4, 0, 1)]
+    + [lambda n=n: bell_chain(n, 0, 1) for n in range(2, 9)]
+    + [lambda: aux_particle_phase(0.4, "boson", 0, 1),
+       lambda: aux_particle_phase(0.4, "fermion", 0, 1),
+       lambda: collective_chain(0.4, 0, 1)]
+)
+
+
+def _run_in_threads(work, threads=4):
+    """Run ``work(slot)`` in more threads than cores, switching threads
+    often, and return the results by slot."""
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def target(slot):
+        barrier.wait()
+        results[slot] = work(slot)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=target, args=(slot,))
+                   for slot in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers)
+    return results
+
+
+def test_threads_building_the_same_keys_get_equal_arrays():
+    _clear_setups()
+
+    def work(slot):
+        # each thread starts at its own run, so threads build keys at once
+        order = list(range(slot, len(RUNS))) + list(range(slot))
+        return {k: RUNS[k]().to_dict() for k in order}
+
+    results = _run_in_threads(work)
+    assert all(reports == results[0] for reports in results[1:])
+    assert all(report["pass"] for report in results[0].values())
+    # one kept setup per key, whichever thread built it
+    assert _kept_keys() == len(SETUP_KEYS)
+    assert {k: run_once().to_dict() for k, run_once in enumerate(RUNS)} == results[0]
+
+
 def test_the_setups_keep_their_coupler_spectra():
-    reg, h, spec_a, spec_b = protocols._photon_swap_setup()
+    protocols._photon_swap_setup.cache_clear()
+    h = protocols._photon_swap_setup()[1]
+    # the first evolve computes the spectrum and the coupler keeps it
+    assert "_spectrum" not in h.__dict__
+    assert photon_swap_experiment(0.4, 0, 1).passed
     assert "_spectrum" in h.__dict__
     assert protocols._photon_swap_setup()[1] is h
-    assert protocols.photon_swap_experiment(0.4, 0, 1).passed
-    reg, h, leptons = protocols._collective_setup(protocols._CHAIN_SITE_ORDER)
-    assert "_spectrum" in h.__dict__
-    assert protocols._collective_setup(protocols._CHAIN_SITE_ORDER)[2] is leptons
+    protocols._collective_setup.cache_clear()
+    setup = protocols._collective_setup(protocols._CHAIN_SITE_ORDER)
+    assert "_spectrum" not in setup[1].__dict__
+    assert collective_chain(0.4, 0, 1).passed
+    assert "_spectrum" in setup[1].__dict__
+    assert protocols._collective_setup(protocols._CHAIN_SITE_ORDER) is setup
+
+
+@pytest.mark.parametrize("first, second", [
+    (lambda: photon_swap_experiment(0.4, 0, 1),
+     lambda: photon_swap_experiment(2.2, 1000, 3)),
+    (lambda: bell_chain(3, 0, 1), lambda: bell_chain(3, 1000, 3)),
+    (lambda: aux_particle_phase(0.4, "boson", 0, 1),
+     lambda: aux_particle_phase(2.2, "boson", 1000, 3)),
+    (lambda: aux_particle_phase(0.4, "fermion", 0, 1),
+     lambda: aux_particle_phase(2.2, "fermion", 1000, 3)),
+    (lambda: ab_gauge_check(0.4, 0.3, 0, 1),
+     lambda: ab_gauge_check(2.2, 1.1, 1000, 3)),
+    (lambda: collective_chain(0.4, 0, 1), lambda: collective_chain(2.2, 1000, 3)),
+], ids=["photon-swap", "bell-chain", "aux-phase-boson", "aux-phase-fermion",
+        "gauge-check", "collective-chain"])
+def test_a_second_run_validates_no_spec_and_decomposes_nothing(
+    first, second, monkeypatch
+):
+    _clear_setups()
+    assert first().passed
+    specs, eighs = [], []
+    post_init, eigh = MeasurementSpec.__post_init__, np.linalg.eigh
+
+    def counted_post_init(spec):
+        specs.append(spec.name)
+        post_init(spec)
+
+    monkeypatch.setattr(MeasurementSpec, "__post_init__", counted_post_init)
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: eighs.append(a.shape) or eigh(a))
+    # at another phi (bell-chain: another seed), with shots drawn
+    assert second().passed
+    assert specs == [] and eighs == []
+
+
+def _held_arrays(value):
+    """The arrays a setup's value holds: elements, patterns and spectra of
+    its operators, the probe products of its specs and the amplitudes of
+    its states."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _held_arrays(item)
+    elif isinstance(value, OperatorMatrix):
+        yield value.elements
+        if "_pattern" in value.__dict__:
+            yield value.__dict__["_pattern"]
+        if "_spectrum" in value.__dict__:
+            for group in value.__dict__["_spectrum"].groups:
+                yield from group
+    elif isinstance(value, MeasurementSpec):
+        for _, p in value.projectors:
+            yield from _held_arrays(p)
+        yield from value._probed
+    elif isinstance(value, StateVector):
+        yield value.amplitudes
 
 
 def _op_arrays(op):
@@ -260,22 +293,47 @@ def _distinct_bytes(arrays) -> int:
 
 
 def test_the_store_charges_a_specs_probe_products():
-    reg = _atoms(3)
-    spec = spin_direction_measurement(reg, "t1", 0.4)
-    probes = sum(pr.nbytes for pr in spec._probed)
-    assert probes == 2 * reg.dim * 2 * 16  # two (dim, 2) complex products
-    assert operators._charge(spec) == (reg.dim, _distinct_bytes(_spec_arrays(spec)))
-    assert _CACHE.nbytes == _held_bytes() == _distinct_bytes(_spec_arrays(spec))
-    without = _distinct_bytes(a for _, p in spec.projectors for a in _op_arrays(p))
-    assert _CACHE.nbytes == without + probes
+    _clear_setups()
+    assert photon_swap_experiment(0.4, 0, 1).passed
+    reg, _, spec_a, spec_b = protocols._photon_swap_setup()
+    for spec in (spec_a, spec_b):
+        probes = sum(pr.nbytes for pr in spec._probed)
+        assert probes == 2 * reg.dim * 2 * 16  # two (dim, 2) complex products
+        without = _distinct_bytes(a for _, p in spec.projectors for a in _op_arrays(p))
+        assert _distinct_bytes(_held_arrays(spec)) == without + probes
 
 
 def test_the_store_charges_every_array_of_the_photon_swap_setup():
+    _clear_setups()
+    assert photon_swap_experiment(0.4, 0, 1).passed
     setup = reg, h, spec_a, spec_b = protocols._photon_swap_setup()
+    # the spectrum the first evolve computed is counted with the rest
+    assert "_spectrum" in h.__dict__
     held = _op_arrays(h) + _spec_arrays(spec_a) + _spec_arrays(spec_b)
-    assert operators._charge(setup) == (reg.dim, _distinct_bytes(held))
-    # the setup, and each spec it built through the store
-    assert len(_CACHE._entries) == 3
-    assert _CACHE.nbytes == _held_bytes() == (
-        _distinct_bytes(held) + _distinct_bytes(_spec_arrays(spec_a))
-        + _distinct_bytes(_spec_arrays(spec_b)))
+    assert {id(a) for a in _held_arrays(setup)} == {id(a) for a in held}
+    assert _distinct_bytes(_held_arrays(setup)) == _distinct_bytes(held)
+
+
+def test_the_store_never_holds_more_than_its_budget(tmp_path):
+    """The store is the four setups' caches; its budget is 4 MiB over all
+    14 keys, once every experiment has run."""
+    _clear_setups()
+    for entry in json.loads(GOLDEN_BATCH.read_text()):
+        config = RunConfig(
+            experiment=entry["experiment"], params=entry["params"],
+            shots=entry["shots"], seed=entry["seed"],
+            output_path=str(tmp_path / Path(entry["out"]).name),
+        )
+        assert run(config) == EXIT_OK
+    for n in range(2, 9):
+        assert bell_chain(n, 0, 1).passed
+    assert _kept_keys() == len(SETUP_KEYS) == 14
+    misses = [setup.cache_info().misses for setup in SETUPS]
+    values = [setup(*args) for setup, args in SETUP_KEYS]
+    # every key was kept already
+    assert [setup.cache_info().misses for setup in SETUPS] == misses
+    # the runs computed every spectrum the protocols read
+    assert "_spectrum" in values[0][1].__dict__
+    assert all("_spectrum" in value[1].__dict__ for value in values[-2:])
+    held = {id(a): a.nbytes for a in _held_arrays(tuple(values))}
+    assert sum(held.values()) <= 4 << 20

@@ -540,8 +540,6 @@ def test_builders_hand_over_one_read_only_c_contiguous_matrix(monkeypatch):
         a + n, a - n, a @ n, 2.0 * a, a * 1j, -a, a.dag(),
         OperatorMatrix(reg, np.asfortranarray(np.eye(reg.dim))),
     ]
-    # a kept spec would not be built again
-    operators._CACHE.clear()
     specs = [spin_direction_measurement(reg, "t", 0.7),
              plus_minus_basis(reg, "f2", "c"),
              vacuum_one_superposition_basis(reg, "b"), quadrature_basis(reg, "f1")]
