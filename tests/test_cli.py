@@ -621,8 +621,8 @@ def test_log_level_names_only_set_the_level(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    # scipy is a test dependency only (lgam and pdtrc are ported in
-    # qwave._cephes), so importing the CLI loads no scipy module at all
+    # scipy is a test dependency only (log n! is math.lgamma and the Poisson
+    # tail a direct sum), so importing the CLI loads no scipy module at all
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, qwave.cli; print('scipy' in sys.modules)"],
