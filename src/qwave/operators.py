@@ -499,11 +499,11 @@ def poisson_tail(alpha: complex, cutoff: int) -> float:
     if math.isinf(mean):
         return 1.0
     width = math.floor(40.0 * math.sqrt(min(mean, cutoff + 1.0))) + 40
-    lo, hi = (cutoff + 1, cutoff + width) if cutoff >= mean else (
-        max(0, cutoff - width), cutoff)
+    above = cutoff >= mean
+    lo, hi = (cutoff + 1, cutoff + width) if above else (max(0, cutoff - width), cutoff)
     n = np.arange(lo, hi + 1)
     mass = float(np.exp(n * math.log(mean) - mean - _log_factorials(hi)[lo:]).sum())
-    return mass if cutoff >= mean else 1.0 - mass
+    return mass if above else 1.0 - mass
 
 
 def check_tail_bound(alpha: complex, cutoff: int, tail_bound: float) -> None:

@@ -866,6 +866,17 @@ def test_phase_overflow_and_tail_bound_off_range_exit_protocol_error(args, named
     assert named in error["message"]
 
 
+def test_coherent_factorization_cutoff_above_any_mode_exits_protocol_error():
+    # the tail guard runs before the register is built, and refuses a cutoff
+    # that no mode can have before it sums anything
+    result = _run_cli(["run", "coherent-factorization", "--alpha", "1",
+                       "--cutoff", "5000", "--seed", "1"])
+    assert result.exit_code == EXIT_PROTOCOL, result.output
+    error = json.loads(result.stderr)["error"]
+    assert error == {"code": EXIT_PROTOCOL, "type": "ValueError",
+                     "message": "cutoff must be at most 4095, got 5000"}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_report_that_cannot_be_rendered_exits_protocol_error(
     fmt, monkeypatch, tmp_path, capsys
