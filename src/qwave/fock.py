@@ -257,28 +257,6 @@ def prepare_superposition(
     return StateVector(register, amps)
 
 
-def _hermiticity_gap(
-    mat: np.ndarray, pattern: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """max |H[r, c] - conj(H[c, r])| over the nonzero pattern (r, c) of a
-    square matrix H, and that pattern as row and column index arrays. The
-    gap equals the dense scan max |H - H^H|: an entry outside the pattern
-    and its mirror contribute 0 when both are zero and are read at the
-    mirror otherwise, and a NaN entry is nonzero, so a NaN gap carries
-    through.
-
-    ``pattern`` holds the flat indices ``r * len(H) + c`` of H's nonzero
-    entries when the caller knows them, in any order and possibly
-    repeated; neither the gap nor the pattern's connected components
-    depend on that. Without it the pattern is found by scanning H, in C
-    order."""
-    if pattern is None:
-        pattern = np.flatnonzero(mat != 0)
-    rows, cols = np.divmod(pattern, len(mat))
-    gap = np.abs(mat[rows, cols] - mat[cols, rows].conj()).max(initial=0.0)
-    return gap, rows, cols
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over a register."""
@@ -291,7 +269,7 @@ class DensityMatrix:
         d = self.register.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
-        check_within(_hermiticity_gap(mat)[0], NORM_ATOL,
+        check_within(np.abs(mat - mat.conj().T).max(), NORM_ATOL,
                      "density matrix not hermitian")
         check_within(abs(np.trace(mat).real - 1.0), NORM_ATOL,
                      "density matrix trace not 1, |trace - 1|")

@@ -42,13 +42,7 @@ from .fock import (
     StateVector,
     _check_same_register,
 )
-from .operators import (
-    OperatorMatrix,
-    _adopt,
-    embed,
-    pair_exchange,
-    quadrature,
-)
+from .operators import OperatorMatrix, _ladder_hermitian, embed, identity
 
 #: Projector algebra tolerance (hermiticity, idempotence, orthogonality,
 #: completeness, site locality).
@@ -81,10 +75,10 @@ class MeasurementSpec:
     Validation: every projector is hermitian and idempotent, distinct
     projectors are orthogonal and together they sum to the identity (a NaN
     entry fails each of these checks). Hermiticity is read exactly over
-    each projector's nonzero pattern (the same read as
-    ``OperatorMatrix.eigh``, over the pattern a builder kept when there is
-    one); the other three are read on the probe block
-    (see the module docstring).
+    each projector's nonzero pattern, the same read as
+    ``OperatorMatrix.eigh`` (every constructor here builds projectors that
+    keep their pattern); the other three are read on the probe block (see
+    the module docstring).
     Whether the projectors act only on one site is not part of the spec;
     ``site_locality_gap(spec, site)`` answers it on request (fermionic sign
     strings can reach across sites).
@@ -200,8 +194,10 @@ def plus_minus_basis(
 ) -> MeasurementSpec:
     """Measurement distinguishing the one-particle states
     (|10> +/- |01>)/sqrt(2) of a same-site mode pair, built from the
-    particle-transfer operator so it is independent of mode declaration
-    order. Outcomes "+", "-" and "other" (zero or two particles)."""
+    particle-transfer operator t = x_dag y + y_dag x so it is independent of
+    mode declaration order: (t^2 +/- t)/2 for outcomes "+" and "-", I - t^2
+    for "other" (zero or two particles). t^2 = n_x (1 - n_y) + (1 - n_x) n_y
+    is a sum of ``embed`` operators, so every projector keeps its pattern."""
     s1, s2 = register.mode(mode1), register.mode(mode2)
     if s1.site is not s2.site:
         raise SiteMismatchError(
@@ -209,18 +205,14 @@ def plus_minus_basis(
         )
     if s1.cutoff != 1 or s2.cutoff != 1:
         raise InvalidCutoffError("plus/minus basis needs cutoff-1 modes")
-    t = pair_exchange(register, mode1, mode2).elements
-    t2 = t @ t
-    plus, minus = t2 + t, t2 - t
-    plus /= 2.0
-    minus /= 2.0
-    other = np.eye(register.dim, dtype=complex)
-    other -= t2
-    projectors = (
-        ("+", _adopt(register, plus)),
-        ("-", _adopt(register, minus)),
-        ("other", _adopt(register, other)),
-    )
+    # a repeated mode raises here, before anything else is built
+    half_t = _ladder_hermitian(register, (mode1,), (mode2,), 0.5)
+    n0, n1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    half_one = (embed(register, {mode1: n1 / 2.0, mode2: n0})
+                + embed(register, {mode1: n0 / 2.0, mode2: n1}))
+    plus, minus = half_one + half_t, half_one - half_t
+    projectors = (("+", plus), ("-", minus),
+                  ("other", identity(register) - (plus + minus)))
     return MeasurementSpec(name or f"pm({mode1},{mode2})", projectors)
 
 
@@ -257,22 +249,14 @@ def quadrature_basis(
     For bosons this coincides with vacuum_one_superposition_basis. For a
     fermion mode the quadrature carries its anticommutation sign string, so
     the "measurement" is not local to the mode's site: its
-    ``site_locality_gap`` at that site is positive."""
+    ``site_locality_gap`` at that site is positive. The projectors
+    (I +/- x)/2 are built from ``embed`` and x/2, so each keeps its pattern."""
     spec = register.mode(mode)
     if spec.cutoff != 1:
         raise InvalidCutoffError("quadrature basis supported for cutoff-1 modes")
-    x = quadrature(register, mode)
-    d = register.dim
-    plus = np.eye(d, dtype=complex)
-    minus = plus.copy()
-    plus += x.elements
-    minus -= x.elements
-    plus /= 2.0
-    minus /= 2.0
-    # x has a zero diagonal, so no entry of I +/- x cancels
-    pattern = np.concatenate((np.arange(0, d * d, d + 1), x.__dict__["_pattern"]))
-    projectors = (("+1", _adopt(register, plus, pattern)),
-                  ("-1", _adopt(register, minus, pattern)))
+    plus = (embed(register, {mode: np.diag([0.5, 0.5])})
+            + _ladder_hermitian(register, (), (mode,), 0.5))
+    projectors = (("+1", plus), ("-1", identity(register) - plus))
     return MeasurementSpec(name or f"quad({mode})", projectors)
 
 

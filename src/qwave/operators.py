@@ -38,9 +38,30 @@ from .fock import (
     ModeRegister,
     StateVector,
     _check_same_register,
-    _hermiticity_gap,
     from_amplitudes,
 )
+
+
+def _hermiticity_gap(
+    mat: np.ndarray, pattern: np.ndarray | None = None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """max |H[r, c] - conj(H[c, r])| over the nonzero pattern (r, c) of a
+    square matrix H, and that pattern as row and column index arrays. The
+    gap equals the dense scan max |H - H^H|: an entry outside the pattern
+    and its mirror contribute 0 when both are zero and are read at the
+    mirror otherwise, and a NaN entry is nonzero, so a NaN gap carries
+    through.
+
+    ``pattern`` holds the flat indices ``r * len(H) + c`` of H's nonzero
+    entries when the caller knows them, in any order and possibly
+    repeated; neither the gap nor the pattern's connected components
+    depend on that. Without it the pattern is found by scanning H, in C
+    order."""
+    if pattern is None:
+        pattern = np.flatnonzero(mat != 0)
+    rows, cols = np.divmod(pattern, len(mat))
+    gap = np.abs(mat[rows, cols] - mat[cols, rows].conj()).max(initial=0.0)
+    return gap, rows, cols
 
 
 class _Built:
@@ -72,12 +93,13 @@ class OperatorMatrix:
 
     An operator from ``identity``, ``embed`` or a builder on it (ladder
     operators, couplers, quadratures, phase kicks, the projectors of the
-    spin, vacuum-one and quadrature measurements), or a sum or difference
-    of two such operators, also keeps its nonzero pattern privately.
-    ``eigh`` and the hermiticity check of ``MeasurementSpec`` then read
-    O(nonzeros) entries instead of scanning all dim^2. Any other operator
-    (a caller's array, a product, a scalar multiple, ``dag()``) is scanned
-    when its pattern is needed.
+    spin, vacuum-one, quadrature and plus/minus measurements), or a sum or
+    difference of two such operators, also keeps its nonzero pattern
+    privately. ``eigh`` and the hermiticity check of ``MeasurementSpec``
+    then read O(nonzeros) entries instead of scanning all dim^2. Any other
+    operator (a caller's array, a product, a scalar multiple, ``dag()``) is
+    scanned when its pattern is needed. Only this module reads or writes a
+    pattern.
     """
 
     register: ModeRegister
@@ -103,7 +125,7 @@ class OperatorMatrix:
         return _adopt(self.register, np.conjugate(self.elements.T, order="C"))
 
     def _hermiticity_gap(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """``fock._hermiticity_gap`` of the elements, over the kept pattern
+        """:func:`_hermiticity_gap` of the elements, over the kept pattern
         when there is one."""
         return _hermiticity_gap(self.elements, self.__dict__.get("_pattern"))
 

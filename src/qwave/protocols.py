@@ -156,11 +156,18 @@ class ExperimentReport:
 
 def _bernoulli_kl(f: float, p: float) -> float:
     """Relative entropy KL(f || p) of two Bernoulli laws, with 0 log 0 = 0:
-    infinite when f puts weight on an outcome that p gives none."""
+    infinite when f puts weight on an outcome that p gives none. Near f = p
+    the first-order parts of the terms a log(a / b) cancel, and rounding a / b
+    would swamp a correct KL (about 1e-18 at 2**60 shots), so a term is
+    a log1p(gap / b) from d = f - p; below a = b / 2, where d can round to
+    -b, it stays a log(a / b)."""
+    d = f - p
     kl = 0.0
-    for a, b in ((f, p), (1.0 - f, 1.0 - p)):
+    for a, b, gap in ((f, p, d), (1.0 - f, 1.0 - p, -d)):
         if a > 0.0:
-            kl += a * math.log(a / b) if b > 0.0 else math.inf
+            if b == 0.0:
+                return math.inf
+            kl += a * (math.log1p(gap / b) if 2.0 * a > b else math.log(a / b))
     return kl
 
 

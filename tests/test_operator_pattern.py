@@ -1,15 +1,20 @@
 """The nonzero pattern an operator keeps from its builder.
 
-``embed``, the hermitian couplers, ``identity``, the projectors of
-``quadrature_basis`` and sums or differences of such operators keep the
-flat indices of their nonzero entries, and ``eigh`` and
-``MeasurementSpec`` read them instead of scanning all dim^2 entries. ``np.nonzero(elements)`` is the oracle: the kept pattern, taken
-as a set, equals it, and the spectrum read through the pattern equals
-the one read by the scan, bit for bit.
+``embed``, the hermitian couplers, ``identity`` and sums or differences of
+such operators keep the flat indices of their nonzero entries; every spec
+constructor builds its projectors this way. ``eigh`` and
+``MeasurementSpec`` read the kept pattern instead of scanning all dim^2
+entries. ``np.flatnonzero(elements)`` is the oracle: the kept pattern,
+taken as a set, equals it, and the spectrum read through the pattern
+equals the one read by the scan, bit for bit. Every operator that reaches
+``eigh`` and every spec projector of the golden batch and of a 9-fermion
+chain keeps one.
 """
 
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +42,10 @@ from qwave import (
     vacuum_one_superposition_basis,
 )
 from qwave import operators, protocols
-from qwave.fock import _hermiticity_gap
-from qwave.operators import embed
+from qwave.cli import EXIT_OK, RunConfig, run
+from qwave.operators import _hermiticity_gap, embed
+
+GOLDEN_BATCH = Path(__file__).parent / "golden" / "batch.json"
 
 STRENGTHS = (0.0, 1.0, -0.37, 1j, 0.6 - 1.25j)
 
@@ -200,3 +207,50 @@ def test_spec_reads_a_kept_pattern_for_hermiticity():
     for p, q in ((bad, rest), (OperatorMatrix(reg, bad.elements), rest)):
         with pytest.raises(ValueError, match=message):
             MeasurementSpec("skew", (("0", p), ("1", q)))
+
+
+def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
+        monkeypatch, tmp_path):
+    seen = []
+    post_init, eigh = MeasurementSpec.__post_init__, OperatorMatrix.eigh
+
+    def recorded_post_init(spec):
+        post_init(spec)
+        seen.extend(p for _, p in spec.projectors)
+
+    def recorded_eigh(op):
+        seen.append(op)
+        return eigh(op)
+
+    monkeypatch.setattr(MeasurementSpec, "__post_init__", recorded_post_init)
+    monkeypatch.setattr(OperatorMatrix, "eigh", recorded_eigh)
+    # the setups that do not depend on phi build their specs afresh
+    for setup in (protocols._photon_swap_setup, protocols._bell_setup,
+                  protocols._aux_setup, protocols._collective_setup):
+        setup.cache_clear()
+    for entry in json.loads(GOLDEN_BATCH.read_text()):
+        config = RunConfig(entry["experiment"], entry["params"],
+                           shots=entry["shots"], seed=entry["seed"],
+                           output_path=str(tmp_path / "report.json"))
+        assert run(config) == EXIT_OK
+    assert len(seen) > 100
+    for op in seen:
+        _assert_pattern_is_nonzero_set(op)
+    # the fermion chain of the chain pipeline, dim 512: each quadrature's
+    # sign string crosses the sites before its mode
+    chain = build_register([fermion(f"f{k}", site) for k, site in
+                            enumerate([Site.A] * 3 + [Site.O] * 3 + [Site.B] * 3)])
+    for k in range(9):
+        seen.clear()
+        quadrature_basis(chain, f"f{k}")
+        assert len(seen) == 2
+        for op in seen:
+            _assert_pattern_is_nonzero_set(op)
+
+
+def test_only_the_operators_module_handles_a_pattern():
+    from qwave import fock, measurement
+
+    for module in (measurement, protocols):
+        assert not {"_adopt", "_Built"} & set(vars(module)), module.__name__
+    assert not hasattr(fock, "_hermiticity_gap")

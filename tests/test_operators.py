@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qwave import operators
-from qwave.fock import MAX_REGISTER_DIM
+from qwave import operators, protocols
+from qwave.fock import MAX_REGISTER_DIM, ModeKind
 from qwave.operators import embed
 
 from qwave import (
@@ -524,7 +524,14 @@ def test_spec_projectors_match_their_dense_formulas():
         spec = quadrature_basis(reg, mode)
         assert np.array_equal(spec.projector("+1").elements, (eye + x) / 2.0)
         assert np.array_equal(spec.projector("-1").elements, (eye - x) / 2.0)
-    for pair in (("t", "f2"), ("f2", "c")):
+    pairs = [(reg, ("t", "f2")), (reg, ("f2", "c"))]
+    # aux-phase's registers; in species order test_b sits between test_a and
+    # aux_a, so the sign string of the first pair's transfer crosses it
+    for kind in (ModeKind.BOSON, ModeKind.FERMION):
+        for order in (protocols._AUX_SITE_ORDER, protocols._AUX_SPECIES_ORDER):
+            aux, _ = protocols._aux_setup(kind, order)
+            pairs += [(aux, ("test_a", "aux_a")), (aux, ("test_b", "aux_b"))]
+    for reg, pair in pairs:
         x, y = (annihilation(reg, m).elements for m in pair)
         t = x.conj().T @ y
         t = t + t.conj().T
@@ -532,7 +539,8 @@ def test_spec_projectors_match_their_dense_formulas():
         spec = plus_minus_basis(reg, *pair)
         assert np.array_equal(spec.projector("+").elements, (t2 + t) / 2.0)
         assert np.array_equal(spec.projector("-").elements, (t2 - t) / 2.0)
-        assert np.array_equal(spec.projector("other").elements, eye - t2)
+        assert np.array_equal(spec.projector("other").elements,
+                              np.eye(reg.dim) - t2)
 
 
 def test_operator_copies_caller_arrays():

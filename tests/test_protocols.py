@@ -612,15 +612,37 @@ def test_sampled_checks_pass_correct_runs_at_small_counts():
     assert aux_particle_phase(0.3, "fermion", 1, 13).passed
 
 
-@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.97])
+@pytest.mark.parametrize("seed", range(3))
+def test_sampled_checks_pass_correct_runs_at_2_62_shots(seed):
+    # a correct frequency's KL is about 1e-19 here, below the rounding of
+    # log(f / p)
+    shots = 2**62
+    assert photon_swap_experiment(0.7, shots, seed).passed
+    assert bell_chain(2, shots, seed).passed
+    for statistics in ("boson", "fermion"):
+        assert aux_particle_phase(0.7, statistics, shots, seed).passed
+    assert collective_chain(0.7, shots, seed).passed
+    assert ab_gauge_check(0.3, 1.1, shots, seed).passed
+
+
+@pytest.mark.parametrize("p, shots", [
+    *(pytest.param(p, 100_000, id=str(p)) for p in (0.01, 0.3, 0.5, 0.97)),
+    *(pytest.param(p, 2**62, id=f"{p}-2**62") for p in (0.01, 0.3, 0.5, 0.97)),
+])
 @pytest.mark.parametrize("direction", [1.0, -1.0])
-def test_sampled_check_fails_a_law_shifted_by_ten_sigma(p, direction):
-    shots = 100_000
+def test_sampled_check_fails_a_law_shifted_by_ten_sigma(p, shots, direction):
     shifted = p + direction * 10.0 * math.sqrt(p * (1.0 - p) / shots)
     for seed in range(50):
         hits = int(np.random.default_rng(seed).binomial(shots, shifted))
         assert not _recorded(hits, shots, p).passed, seed
         assert _recorded(hits, shots, shifted).passed, seed
+
+
+def test_sampled_check_fails_a_lone_hit_on_a_rare_outcome_at_2_60_shots():
+    # f - p rounds to -p here, so the f term must not be read as
+    # f log1p((f - p) / p) = -inf
+    assert not _recorded(1, 2**60, 0.99).passed
+    assert not _recorded(2**60 - 1, 2**60, 0.01).passed
 
 
 def test_sampled_check_fails_a_hit_on_an_impossible_outcome():
