@@ -10,7 +10,8 @@ seed, and each draw within it takes its own stream number, so no two
 
 The projector algebra is checked on a fixed probe block R instead of by
 forming products: a residual matrix E (P^2 - P, P_i P_j, sum P - I or
-PQ - QP) is read as max |E R|, at O(k d^2) instead of O(d^3). R has k = 2
+PQ - QP) is read as max |E R|, at O(k d^2) instead of O(d^3), and at O(k)
+per nonzero for a projector kept as its nonzero entries. R has k = 2
 columns of unit-modulus entries exp(2 pi i u), u drawn from a Philox
 generator with a fixed key, so every verdict is deterministic. A residual
 with one nonzero per row reads exactly its max-element norm; for a general
@@ -77,8 +78,8 @@ class MeasurementSpec:
     entry fails each of these checks). Hermiticity is read exactly over
     each projector's nonzero pattern, the same read as
     ``OperatorMatrix.eigh`` (every constructor here builds projectors that
-    keep their pattern); the other three are read on the probe block (see
-    the module docstring).
+    are kept as their nonzero entries); the other three are read on the
+    probe block (see the module docstring).
     Whether the projectors act only on one site is not part of the spec;
     ``site_locality_gap(spec, site)`` answers it on request (fermionic sign
     strings can reach across sites).
@@ -106,19 +107,19 @@ class MeasurementSpec:
         for _, p in self.projectors:
             _check_same_register(reg, p.register)
         r = _probes(reg.dim)
-        mats = [p.elements for _, p in self.projectors]
-        probed = [m @ r for m in mats]
-        for mr in probed:
-            mr.flags.writeable = False
+        ops = [p for _, p in self.projectors]
+        probed = [p._dot(r) for p in ops]
+        for pr in probed:
+            pr.flags.writeable = False
         object.__setattr__(self, "_probed", tuple(probed))
-        for (label, p), m, mr in zip(self.projectors, mats, probed):
+        for label, p, pr in zip(labels, ops, probed):
             check_within(p._hermiticity_gap()[0], PROJECTOR_ATOL,
                          "projector %r of %r not hermitian", label, self.name)
-            check_within(np.abs(m @ mr - mr).max(), PROJECTOR_ATOL,
+            check_within(np.abs(p._dot(pr) - pr).max(), PROJECTOR_ATOL,
                          "projector %r of %r not idempotent", label, self.name)
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                check_within(np.abs(mats[i] @ probed[j]).max(), PROJECTOR_ATOL,
+        for i in range(len(ops)):
+            for j in range(i + 1, len(ops)):
+                check_within(np.abs(ops[i]._dot(probed[j])).max(), PROJECTOR_ATOL,
                              "projectors %r, %r of %r not orthogonal",
                              labels[i], labels[j], self.name)
         check_within(np.abs(sum(probed) - r).max(), PROJECTOR_ATOL,
@@ -271,7 +272,7 @@ def _check_commuting(specs: list[MeasurementSpec]) -> None:
                 continue
             for (_, p), pr in zip(s.projectors, s._probed):
                 for (_, q), qr in zip(t.projectors, t._probed):
-                    check_within(np.abs(p.elements @ qr - q.elements @ pr).max(),
+                    check_within(np.abs(p._dot(qr) - q._dot(pr)).max(),
                                  PROJECTOR_ATOL,
                                  "%r and %r do not commute, max |(PQ - QP)R|",
                                  s.name, t.name, error=NonCommutingSpecsError)
@@ -291,7 +292,7 @@ def joint_distribution(
     _check_commuting(specs)
     prefixes = [((), state.amplitudes)]
     for s in specs:
-        prefixes = [(labels + (label,), p.elements @ v)
+        prefixes = [(labels + (label,), p._dot(v))
                     for labels, v in prefixes for label, p in s.projectors]
     return {labels: float(np.real(np.vdot(v, v))) for labels, v in prefixes}
 
@@ -371,7 +372,7 @@ def post_select(
     """Project onto one outcome and renormalize; returns (state, probability)."""
     _check_same_register(state.register, spec.register)
     p = spec.projector(outcome)
-    v = p.elements @ state.amplitudes
+    v = p._dot(state.amplitudes)
     prob = float(np.real(np.vdot(v, v)))
     if prob < 1e-12:
         raise ImpossibleOutcomeError(

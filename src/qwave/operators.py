@@ -64,70 +64,139 @@ def _hermiticity_gap(
     return gap, rows, cols
 
 
-class _Built:
-    """A matrix built inside qwave that nothing else references, and, when
-    its builder knows it, its nonzero pattern. Handed to ``OperatorMatrix``,
-    the matrix is frozen in place instead of copied."""
+class _Entries:
+    """The nonzero entries of a matrix built inside qwave: ``values[k]`` at
+    the flat index ``pattern[k] = row * dim + col``, the indices ascending
+    and distinct. Handed to ``OperatorMatrix``, they are kept instead of a
+    dense matrix."""
 
-    __slots__ = ("array", "pattern")
+    __slots__ = ("pattern", "values")
 
-    def __init__(self, array: np.ndarray, pattern: np.ndarray | None):
-        self.array = array
+    def __init__(self, pattern: np.ndarray, values: np.ndarray):
         self.pattern = pattern
+        self.values = values
 
 
-def _adopt(
-    register: ModeRegister, array: np.ndarray, pattern: np.ndarray | None = None
-) -> "OperatorMatrix":
+class _Owned:
+    """A dense matrix built inside qwave that nothing else references.
+    Handed to ``OperatorMatrix``, it is frozen in place instead of copied."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _adopt(register: ModeRegister, array: np.ndarray) -> "OperatorMatrix":
     """Operator on ``register`` that takes over ``array``, a matrix its
-    caller built and keeps no other reference to. ``pattern``, if given,
-    holds the flat indices ``row * dim + col`` of exactly the array's
-    nonzero entries, in any order and possibly repeated."""
-    return OperatorMatrix(register, _Built(array, pattern))
+    caller built and keeps no other reference to."""
+    return OperatorMatrix(register, _Owned(array))
+
+
+def _sparse(
+    register: ModeRegister, pattern: np.ndarray, values: np.ndarray
+) -> "OperatorMatrix":
+    """Operator on ``register`` kept as its entries: ``values[k]`` at the
+    flat index ``pattern[k]``, the indices distinct and in any order, and
+    the values nonzero."""
+    order = np.argsort(pattern)
+    return OperatorMatrix(
+        register, _Entries(pattern[order], values[order].astype(complex)))
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix acting on a register's Hilbert space. Its
-    elements are a read-only, C-contiguous copy of the array given.
+    """Complex matrix acting on a register's Hilbert space. ``elements`` is
+    its dense value: read-only and C-contiguous, and a copy of the array
+    given.
 
     An operator from ``identity``, ``embed`` or a builder on it (ladder
     operators, couplers, quadratures, phase kicks, the projectors of the
     spin, vacuum-one, quadrature and plus/minus measurements), or a sum or
-    difference of two such operators, also keeps its nonzero pattern
-    privately. ``eigh`` and the hermiticity check of ``MeasurementSpec``
-    then read O(nonzeros) entries instead of scanning all dim^2. Any other
-    operator (a caller's array, a product, a scalar multiple, ``dag()``) is
-    scanned when its pattern is needed. Only this module reads or writes a
-    pattern.
+    difference of two such operators, is kept instead as its nonzero
+    entries: their flat indices in ascending order (its pattern) and their
+    values. Its ``elements`` are built on the first read and then kept;
+    threads that race on that read may each build them, and all get the
+    one kept. Products with a vector (``apply``, ``post_select``,
+    ``joint_distribution`` and the checks of ``MeasurementSpec``), sums and
+    differences, ``eigh`` and the hermiticity check read the entries and
+    never build ``elements``. Any other operator (a caller's array, a
+    product, a scalar multiple, ``-x``, ``dag()``) is dense, and its
+    pattern is found by scanning when it is needed. Only this module reads
+    or writes the entries.
     """
 
     register: ModeRegister
     elements: np.ndarray
 
     def __post_init__(self):
-        if type(self.elements) is _Built:
-            pattern = self.elements.pattern
+        given = self.elements
+        if type(given) is _Entries:
+            # ``elements`` is built on first read, by __getattr__
+            del self.__dict__["elements"]
+            object.__setattr__(self, "_pattern", given.pattern)
+            object.__setattr__(self, "_values", given.values)
+            return
+        if type(given) is _Owned:
             # copied only if it is not complex and C-contiguous already
-            mat = np.ascontiguousarray(self.elements.array, dtype=complex)
+            mat = np.ascontiguousarray(given.array, dtype=complex)
         else:
-            pattern = None
-            mat = np.array(self.elements, dtype=complex, order="C")
+            mat = np.array(given, dtype=complex, order="C")
         d = self.register.dim
         if mat.shape != (d, d):
             raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
         mat.flags.writeable = False
         object.__setattr__(self, "elements", mat)
-        if pattern is not None:
-            object.__setattr__(self, "_pattern", pattern)
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set: ``elements`` of an
+        # operator kept as its entries, before its first read
+        if name != "elements" or "_pattern" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        d = self.register.dim
+        mat = np.zeros((d, d), dtype=complex)
+        mat.reshape(-1)[self._pattern] = self._values
+        mat.flags.writeable = False
+        # a thread that got here first has kept its copy; read that one
+        return self.__dict__.setdefault("elements", mat)
 
     def dag(self) -> "OperatorMatrix":
         return _adopt(self.register, np.conjugate(self.elements.T, order="C"))
 
     def _hermiticity_gap(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """:func:`_hermiticity_gap` of the elements, over the kept pattern
-        when there is one."""
-        return _hermiticity_gap(self.elements, self.__dict__.get("_pattern"))
+        """:func:`_hermiticity_gap` of the elements. An operator kept as its
+        entries finds each entry's mirror in its sorted pattern."""
+        pattern = self.__dict__.get("_pattern")
+        if pattern is None:
+            return _hermiticity_gap(self.elements)
+        d = self.register.dim
+        rows, cols = np.divmod(pattern, d)
+        mirror = cols * d + rows
+        at = np.minimum(np.searchsorted(pattern, mirror), len(pattern) - 1)
+        found = pattern[at] == mirror
+        mirrored = np.where(found, self._values[at], 0.0)
+        gap = np.abs(self._values - mirrored.conj()).max(initial=0.0)
+        return gap, rows, cols
+
+    def _dot(self, x: np.ndarray) -> np.ndarray:
+        """The product of this operator with ``x``, a vector or a block of
+        columns of length dim. An operator kept as its entries sums each
+        nonempty row's products in column order; any other multiplies its
+        elements."""
+        if "_pattern" not in self.__dict__:
+            return self.elements @ x
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = self.__dict__.setdefault("_rows", _row_starts(
+                self._pattern, self.register.dim))
+        out = np.zeros(x.shape, dtype=complex)
+        nonempty, starts, cols = rows
+        if len(starts):
+            terms = self._values.reshape((-1,) + (1,) * (x.ndim - 1)) * x[cols]
+            # every segment is a nonempty row, so reduceat sums each one
+            out[nonempty] = np.add.reduceat(terms, starts)
+        return out
 
     def eigh(self) -> "BlockSpectrum":
         """Eigendecomposition block by block; requires hermiticity. Computed
@@ -139,11 +208,14 @@ class OperatorMatrix:
             check_within(gap, NORM_ATOL,
                          "eigendecomposition requires a hermitian operator",
                          error=NotHermitianError)
+            if "_pattern" in self.__dict__:
+                values = self._values
+            else:
+                values = self.elements[rows, cols]
             # like np.linalg.eigh, the blocks read the lower triangle
             lower = rows > cols
-            mat = self.elements
-            label = _connected_components(len(mat), rows[lower], cols[lower])
-            spectrum = BlockSpectrum.of(mat, label)
+            label = _connected_components(self.register.dim, rows[lower], cols[lower])
+            spectrum = BlockSpectrum.of(label, rows, cols, values)
             object.__setattr__(self, "_spectrum", spectrum)
         return spectrum
 
@@ -153,20 +225,28 @@ class OperatorMatrix:
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return self._combined(other, self.elements + other.elements)
+        return self._combined(other, np.add)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return self._combined(other, self.elements - other.elements)
+        return self._combined(other, np.subtract)
 
-    def _combined(self, other: "OperatorMatrix", mat: np.ndarray) -> "OperatorMatrix":
-        """The sum or difference ``mat`` of the two operators; it keeps the
-        union of their patterns, less the entries that came out exactly 0."""
+    def _combined(self, other: "OperatorMatrix", op: np.ufunc) -> "OperatorMatrix":
+        """The sum or difference ``op`` of the two operators. Two operators
+        kept as entries give one kept as the union of their entries, each
+        combined as the dense ``op`` combines it, less those that came out
+        exactly 0; otherwise the result is dense."""
         p, q = self.__dict__.get("_pattern"), other.__dict__.get("_pattern")
         if p is None or q is None:
-            return _adopt(self.register, mat)
-        pattern = np.concatenate((p, q))
-        return _adopt(self.register, mat, pattern[mat.ravel()[pattern] != 0])
+            return _adopt(self.register, op(self.elements, other.elements))
+        pattern = np.union1d(p, q)
+        a = np.zeros(len(pattern), dtype=complex)
+        b = np.zeros(len(pattern), dtype=complex)
+        a[np.searchsorted(pattern, p)] = self._values
+        b[np.searchsorted(pattern, q)] = other._values
+        values = op(a, b)
+        keep = values != 0
+        return OperatorMatrix(self.register, _Entries(pattern[keep], values[keep]))
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
         return _adopt(self.register, self.elements * scalar)
@@ -175,6 +255,16 @@ class OperatorMatrix:
 
     def __neg__(self) -> "OperatorMatrix":
         return _adopt(self.register, -self.elements)
+
+
+def _row_starts(
+    pattern: np.ndarray, dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row-sorted layout of an ascending flat pattern: its nonempty
+    rows, where each starts in the pattern, and the column of each entry."""
+    rows, cols = np.divmod(pattern, dim)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return rows[starts], starts, cols
 
 
 def _connected_components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -216,21 +306,37 @@ class BlockSpectrum:
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     @classmethod
-    def of(cls, mat: np.ndarray, label: np.ndarray) -> "BlockSpectrum":
-        """Decompose the blocks of ``mat`` that ``label`` gives (one label
-        per basis index, shared by the indices of a block), each group of
-        equal-size blocks by one batched ``np.linalg.eigh``."""
-        d = len(mat)
+    def of(
+        cls, label: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+        values: np.ndarray,
+    ) -> "BlockSpectrum":
+        """Decompose the blocks that ``label`` gives (one label per basis
+        index, shared by the indices of a block) of the matrix whose nonzero
+        entries are ``values[k]`` at ``(rows[k], cols[k])``, each group of
+        equal-size blocks by one batched ``np.linalg.eigh``. An entry that
+        joins two blocks is not read."""
+        d = len(label)
         size = np.bincount(label, minlength=d)[label]
         # by block size, then block, then basis index
         order = np.argsort(size * d + label, kind="stable")
         size = size[order]
         cuts = [0, *(np.flatnonzero(size[1:] != size[:-1]) + 1).tolist(), d]
+        # each entry inside a block, by the place of its row and column in
+        # ``order``
+        inside = label[rows] == label[cols]
+        place = np.empty(d, dtype=np.intp)
+        place[order] = np.arange(d)
+        at_row, at_col = place[rows[inside]], place[cols[inside]]
+        values = values[inside]
         groups = []
         for start, stop in zip(cuts, cuts[1:]):
-            index = order[start:stop].reshape(-1, size[start])
-            blocks = mat[index[:, :, None], index[:, None, :]]
-            if index.shape[1] == 1:  # a 1 x 1 block is its own decomposition
+            s = size[start]
+            index = order[start:stop].reshape(-1, s)
+            here = (at_row >= start) & (at_row < stop)
+            r, c = at_row[here] - start, at_col[here] - start
+            blocks = np.zeros((len(index), s, s), dtype=complex)
+            blocks[r // s, r % s, c % s] = values[here]
+            if s == 1:  # a 1 x 1 block is its own decomposition
                 w, v = blocks[:, 0].real, np.ones_like(blocks)
             else:
                 w, v = np.linalg.eigh(blocks)
@@ -261,7 +367,7 @@ class BlockSpectrum:
 
 def identity(register: ModeRegister) -> OperatorMatrix:
     d = register.dim
-    return _adopt(register, np.eye(d, dtype=complex), np.arange(0, d * d, d + 1))
+    return _sparse(register, np.arange(0, d * d, d + 1), np.ones(d))
 
 
 #: One mode's factor as (dim, rows, cols, vals): the nonzero entries of a
@@ -276,9 +382,8 @@ def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> OperatorMat
     Built by scattering nonzeros rather than chaining Kronecker products:
     the factors' nonzero entries combine into flat (row, col) offsets and
     values, which land once on every basis index whose factor digits are
-    all zero. The cost is a constant number of numpy calls plus one write
-    per nonzero of the result, and the operator keeps the flat indices
-    written as its nonzero pattern.
+    all zero. The cost is a constant number of numpy calls plus a sort of
+    the result's nonzeros, which the operator keeps as its entries.
     """
     triplets = {}
     for p in sorted(register.position(label) for label in factors):
@@ -297,31 +402,27 @@ def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> OperatorMat
 def _embed(register: ModeRegister, factors: dict[int, _Factor]) -> OperatorMatrix:
     """:func:`embed` of per-mode factors given by their nonzero entries and
     keyed by mode position."""
-    d = register.dim
-    diagonal, rows, cols, vals = _scatter_pattern(register, factors)
-    mat = np.zeros((d, d), dtype=complex)
-    return _adopt(register, mat, _scatter(mat, diagonal, rows, cols, vals))
+    return _sparse(register, *_scatter(register, *_scatter_pattern(register, factors)))
 
 
 def _scatter(
-    mat: np.ndarray, diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-    vals: np.ndarray,
-) -> np.ndarray:
-    """Write what :func:`_scatter_pattern` gives into ``mat``, skipping the
-    values that are 0, and return the flat indices written."""
+    register: ModeRegister, diagonal: np.ndarray, rows: np.ndarray,
+    cols: np.ndarray, vals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices and values of the entries that
+    :func:`_scatter_pattern` gives, less those whose value is 0."""
     # strength 0, or a product of nonzeros that underflows
     if np.count_nonzero(vals) < len(vals):
         keep = vals != 0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    pattern = diagonal + (rows * len(mat) + cols)
-    mat.reshape(-1)[pattern] = vals
-    return pattern.ravel()
+    pattern = diagonal + (rows * register.dim + cols)
+    return pattern.ravel(), np.broadcast_to(vals, pattern.shape).ravel()
 
 
 def _scatter_pattern(
     register: ModeRegister, factors: dict[int, _Factor]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Where and what :func:`embed` writes: entry (base + rows[k], base +
+    """Where and what :func:`embed` keeps: entry (base + rows[k], base +
     cols[k]) takes vals[k], for every basis index ``base`` whose factor
     digits are all zero. Returns the flat indices ``base * (dim + 1)`` of
     those bases as a column, and rows, cols and vals over the products of
@@ -350,12 +451,12 @@ def _ladder_hermitian(
 ) -> OperatorMatrix:
     """strength * (h + h^H) for the ladder product on distinct modes
     h = a_dag(create[0]) a_dag(create[1]) ... a(annihilate[0]) a(annihilate[1]) ...,
-    written into one buffer.
+    kept as its entries.
 
     Each ladder operator is the embed of per-mode factors, so h is the
     embed of their products mode by mode. h changes some mode's occupation,
-    so no nonzero v = h[r, c] has a nonzero mirror h[c, r], and the buffer
-    takes strength * v at (r, c) and strength * conj(v) at (c, r). A
+    so no nonzero v = h[r, c] has a nonzero mirror h[c, r], and the
+    operator takes strength * v at (r, c) and strength * conj(v) at (c, r). A
     repeated mode would break this (a_dag a is diagonal), so it raises
     UnknownModeError before anything is built.
     """
@@ -368,10 +469,9 @@ def _ladder_hermitian(
         for p, f in term.items():
             factors[p] = _product(factors[p], f) if p in factors else f
     diagonal, rows, cols, vals = _scatter_pattern(register, factors)
-    mat = np.zeros((register.dim, register.dim), dtype=complex)
-    upper = _scatter(mat, diagonal, rows, cols, strength * vals)
-    lower = _scatter(mat, diagonal, cols, rows, strength * np.conj(vals))
-    return _adopt(register, mat, np.concatenate((upper, lower)))
+    upper = _scatter(register, diagonal, rows, cols, strength * vals)
+    lower = _scatter(register, diagonal, cols, rows, strength * np.conj(vals))
+    return _sparse(register, *map(np.concatenate, zip(upper, lower)))
 
 
 def _dense(factor: _Factor) -> np.ndarray:
@@ -631,7 +731,7 @@ def apply(
     """
     _check_same_register(op.register, state.register)
     return from_amplitudes(
-        state.register, op.elements @ state.amplitudes, normalize=renormalize
+        state.register, op._dot(state.amplitudes), normalize=renormalize
     )
 
 

@@ -255,19 +255,14 @@ def test_a_second_run_validates_no_spec_and_decomposes_nothing(
 
 
 def _held_arrays(value):
-    """The arrays a setup's value holds: elements, patterns and spectra of
-    its operators, the probe products of its specs and the amplitudes of
-    its states."""
+    """The arrays a setup's value holds: the entries or elements, row
+    layouts and spectra of its operators, the probe products of its specs
+    and the amplitudes of its states."""
     if isinstance(value, tuple):
         for item in value:
             yield from _held_arrays(item)
     elif isinstance(value, OperatorMatrix):
-        yield value.elements
-        if "_pattern" in value.__dict__:
-            yield value.__dict__["_pattern"]
-        if "_spectrum" in value.__dict__:
-            for group in value.__dict__["_spectrum"].groups:
-                yield from group
+        yield from _op_arrays(value)
     elif isinstance(value, MeasurementSpec):
         for _, p in value.projectors:
             yield from _held_arrays(p)
@@ -277,11 +272,14 @@ def _held_arrays(value):
 
 
 def _op_arrays(op):
-    spectrum = op.__dict__.get("_spectrum")
+    """The arrays an operator holds, read without building any: its
+    elements once they exist, its entries and their row layout, and its
+    spectrum."""
+    held = op.__dict__
+    spectrum = held.get("_spectrum")
     groups = spectrum.groups if spectrum is not None else ()
-    pattern = op.__dict__.get("_pattern")
-    return [op.elements, *([] if pattern is None else [pattern]),
-            *(a for group in groups for a in group)]
+    return [*(held[k] for k in ("elements", "_pattern", "_values") if k in held),
+            *held.get("_rows", ()), *(a for group in groups for a in group)]
 
 
 def _spec_arrays(spec):

@@ -14,6 +14,7 @@ chain keeps one.
 import json
 import math
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +28,24 @@ from qwave import (
     OperatorMatrix,
     Site,
     annihilation,
+    apply,
+    born_probabilities,
     boson,
     build_register,
     creation,
+    evolve,
     fermion,
     identity,
     pair_exchange,
     phase_kick,
+    post_select,
     quadrature,
     quadrature_basis,
     spin_direction_measurement,
     swap_coupler,
     two_level,
     vacuum_one_superposition_basis,
+    vacuum_state,
 )
 from qwave import operators, protocols
 from qwave.cli import EXIT_OK, RunConfig, run
@@ -252,5 +258,69 @@ def test_only_the_operators_module_handles_a_pattern():
     from qwave import fock, measurement
 
     for module in (measurement, protocols):
-        assert not {"_adopt", "_Built"} & set(vars(module)), module.__name__
+        assert not ({"_adopt", "_sparse", "_Entries", "_Owned"}
+                    & set(vars(module))), module.__name__
     assert not hasattr(fock, "_hermiticity_gap")
+
+
+def _kept_entries_only(op: OperatorMatrix) -> bool:
+    return _pattern(op) is not None and "elements" not in op.__dict__
+
+
+def test_elements_are_built_on_the_first_read_and_kept():
+    reg = build_register([boson("field", 40), two_level("atom")])
+    h = swap_coupler(reg, "field", "atom", 0.8)
+    spec = spin_direction_measurement(reg, "atom", 0.3)
+    psi = evolve(apply(creation(reg, "field"), vacuum_state(reg)), h, 0.7)
+    born_probabilities(psi, spec)
+    post_select(psi, spec, "+1")
+    assert _kept_entries_only(h) and _kept_entries_only(h + h)
+    assert all(_kept_entries_only(p) for _, p in spec.projectors)
+    dense = np.zeros(reg.dim**2, dtype=complex)
+    dense[_pattern(h)] = h.__dict__["_values"]
+    first = h.elements
+    assert np.array_equal(first, dense.reshape(reg.dim, reg.dim))
+    assert not first.flags.writeable and h.elements is first
+
+
+def test_threads_racing_on_the_first_read_get_one_whole_matrix():
+    reg = build_register([boson("field", 300), two_level("atom")])
+    h = swap_coupler(reg, "field", "atom", 0.8)
+    want = OperatorMatrix(reg, h.elements)
+    for _ in range(3):
+        h = swap_coupler(reg, "field", "atom", 0.8)
+        start, got = threading.Barrier(4), []
+
+        def read():
+            start.wait()
+            got.append(h.elements)
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(g is h.elements for g in got)
+        assert np.array_equal(h.elements, want.elements)
+
+
+@settings(max_examples=30, deadline=None)
+@given(reg=_registers(), seed=st.integers(0, 2**32 - 1))
+def test_products_by_the_entries_match_the_dense_products(reg, seed):
+    rng = np.random.default_rng(seed)
+    labels = [m.label for m in reg.modes]
+    mode = labels[rng.integers(len(labels))]
+    # annihilation has an empty last row per mode block, and x - x no
+    # entry at all
+    a = annihilation(reg, mode)
+    ops = [a, creation(reg, mode), quadrature(reg, mode), a - a, identity(reg),
+           embed(reg, {mode: _random_factor(rng, reg.mode(mode).dim)})]
+    assert all(map(_kept_entries_only, ops))
+    d = reg.dim
+    for x in (rng.normal(size=d) + 1j * rng.normal(size=d),
+              rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))):
+        for op in ops:
+            got = op._dot(x)
+            want = op.elements @ x
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())

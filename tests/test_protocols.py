@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,14 +20,23 @@ from qwave import (
     ab_gauge_check,
     aux_particle_phase,
     bell_chain,
+    born_probabilities,
+    boson,
+    build_register,
     coherent_factorization,
     coincidence_rate,
     collective_chain,
+    fermion,
     fermion_nogo,
     lhv_max_satisfied,
     photon_swap_experiment,
+    post_select,
+    prepare_superposition,
+    quadrature_basis,
     rabi_rotation,
     site_locality_gap,
+    swap_coupler,
+    two_level,
 )
 from qwave import OperatorMatrix, protocols
 from qwave.fock import MAX_REGISTER_DIM
@@ -456,7 +466,8 @@ _LAUNCHER = ("import subprocess, sys; "
 
 
 @pytest.mark.parametrize("call, bound_mb", [
-    # one dense 256 MiB generator, plus less than one more
+    # the generator is kept as its nonzero entries, so what is left is the
+    # (times x dim) propagation table and its excited half
     (f"rabi_rotation(40, {MAX_REGISTER_DIM // 2 - 1})", 512),
     # means come from the occupation table, so no d x d matrix at all
     (f"coherent_factorization(5, {math.isqrt(MAX_REGISTER_DIM) - 1})", 128),
@@ -473,6 +484,46 @@ def test_peak_memory_at_the_dimension_limit(call, bound_mb):
     passed, peak_mb = proc.stdout.split()
     assert passed == "True", proc.stderr
     assert float(peak_mb) <= bound_mb, (call, peak_mb, proc.stderr)
+
+
+def _traced_peak(work) -> int:
+    """Peak bytes that tracemalloc, which sees numpy's buffers, traces
+    while ``work`` runs."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _rabi_generator_spectrum():
+    reg = build_register([boson("field", MAX_REGISTER_DIM // 2 - 1), two_level("atom")])
+    swap_coupler(reg, "field", "atom", 1.0).eigh()
+    return reg.dim
+
+
+def _chain_pipeline_specs():
+    sites = [Site.A] * 3 + [Site.O] * 3 + [Site.B] * 3
+    reg = build_register([fermion(f"f{k}", s) for k, s in enumerate(sites)])
+    psi = prepare_superposition(reg, "f1", "f7", 0.4)
+    first, second = quadrature_basis(reg, "f1"), quadrature_basis(reg, "f7")
+    for spec in (first, second):
+        born_probabilities(psi, spec)
+    kept, _ = post_select(psi, first, "+1")
+    born_probabilities(kept, second)
+    return reg.dim
+
+
+@pytest.mark.parametrize("work", [_rabi_generator_spectrum, _chain_pipeline_specs])
+def test_built_operators_allocate_no_dense_matrix(work):
+    # rabi's generator and its spectrum at the dimension limit, and the
+    # chain pipeline's two quadrature specs with the reads made on them,
+    # each allocate less than one d x d complex array; a first untraced
+    # run makes the imports and caches that any first call makes
+    dim = work()
+    peak = _traced_peak(work)
+    assert peak < 16 * dim**2, (work.__name__, dim, peak)
 
 
 # --- collective chain -------------------------------------------------------------
