@@ -101,7 +101,7 @@ def _sparse(
     the values nonzero."""
     order = np.argsort(pattern)
     return OperatorMatrix(
-        register, _Entries(pattern[order], values[order].astype(complex)))
+        register, _Entries(pattern[order], values[order].astype(complex, copy=False)))
 
 
 @dataclass(frozen=True)
@@ -184,18 +184,22 @@ class OperatorMatrix:
         columns of length dim. An operator kept as its entries sums each
         nonempty row's products in column order; any other multiplies its
         elements."""
-        if "_pattern" not in self.__dict__:
-            return self.elements @ x
-        rows = self.__dict__.get("_rows")
-        if rows is None:
-            rows = self.__dict__.setdefault("_rows", _row_starts(
-                self._pattern, self.register.dim))
-        out = np.zeros(x.shape, dtype=complex)
-        nonempty, starts, cols = rows
-        if len(starts):
-            terms = self._values.reshape((-1,) + (1,) * (x.ndim - 1)) * x[cols]
+        layout = self.__dict__.get("_layout")
+        if layout is None:
+            if "_pattern" not in self.__dict__:
+                return self.elements @ x
+            layout = self.__dict__.setdefault(
+                "_layout", _row_layout(self._pattern, self.register.dim))
+        nonempty, starts, cols = layout
+        values = self._values
+        terms = (values if x.ndim == 1 else values[:, None]) * x[cols]
+        if starts is not None:
             # every segment is a nonempty row, so reduceat sums each one
-            out[nonempty] = np.add.reduceat(terms, starts)
+            terms = np.add.reduceat(terms, starts)
+        if nonempty is None:
+            return terms
+        out = np.zeros(x.shape, dtype=complex)
+        out[nonempty] = terms
         return out
 
     def eigh(self) -> "BlockSpectrum":
@@ -257,14 +261,17 @@ class OperatorMatrix:
         return _adopt(self.register, -self.elements)
 
 
-def _row_starts(
+def _row_layout(
     pattern: np.ndarray, dim: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
     """The row-sorted layout of an ascending flat pattern: its nonempty
-    rows, where each starts in the pattern, and the column of each entry."""
+    rows (None when that is every row), where each starts in the pattern
+    (None when each holds one entry), and the column of each entry."""
     rows, cols = np.divmod(pattern, dim)
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return rows[starts], starts, cols
+    nonempty = rows[starts]
+    return (None if len(nonempty) == dim else nonempty,
+            None if len(starts) == len(rows) else starts, cols)
 
 
 def _connected_components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -278,8 +278,9 @@ def _op_arrays(op):
     held = op.__dict__
     spectrum = held.get("_spectrum")
     groups = spectrum.groups if spectrum is not None else ()
+    layout = [a for a in held.get("_layout", ()) if a is not None]
     return [*(held[k] for k in ("elements", "_pattern", "_values") if k in held),
-            *held.get("_rows", ()), *(a for group in groups for a in group)]
+            *layout, *(a for group in groups for a in group)]
 
 
 def _spec_arrays(spec):

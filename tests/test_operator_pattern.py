@@ -4,7 +4,8 @@
 such operators keep the flat indices of their nonzero entries; every spec
 constructor builds its projectors this way. ``eigh`` and
 ``MeasurementSpec`` read the kept pattern instead of scanning all dim^2
-entries. ``np.flatnonzero(elements)`` is the oracle: the kept pattern,
+entries, products read the kept entries, and ``elements`` is built only
+when it is read. ``np.flatnonzero(elements)`` is the oracle: the kept pattern,
 taken as a set, equals it, and the spectrum read through the pattern
 equals the one read by the scan, bit for bit. Every operator that reaches
 ``eigh`` and every spec projector of the golden batch and of a 9-fermion
