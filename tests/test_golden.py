@@ -16,12 +16,14 @@ with ``qwave list > tests/golden/catalog.json``. ``run-help.txt`` pins
 ``qwave run --help`` at a terminal width of 80 columns; regenerate it with
 ``COLUMNS=80 qwave run --help > tests/golden/run-help.txt``.
 
-The bytes are pinned on the default BLAS kernel only. Under the OpenBLAS
-kernels ``Sandybridge`` and ``Prescott`` the batch must give the same
-parameters, seeds, shots, verdicts and sampled values and counts, and
-analytic values and discrepancies within 1e-13 of the goldens: a
-different kernel sums in another order, which moves the last bits of a
-closed-form check and nothing else.
+The bytes are pinned on the default BLAS kernel. Under the OpenBLAS
+kernels ``Sandybridge`` and ``Prescott`` every report must keep its bytes,
+except those that ``KERNEL_MOVES`` lists for the kernel. Those must give
+the same parameters, seeds, shots, verdicts and sampled values and counts,
+and analytic values and discrepancies within 1e-13 of the goldens: a
+different kernel sums the BLAS products that are left (``np.vdot``,
+``propagate``'s ``matmul`` and the dense operator products) in another
+order, which moves the last bits of a closed-form check and nothing else.
 """
 
 import json
@@ -38,6 +40,16 @@ import qwave
 from qwave.cli import EXIT_OK, RunConfig, main, run
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: The reports whose analytic values move under each kernel.
+KERNEL_MOVES = {
+    "Sandybridge": {"coherent-factorization.json", "collective-chain-phi0.json",
+                    "collective-chain-phipi.json"},
+    "Prescott": {"coherent-factorization-alpha3-cutoff40.json",
+                 "coherent-factorization.json", "collective-chain-phi0.json",
+                 "collective-chain-phipi.json", "fermion-nogo.json",
+                 "rabi-alpha10-cutoff160.json", "rabi.json"},
+}
 ENTRIES = json.loads((GOLDEN / "batch.json").read_text())
 
 
@@ -123,6 +135,9 @@ def test_reports_on_other_blas_kernels_move_only_analytic_last_bits(
     _batch_in_fresh_interpreter(entries, tmp_path, OPENBLAS_CORETYPE=coretype)
     for entry in entries:
         name = Path(entry["out"]).name
+        if name not in KERNEL_MOVES[coretype]:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+            continue
         got = json.loads((tmp_path / name).read_text())
         want = json.loads((GOLDEN / name).read_text())
         assert got.keys() == want.keys(), name
