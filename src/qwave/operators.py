@@ -99,9 +99,27 @@ def _sparse(
     """Operator on ``register`` kept as its entries: ``values[k]`` at the
     flat index ``pattern[k]``, the indices distinct and in any order, and
     the values nonzero."""
-    order = np.argsort(pattern)
+    order = pattern.argsort()
     return OperatorMatrix(
         register, _Entries(pattern[order], values[order].astype(complex, copy=False)))
+
+
+class _BuiltOnRead:
+    """The ``elements`` field of ``OperatorMatrix``, which has no default.
+    An operator kept as its entries holds no ``elements`` of its own until
+    the first read, which builds the dense read-only matrix and keeps it on
+    the operator; threads that race on that read may each build one, and
+    all get the one kept."""
+
+    def __get__(self, op, owner=None):
+        if op is None:
+            raise AttributeError("elements")
+        d = op.register.dim
+        mat = np.zeros((d, d), dtype=complex)
+        mat.reshape(-1)[op._pattern] = op._values
+        mat.flags.writeable = False
+        # a thread that got here first has kept its copy; read that one
+        return op.__dict__.setdefault("elements", mat)
 
 
 @dataclass(frozen=True)
@@ -127,12 +145,12 @@ class OperatorMatrix:
     """
 
     register: ModeRegister
-    elements: np.ndarray
+    elements: np.ndarray = _BuiltOnRead()
 
     def __post_init__(self):
         given = self.elements
         if type(given) is _Entries:
-            # ``elements`` is built on first read, by __getattr__
+            # ``elements`` is built on the first read
             del self.__dict__["elements"]
             object.__setattr__(self, "_pattern", given.pattern)
             object.__setattr__(self, "_values", given.values)
@@ -148,19 +166,6 @@ class OperatorMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "elements", mat)
 
-    def __getattr__(self, name: str):
-        # reached only for an attribute that is not set: ``elements`` of an
-        # operator kept as its entries, before its first read
-        if name != "elements" or "_pattern" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        d = self.register.dim
-        mat = np.zeros((d, d), dtype=complex)
-        mat.reshape(-1)[self._pattern] = self._values
-        mat.flags.writeable = False
-        # a thread that got here first has kept its copy; read that one
-        return self.__dict__.setdefault("elements", mat)
-
     def dag(self) -> "OperatorMatrix":
         return _adopt(self.register, np.conjugate(self.elements.T, order="C"))
 
@@ -173,34 +178,25 @@ class OperatorMatrix:
         d = self.register.dim
         rows, cols = np.divmod(pattern, d)
         mirror = cols * d + rows
-        at = np.minimum(np.searchsorted(pattern, mirror), len(pattern) - 1)
-        found = pattern[at] == mirror
-        mirrored = np.where(found, self._values[at], 0.0)
+        at = pattern.searchsorted(mirror)
+        found = pattern.take(at, mode="clip") == mirror
+        mirrored = np.where(found, self._values.take(at, mode="clip"), 0.0)
         gap = np.abs(self._values - mirrored.conj()).max(initial=0.0)
         return gap, rows, cols
 
     def _dot(self, x: np.ndarray) -> np.ndarray:
         """The product of this operator with ``x``, a vector or a block of
         columns of length dim. An operator kept as its entries sums each
-        nonempty row's products in column order; any other multiplies its
-        elements."""
+        row's products in column order; any other multiplies its elements."""
         layout = self.__dict__.get("_layout")
         if layout is None:
             if "_pattern" not in self.__dict__:
                 return self.elements @ x
-            layout = self.__dict__.setdefault(
-                "_layout", _row_layout(self._pattern, self.register.dim))
-        nonempty, starts, cols = layout
-        values = self._values
+            layout = self.__dict__.setdefault("_layout", _row_layout(
+                self._pattern, self._values, self.register.dim))
+        starts, cols, values = layout
         terms = (values if x.ndim == 1 else values[:, None]) * x[cols]
-        if starts is not None:
-            # every segment is a nonempty row, so reduceat sums each one
-            terms = np.add.reduceat(terms, starts)
-        if nonempty is None:
-            return terms
-        out = np.zeros(x.shape, dtype=complex)
-        out[nonempty] = terms
-        return out
+        return terms if starts is None else np.add.reduceat(terms, starts)
 
     def eigh(self) -> "BlockSpectrum":
         """Eigendecomposition block by block; requires hermiticity. Computed
@@ -243,11 +239,11 @@ class OperatorMatrix:
         p, q = self.__dict__.get("_pattern"), other.__dict__.get("_pattern")
         if p is None or q is None:
             return _adopt(self.register, op(self.elements, other.elements))
-        pattern = np.union1d(p, q)
+        pattern = _distinct(np.concatenate((p, q)))
         a = np.zeros(len(pattern), dtype=complex)
         b = np.zeros(len(pattern), dtype=complex)
-        a[np.searchsorted(pattern, p)] = self._values
-        b[np.searchsorted(pattern, q)] = other._values
+        a[pattern.searchsorted(p)] = self._values
+        b[pattern.searchsorted(q)] = other._values
         values = op(a, b)
         keep = values != 0
         return OperatorMatrix(self.register, _Entries(pattern[keep], values[keep]))
@@ -262,16 +258,38 @@ class OperatorMatrix:
 
 
 def _row_layout(
-    pattern: np.ndarray, dim: int
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
-    """The row-sorted layout of an ascending flat pattern: its nonempty
-    rows (None when that is every row), where each starts in the pattern
-    (None when each holds one entry), and the column of each entry."""
+    pattern: np.ndarray, values: np.ndarray, dim: int
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The entries of an ascending flat pattern laid out row by row, so
+    that ``np.add.reduceat`` sums each row's products: where each row
+    starts (None when each holds one entry), and the column and value of
+    each entry. ``reduceat`` gives no 0 for an empty segment, so an empty
+    row holds one entry of value 0 on the diagonal."""
     rows, cols = np.divmod(pattern, dim)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    nonempty = rows[starts]
-    return (None if len(nonempty) == dim else nonempty,
-            None if len(starts) == len(rows) else starts, cols)
+    counts = np.bincount(rows, minlength=dim)
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
+        order = np.concatenate((rows, empty)).argsort(kind="stable")
+        cols = np.concatenate((cols, empty))[order]
+        values = np.concatenate((values, np.zeros(len(empty))))[order]
+        counts[empty] = 1
+    if len(cols) == dim:
+        return None, cols, values
+    return np.cumsum(counts) - counts, cols, values
+
+
+def _first_of_each(a: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted ``a`` differs from the one before."""
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending."""
+    a.sort()
+    return a[_first_of_each(a)]
 
 
 def _connected_components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -423,7 +441,9 @@ def _scatter(
         keep = vals != 0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     pattern = diagonal + (rows * register.dim + cols)
-    return pattern.ravel(), np.broadcast_to(vals, pattern.shape).ravel()
+    values = np.empty(pattern.shape, dtype=complex)
+    values[...] = vals
+    return pattern.ravel(), values.ravel()
 
 
 def _scatter_pattern(
