@@ -278,18 +278,13 @@ def _row_layout(
     return np.cumsum(counts) - counts, cols, values
 
 
-def _first_of_each(a: np.ndarray) -> np.ndarray:
-    """Whether each entry of the sorted ``a`` differs from the one before."""
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending; ``a`` is sorted in place."""
+    a.sort()
     first = np.empty(len(a), dtype=bool)
     first[:1] = True
     np.not_equal(a[1:], a[:-1], out=first[1:])
-    return first
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a``, ascending."""
-    a.sort()
-    return a[_first_of_each(a)]
+    return a[first]
 
 
 def _connected_components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

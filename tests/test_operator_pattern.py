@@ -15,6 +15,7 @@ chain keeps one.
 import json
 import math
 import re
+import sys
 import threading
 from pathlib import Path
 
@@ -286,23 +287,28 @@ def test_elements_are_built_on_the_first_read_and_kept():
 
 def test_threads_racing_on_the_first_read_get_one_whole_matrix():
     reg = build_register([boson("field", 300), two_level("atom")])
-    h = swap_coupler(reg, "field", "atom", 0.8)
-    want = OperatorMatrix(reg, h.elements)
-    for _ in range(3):
-        h = swap_coupler(reg, "field", "atom", 0.8)
-        start, got = threading.Barrier(4), []
+    want = swap_coupler(reg, "field", "atom", 0.8).elements
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            h = swap_coupler(reg, "field", "atom", 0.8)
+            start, got = threading.Barrier(4), []
 
-        def read():
-            start.wait()
-            got.append(h.elements)
+            def read():
+                start.wait(timeout=10)
+                got.append(h.elements)
 
-        threads = [threading.Thread(target=read) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(g is h.elements for g in got)
-        assert np.array_equal(h.elements, want.elements)
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 4 and all(g is h.elements for g in got)
+            assert np.array_equal(h.elements, want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @settings(max_examples=30, deadline=None)
