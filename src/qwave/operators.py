@@ -42,55 +42,16 @@ from .fock import (
 )
 
 
-def _hermiticity_gap(
-    mat: np.ndarray, pattern: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """max |H[r, c] - conj(H[c, r])| over the nonzero pattern (r, c) of a
-    square matrix H, and that pattern as row and column index arrays. The
-    gap equals the dense scan max |H - H^H|: an entry outside the pattern
-    and its mirror contribute 0 when both are zero and are read at the
-    mirror otherwise, and a NaN entry is nonzero, so a NaN gap carries
-    through.
-
-    ``pattern`` holds the flat indices ``r * len(H) + c`` of H's nonzero
-    entries when the caller knows them, in any order and possibly
-    repeated; neither the gap nor the pattern's connected components
-    depend on that. Without it the pattern is found by scanning H, in C
-    order."""
-    if pattern is None:
-        pattern = np.flatnonzero(mat != 0)
-    rows, cols = np.divmod(pattern, len(mat))
-    gap = np.abs(mat[rows, cols] - mat[cols, rows].conj()).max(initial=0.0)
-    return gap, rows, cols
-
-
 class _Entries:
     """The nonzero entries of a matrix built inside qwave: ``values[k]`` at
     the flat index ``pattern[k] = row * dim + col``, the indices ascending
-    and distinct. Handed to ``OperatorMatrix``, they are kept instead of a
-    dense matrix."""
+    and distinct. Handed to ``OperatorMatrix``, they are kept as they are."""
 
     __slots__ = ("pattern", "values")
 
     def __init__(self, pattern: np.ndarray, values: np.ndarray):
         self.pattern = pattern
         self.values = values
-
-
-class _Owned:
-    """A dense matrix built inside qwave that nothing else references.
-    Handed to ``OperatorMatrix``, it is frozen in place instead of copied."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-
-def _adopt(register: ModeRegister, array: np.ndarray) -> "OperatorMatrix":
-    """Operator on ``register`` that takes over ``array``, a matrix its
-    caller built and keeps no other reference to."""
-    return OperatorMatrix(register, _Owned(array))
 
 
 def _sparse(
@@ -106,10 +67,10 @@ def _sparse(
 
 class _BuiltOnRead:
     """The ``elements`` field of ``OperatorMatrix``, which has no default.
-    An operator kept as its entries holds no ``elements`` of its own until
-    the first read, which builds the dense read-only matrix and keeps it on
-    the operator; threads that race on that read may each build one, and
-    all get the one kept."""
+    An operator built from its entries holds no ``elements`` of its own
+    until the first read, which builds the dense read-only matrix and keeps
+    it on the operator; threads that race on that read may each build one,
+    and all get the one kept."""
 
     def __get__(self, op, owner=None):
         if op is None:
@@ -124,24 +85,25 @@ class _BuiltOnRead:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Complex matrix acting on a register's Hilbert space. ``elements`` is
-    its dense value: read-only and C-contiguous, and a copy of the array
-    given.
+    """Complex matrix acting on a register's Hilbert space, kept as its
+    nonzero entries: their flat indices ``row * dim + col`` in ascending
+    order (its pattern) and their values. ``elements`` is its dense value,
+    read-only and C-contiguous.
 
-    An operator from ``identity``, ``embed`` or a builder on it (ladder
-    operators, couplers, quadratures, phase kicks, the projectors of the
-    spin, vacuum-one, quadrature and plus/minus measurements), or a sum or
-    difference of two such operators, is kept instead as its nonzero
-    entries: their flat indices in ascending order (its pattern) and their
-    values. Its ``elements`` are built on the first read and then kept;
-    threads that race on that read may each build them, and all get the
-    one kept. Products with a vector (``apply``, ``post_select``,
-    ``joint_distribution`` and the checks of ``MeasurementSpec``), sums and
-    differences, ``eigh`` and the hermiticity check read the entries and
-    never build ``elements``. Any other operator (a caller's array, a
-    product, a scalar multiple, ``-x``, ``dag()``) is dense, and its
-    pattern is found by scanning when it is needed. Only this module reads
-    or writes the entries.
+    A caller's array is copied and frozen as ``elements``, and its entries
+    are found once by scanning it; a NaN entry is nonzero. Every other
+    operator comes from entries: those of ``identity``, ``embed`` and the
+    builders on it (ladder operators, couplers, quadratures, phase kicks,
+    the projectors of the spin, vacuum-one, quadrature and plus/minus
+    measurements), and those of sums, differences, scalar multiples,
+    ``-x`` and ``dag()``, which drop what comes out exactly 0. Its
+    ``elements`` are built on the first read and then kept; threads that
+    race on that read may each build them, and all get the one kept.
+    Products with a vector or a matrix (``apply``, ``post_select``,
+    ``joint_distribution``, ``commutator_norm`` and the checks of
+    ``MeasurementSpec``), ``eigh`` and the hermiticity check read the
+    entries and never build ``elements``; ``@`` multiplies the two
+    ``elements``. Only this module reads or writes the entries.
     """
 
     register: ModeRegister
@@ -152,29 +114,32 @@ class OperatorMatrix:
         if type(given) is _Entries:
             # ``elements`` is built on the first read
             del self.__dict__["elements"]
-            object.__setattr__(self, "_pattern", given.pattern)
-            object.__setattr__(self, "_values", given.values)
-            return
-        if type(given) is _Owned:
-            # copied only if it is not complex and C-contiguous already
-            mat = np.ascontiguousarray(given.array, dtype=complex)
+            pattern, values = given.pattern, given.values
         else:
             mat = np.array(given, dtype=complex, order="C")
-        d = self.register.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
-        mat.flags.writeable = False
-        object.__setattr__(self, "elements", mat)
+            d = self.register.dim
+            if mat.shape != (d, d):
+                raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
+            mat.flags.writeable = False
+            object.__setattr__(self, "elements", mat)
+            pattern = np.flatnonzero(mat)
+            values = mat.reshape(-1)[pattern]
+        object.__setattr__(self, "_pattern", pattern)
+        object.__setattr__(self, "_values", values)
 
     def dag(self) -> "OperatorMatrix":
-        return _adopt(self.register, np.conjugate(self.elements.T, order="C"))
+        rows, cols = np.divmod(self._pattern, self.register.dim)
+        return _sparse(self.register, cols * self.register.dim + rows,
+                       self._values.conj())
 
     def _hermiticity_gap(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """:func:`_hermiticity_gap` of the elements. An operator kept as its
-        entries finds each entry's mirror in its sorted pattern."""
-        pattern = self.__dict__.get("_pattern")
-        if pattern is None:
-            return _hermiticity_gap(self.elements)
+        """max |H[r, c] - conj(H[c, r])| over the pattern (r, c), and the
+        pattern as row and column index arrays. Each entry's mirror is found
+        in the sorted pattern. The gap equals the dense scan max |H - H^H|:
+        an entry outside the pattern and its mirror contribute 0 when both
+        are zero and are read at the mirror otherwise, and a NaN gap
+        carries through."""
+        pattern = self._pattern
         d = self.register.dim
         rows, cols = np.divmod(pattern, d)
         mirror = cols * d + rows
@@ -186,12 +151,10 @@ class OperatorMatrix:
 
     def _dot(self, x: np.ndarray) -> np.ndarray:
         """The product of this operator with ``x``, a vector or a block of
-        columns of length dim. An operator kept as its entries sums each
-        row's products in column order; any other multiplies its elements."""
+        columns of length dim: each row's products summed in column
+        order."""
         layout = self.__dict__.get("_layout")
         if layout is None:
-            if "_pattern" not in self.__dict__:
-                return self.elements @ x
             layout = self.__dict__.setdefault("_layout", _row_layout(
                 self._pattern, self._values, self.register.dim))
         starts, cols, values = layout
@@ -208,20 +171,16 @@ class OperatorMatrix:
             check_within(gap, NORM_ATOL,
                          "eigendecomposition requires a hermitian operator",
                          error=NotHermitianError)
-            if "_pattern" in self.__dict__:
-                values = self._values
-            else:
-                values = self.elements[rows, cols]
             # like np.linalg.eigh, the blocks read the lower triangle
             lower = rows > cols
             label = _connected_components(self.register.dim, rows[lower], cols[lower])
-            spectrum = BlockSpectrum.of(label, rows, cols, values)
+            spectrum = BlockSpectrum.of(label, rows, cols, self._values)
             object.__setattr__(self, "_spectrum", spectrum)
         return spectrum
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return _adopt(self.register, self.elements @ other.elements)
+        return OperatorMatrix(self.register, self.elements @ other.elements)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
@@ -232,29 +191,30 @@ class OperatorMatrix:
         return self._combined(other, np.subtract)
 
     def _combined(self, other: "OperatorMatrix", op: np.ufunc) -> "OperatorMatrix":
-        """The sum or difference ``op`` of the two operators. Two operators
-        kept as entries give one kept as the union of their entries, each
-        combined as the dense ``op`` combines it, less those that came out
-        exactly 0; otherwise the result is dense."""
-        p, q = self.__dict__.get("_pattern"), other.__dict__.get("_pattern")
-        if p is None or q is None:
-            return _adopt(self.register, op(self.elements, other.elements))
+        """The sum or difference ``op`` of the two operators: the union of
+        their entries, each combined as the dense ``op`` combines it, less
+        those that came out exactly 0."""
+        p, q = self._pattern, other._pattern
         pattern = _distinct(np.concatenate((p, q)))
         a = np.zeros(len(pattern), dtype=complex)
         b = np.zeros(len(pattern), dtype=complex)
         a[pattern.searchsorted(p)] = self._values
         b[pattern.searchsorted(q)] = other._values
-        values = op(a, b)
-        keep = values != 0
-        return OperatorMatrix(self.register, _Entries(pattern[keep], values[keep]))
+        return self._kept(pattern, op(a, b))
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return _adopt(self.register, self.elements * scalar)
+        return self._kept(self._pattern, self._values * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "OperatorMatrix":
-        return _adopt(self.register, -self.elements)
+        return OperatorMatrix(self.register, _Entries(self._pattern, -self._values))
+
+    def _kept(self, pattern: np.ndarray, values: np.ndarray) -> "OperatorMatrix":
+        """Operator on this register with ``values`` at the ascending
+        ``pattern``, less those that are exactly 0."""
+        keep = values != 0
+        return OperatorMatrix(self.register, _Entries(pattern[keep], values[keep]))
 
 
 def _row_layout(
@@ -760,5 +720,5 @@ def apply(
 def commutator_norm(x: OperatorMatrix, y: OperatorMatrix) -> float:
     """Max-norm of the commutator XY - YX."""
     _check_same_register(x.register, y.register)
-    c = x.elements @ y.elements - y.elements @ x.elements
+    c = x._dot(y.elements) - y._dot(x.elements)
     return float(np.abs(c).max())

@@ -21,9 +21,9 @@ kernels ``Sandybridge`` and ``Prescott`` every report must keep its bytes,
 except those that ``KERNEL_MOVES`` lists for the kernel. Those must give
 the same parameters, seeds, shots, verdicts and sampled values and counts,
 and analytic values and discrepancies within 1e-13 of the goldens: a
-different kernel sums the BLAS products that are left (``np.vdot``,
-``propagate``'s ``matmul`` and the dense operator products) in another
-order, which moves the last bits of a closed-form check and nothing else.
+different kernel sums the BLAS products that are left (``np.vdot`` and
+``propagate``'s ``matmul``) in another order, which moves the last bits of
+a closed-form check and nothing else.
 """
 
 import json
@@ -43,12 +43,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 #: The reports whose analytic values move under each kernel.
 KERNEL_MOVES = {
-    "Sandybridge": {"coherent-factorization.json", "collective-chain-phi0.json",
-                    "collective-chain-phipi.json"},
+    "Sandybridge": {"coherent-factorization.json", "collective-chain-phipi.json"},
     "Prescott": {"coherent-factorization-alpha3-cutoff40.json",
-                 "coherent-factorization.json", "collective-chain-phi0.json",
-                 "collective-chain-phipi.json", "fermion-nogo.json",
-                 "rabi-alpha10-cutoff160.json", "rabi.json"},
+                 "coherent-factorization.json", "collective-chain-phipi.json",
+                 "fermion-nogo.json", "rabi-alpha10-cutoff160.json", "rabi.json"},
 }
 ENTRIES = json.loads((GOLDEN / "batch.json").read_text())
 

@@ -1,15 +1,17 @@
-"""The nonzero pattern an operator keeps from its builder.
+"""The nonzero pattern every operator keeps.
 
-``embed``, the hermitian couplers, ``identity`` and sums or differences of
-such operators keep the flat indices of their nonzero entries; every spec
-constructor builds its projectors this way. ``eigh`` and
-``MeasurementSpec`` read the kept pattern instead of scanning all dim^2
-entries, products read the kept entries, and ``elements`` is built only
-when it is read. ``np.flatnonzero(elements)`` is the oracle: the kept pattern,
-taken as a set, equals it, and the spectrum read through the pattern
-equals the one read by the scan, bit for bit. Every operator that reaches
-``eigh`` and every spec projector of the golden batch and of a 9-fermion
-chain keeps one.
+Every operator keeps the flat indices of its nonzero entries, ascending,
+and their values: ``embed``, the hermitian couplers and ``identity`` from
+their builders, sums, differences, scalar multiples, ``-x`` and ``dag()``
+from their operands, and a caller's array by scanning it once. ``eigh``
+and ``MeasurementSpec`` read the kept pattern instead of scanning all
+dim^2 entries, products read the kept entries, and ``elements`` of an
+operator built from entries is built only when it is read.
+``np.flatnonzero(elements)`` is the oracle: the kept pattern equals it, and
+the spectrum read through a builder's pattern equals the one read through
+the scan, bit for bit. Every operator that a golden run builds, every
+operator that reaches ``eigh`` and every spec projector of the golden batch
+and of a 9-fermion chain keeps one.
 """
 
 import json
@@ -51,7 +53,7 @@ from qwave import (
 )
 from qwave import operators, protocols
 from qwave.cli import EXIT_OK, RunConfig, run
-from qwave.operators import _hermiticity_gap, embed
+from qwave.operators import embed
 
 GOLDEN_BATCH = Path(__file__).parent / "golden" / "batch.json"
 
@@ -63,9 +65,12 @@ def _pattern(op: OperatorMatrix):
 
 
 def _assert_pattern_is_nonzero_set(op: OperatorMatrix):
+    # ascending and distinct, and exactly where the elements are nonzero
     pattern = _pattern(op)
     assert pattern is not None
-    assert set(pattern.tolist()) == set(np.flatnonzero(op.elements).tolist())
+    assert np.array_equal(pattern, np.flatnonzero(op.elements))
+    assert np.array_equal(op.__dict__["_values"], op.elements.reshape(-1)[pattern],
+                          equal_nan=True)
 
 
 @st.composite
@@ -144,14 +149,26 @@ def test_a_product_of_factors_that_underflows_drops_out_of_the_pattern():
     _assert_pattern_is_nonzero_set(op)
 
 
-def test_only_builders_and_their_sums_keep_a_pattern():
+def test_every_operator_keeps_its_nonzero_pattern():
     reg = build_register([boson("field", 3), two_level("atom")])
     a = annihilation(reg, "field")
     h = swap_coupler(reg, "field", "atom", 0.5)
-    for op in (OperatorMatrix(reg, h.elements), a @ h, 2.0 * h, h * 1j, -h,
-               h.dag(), h + 2.0 * a):
-        assert _pattern(op) is None
-    assert _pattern(h + a) is not None
+    ha, hh = a.elements, h.elements
+    for op, dense in ((OperatorMatrix(reg, hh), hh), (a @ h, ha @ hh),
+                      (2.0 * h, 2.0 * hh), (h * 1j, hh * 1j), (0.0 * h, 0.0 * hh),
+                      (-h, -hh), (h.dag(), hh.conj().T), (a.dag(), ha.conj().T),
+                      (h + 2.0 * a, hh + 2.0 * ha), (h + a, hh + ha)):
+        _assert_pattern_is_nonzero_set(op)
+        assert np.array_equal(op.elements, dense)
+    assert len(_pattern(0.0 * h)) == 0
+    # a NaN entry is nonzero, so h * nan keeps h's pattern and is no
+    # hermitian operator
+    for op in (h * math.nan, OperatorMatrix(reg, hh * math.nan)):
+        _assert_pattern_is_nonzero_set(op)
+        assert np.isnan(op.__dict__["_values"]).all()
+        with pytest.raises(NotHermitianError, match=_not_hermitian("nan")):
+            op.eigh()
+    assert np.array_equal(_pattern(h * math.nan), _pattern(h))
 
 
 def _couplers():
@@ -179,9 +196,7 @@ def _couplers():
 def test_pattern_read_equals_dense_read(name, op):
     assert _pattern(op) is not None
     dense = OperatorMatrix(op.register, op.elements)
-    assert _pattern(dense) is None
-    assert (_hermiticity_gap(op.elements, _pattern(op))[0]
-            == _hermiticity_gap(op.elements)[0])
+    assert op._hermiticity_gap()[0] == dense._hermiticity_gap()[0]
     got, want = op.eigh(), dense.eigh()
     assert len(got.groups) == len(want.groups)
     for g, w in zip(got.groups, want.groups):
@@ -219,8 +234,9 @@ def test_spec_reads_a_kept_pattern_for_hermiticity():
 
 def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
         monkeypatch, tmp_path):
-    seen = []
+    seen, built = [], []
     post_init, eigh = MeasurementSpec.__post_init__, OperatorMatrix.eigh
+    op_post_init = OperatorMatrix.__post_init__
 
     def recorded_post_init(spec):
         post_init(spec)
@@ -230,8 +246,15 @@ def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
         seen.append(op)
         return eigh(op)
 
+    # every operator, whatever built it: the split-particle operators of
+    # the protocols are scalar multiples of sums
+    def recorded_op_post_init(op):
+        op_post_init(op)
+        built.append(op)
+
     monkeypatch.setattr(MeasurementSpec, "__post_init__", recorded_post_init)
     monkeypatch.setattr(OperatorMatrix, "eigh", recorded_eigh)
+    monkeypatch.setattr(OperatorMatrix, "__post_init__", recorded_op_post_init)
     # the setups that do not depend on phi build their specs afresh
     for setup in (protocols._photon_swap_setup, protocols._bell_setup,
                   protocols._aux_setup, protocols._collective_setup):
@@ -241,8 +264,8 @@ def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
                            shots=entry["shots"], seed=entry["seed"],
                            output_path=str(tmp_path / "report.json"))
         assert run(config) == EXIT_OK
-    assert len(seen) > 100
-    for op in seen:
+    assert len(seen) > 100 and len(built) > 500
+    for op in seen + built:
         _assert_pattern_is_nonzero_set(op)
     # the fermion chain of the chain pipeline, dim 512: each quadrature's
     # sign string crosses the sites before its mode
@@ -260,8 +283,7 @@ def test_only_the_operators_module_handles_a_pattern():
     from qwave import fock, measurement
 
     for module in (measurement, protocols):
-        assert not ({"_adopt", "_sparse", "_Entries", "_Owned"}
-                    & set(vars(module))), module.__name__
+        assert not ({"_sparse", "_Entries"} & set(vars(module))), module.__name__
     assert not hasattr(fock, "_hermiticity_gap")
 
 
@@ -317,10 +339,10 @@ def test_products_by_the_entries_match_the_dense_products(reg, seed):
     rng = np.random.default_rng(seed)
     labels = [m.label for m in reg.modes]
     mode = labels[rng.integers(len(labels))]
-    # annihilation has an empty last row per mode block, and x - x no
-    # entry at all
-    a = annihilation(reg, mode)
-    ops = [a, creation(reg, mode), quadrature(reg, mode), a - a, identity(reg),
+    # annihilation has an empty last row per mode block, x - x and 0 * x no
+    # entry at all, and x * nan a NaN in every row that x has an entry in
+    a, q = annihilation(reg, mode), quadrature(reg, mode)
+    ops = [a, creation(reg, mode), q, a - a, 0.0 * q, q * math.nan, identity(reg),
            embed(reg, {mode: _random_factor(rng, reg.mode(mode).dim)})]
     assert all(map(_kept_entries_only, ops))
     d = reg.dim
@@ -330,4 +352,7 @@ def test_products_by_the_entries_match_the_dense_products(reg, seed):
             got = op._dot(x)
             want = op.elements @ x
             assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            ok = ~np.isnan(want)
+            assert (np.abs(got[ok] - want[ok]).max(initial=0.0)
+                    <= 1e-13 * np.abs(want[ok]).max(initial=1.0))

@@ -593,13 +593,3 @@ def test_builders_hand_over_one_read_only_c_contiguous_matrix(monkeypatch):
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
 
-
-def test_a_handed_over_matrix_is_frozen_in_place():
-    reg = build_register([boson("a", 2)])
-    built = np.arange(9.0).reshape(3, 3) + 0j
-    op = operators._adopt(reg, built)
-    assert op.elements is built and not built.flags.writeable
-    # one that is not complex and C-contiguous is converted once
-    real = np.arange(9.0).reshape(3, 3).T
-    op = operators._adopt(reg, real)
-    assert op.elements.flags.c_contiguous and np.array_equal(op.elements, real)
