@@ -128,9 +128,9 @@ class OperatorMatrix:
         object.__setattr__(self, "_values", values)
 
     def dag(self) -> "OperatorMatrix":
-        rows, cols = np.divmod(self._pattern, self.register.dim)
-        return _sparse(self.register, cols * self.register.dim + rows,
-                       self._values.conj())
+        d = self.register.dim
+        rows, cols = np.divmod(self._pattern, d)
+        return _sparse(self.register, cols * d + rows, self._values.conj())
 
     def _hermiticity_gap(self) -> tuple[float, np.ndarray, np.ndarray]:
         """max |H[r, c] - conj(H[c, r])| over the pattern (r, c), and the

@@ -161,8 +161,8 @@ def test_every_operator_keeps_its_nonzero_pattern():
         _assert_pattern_is_nonzero_set(op)
         assert np.array_equal(op.elements, dense)
     assert len(_pattern(0.0 * h)) == 0
-    # a NaN entry is nonzero, so h * nan keeps h's pattern and is no
-    # hermitian operator
+    # a NaN entry is nonzero, so h * nan keeps h's pattern; neither it nor
+    # an all-NaN array is a hermitian operator
     for op in (h * math.nan, OperatorMatrix(reg, hh * math.nan)):
         _assert_pattern_is_nonzero_set(op)
         assert np.isnan(op.__dict__["_values"]).all()
