@@ -67,7 +67,8 @@ class ParamSpec:
                 if not isinstance(raw, (list, tuple)):
                     raw = [x for x in str(raw).split(",") if x.strip()]
                 return [ParamSpec(self.name, "float").parse(x) for x in raw]
-        except (TypeError, ValueError) as exc:
+        # float() of an integer beyond the float range raises OverflowError
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"parameter {self.name!r}: {exc}") from exc
         raise ConfigError(f"parameter {self.name!r}: unknown kind {self.kind!r}")
 

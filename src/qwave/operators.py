@@ -83,7 +83,7 @@ class _BuiltOnRead:
         return op.__dict__.setdefault("elements", mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Complex matrix acting on a register's Hilbert space, kept as its
     nonzero entries: their flat indices ``row * dim + col`` in ascending
@@ -103,7 +103,8 @@ class OperatorMatrix:
     ``joint_distribution``, ``commutator_norm`` and the checks of
     ``MeasurementSpec``), ``eigh`` and the hermiticity check read the
     entries and never build ``elements``; ``@`` multiplies the two
-    ``elements``. Only this module reads or writes the entries.
+    ``elements``. Only this module reads or writes the entries. Operators
+    compare and hash by identity.
     """
 
     register: ModeRegister
@@ -271,7 +272,7 @@ def _connected_components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSpectrum:
     """Eigendecomposition of a hermitian matrix that is block diagonal up to
     a permutation of the basis, one group of equal-size blocks at a time.
@@ -280,6 +281,7 @@ class BlockSpectrum:
     indices of block k, ``w[k]`` its eigenvalues and ``v[k]`` its
     eigenvectors (columns), so ``H[index[k]][:, index[k]] = v[k] diag(w[k])
     v[k]^H``. Like ``np.linalg.eigh``, it reads each block's lower triangle.
+    Spectra compare and hash by identity.
     """
 
     dim: int

@@ -93,10 +93,14 @@ ANALYTIC_ATOL = 1e-10
 #: reads as 5 sigma wherever count * p * (1 - p) is large.
 SAMPLED_KL_BOUND = 12.5
 
-#: Most times one rabi run reports. Each time is one row of the report and
-#: one row of the propagated amplitudes, so the cap bounds both before the
-#: register is built.
+#: Most times one rabi run reports. Each time is one row of the report, so
+#: the cap bounds the report and rabi's run time before the register is
+#: built; the propagated amplitudes are held a few rows at a time.
 MAX_RABI_TIMES = 4096
+
+#: Complex entries in one chunk of rabi's propagated amplitudes: 128 KiB,
+#: glibc's default mmap threshold, so the chunks reuse heap memory.
+_RABI_CHUNK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -371,10 +375,15 @@ def rabi_rotation(
             raise ValueError(f"phase at time {t:.17g} overflows for alpha={alpha}")
     if times is None:
         times = [float(t) for t in np.linspace(0.0, t_end, 65)]
-    amps = spectrum.propagate(psi0.amplitudes, times)
     atom_excited = reg.occupation_table()[:, reg.position("atom")] == 1
-    excited = np.abs(amps[:, atom_excited]) ** 2
-    norms = np.linalg.norm(amps, axis=1)
+    rows = max(1, _RABI_CHUNK_ENTRIES // reg.dim)
+    norms, populations = [], []
+    for start in range(0, len(times), rows):
+        amps = spectrum.propagate(psi0.amplitudes, times[start:start + rows])
+        norms.extend(np.linalg.norm(amps, axis=1).tolist())
+        # one sum per row: a sum along the rows of the table rounds differently
+        populations.extend(
+            float(np.sum(row)) for row in np.abs(amps[:, atom_excited]) ** 2)
     # |n, g> couples only to |n-1, e>, at rate sqrt(n)
     p_n = np.abs(psi0.amplitudes.reshape(cutoff + 1, 2)[:, 0]) ** 2
     sqrt_n = np.sqrt(np.arange(cutoff + 1.0))
@@ -391,10 +400,8 @@ def rabi_rotation(
         shots=0,
     )
     devs = [0.0]
-    for t, norm, row in zip(times, norms, excited):
+    for t, norm, pe in zip(times, norms, populations):
         report.require(abs(norm - 1.0), 1e-9)
-        # one sum per row: a sum along the rows of the table rounds differently
-        pe = float(np.sum(row))
         closed_form = float(np.sum(p_n * np.sin(sqrt_n * t) ** 2))
         report.require(abs(pe - closed_form), 1e-10)
         if t <= t_end + 1e-12:

@@ -277,6 +277,28 @@ def test_batch_with_boolean_float_exits_config_error(experiment, params, name,
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("experiment, params, name", [
+    ("photon-swap", {"phi": 10**400}, "phi"),
+    ("gauge-check", {"phi": 0.5, "kick": 10**400}, "kick"),
+    ("rabi", {"alpha": 2, "cutoff": 24, "times": [0.5, 10**400]}, "times"),
+], ids=["phi", "kick", "times"])
+def test_integer_beyond_the_float_range_exits_config_error(experiment, params,
+                                                           name, tmp_path):
+    # float() of such an integer raises OverflowError, not ValueError
+    with pytest.raises(ConfigError, match=f"'{name}'"):
+        RunConfig(experiment, params, shots=0, seed=1).resolve()
+    entries = [{"experiment": experiment, "params": params, "seed": 1,
+                "out": str(tmp_path / "x.json")}]
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps(entries))
+    result = _run_cli(["batch", str(batch_file)])
+    assert result.exit_code == EXIT_CONFIG
+    assert "Traceback" not in result.stderr
+    error = json.loads(result.stderr.splitlines()[0])["error"]
+    assert error["type"] == "ConfigError" and f"'{name}'" in error["message"]
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("value", [np.True_, [0.5, np.False_]],
                          ids=["numpy-bool", "numpy-bool-element"])
 def test_float_parameters_reject_numpy_bools(value):

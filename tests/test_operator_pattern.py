@@ -307,6 +307,18 @@ def test_elements_are_built_on_the_first_read_and_kept():
     assert not first.flags.writeable and h.elements is first
 
 
+def test_operators_and_spectra_compare_and_hash_by_identity():
+    # a generated == over the dense elements would raise on the array's
+    # truth value and build both matrices
+    reg = build_register([boson("field", 40), two_level("atom")])
+    h, g = (swap_coupler(reg, "field", "atom", 0.5) for _ in range(2))
+    assert (h == g) is False and (h == h) is True
+    assert "elements" not in h.__dict__ and "elements" not in g.__dict__
+    assert len({h, g, h}) == 2
+    spectra = (h.eigh(), g.eigh())
+    assert (spectra[0] == spectra[1]) is False and len(set(spectra)) == 2
+
+
 def test_threads_racing_on_the_first_read_get_one_whole_matrix():
     reg = build_register([boson("field", 300), two_level("atom")])
     want = swap_coupler(reg, "field", "atom", 0.8).elements

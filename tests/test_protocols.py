@@ -24,6 +24,7 @@ from qwave import (
     boson,
     build_register,
     coherent_factorization,
+    coherent_state,
     coincidence_rate,
     collective_chain,
     fermion,
@@ -41,6 +42,7 @@ from qwave import (
 from qwave import OperatorMatrix, protocols
 from qwave.fock import MAX_REGISTER_DIM
 from qwave.measurement import PROJECTOR_ATOL
+from qwave.protocols import MAX_RABI_TIMES
 
 PHI_GRID = [0.0, math.pi / 3.0, math.pi / 2.0, math.pi, 4.0]
 
@@ -168,6 +170,41 @@ def test_rabi_maxima_carry_a_nan(monkeypatch):
     report = rabi_rotation(2.0, 24)
     assert math.isnan(report.analytic["excited_population_final"])
     assert not report.passed
+
+
+def _unchunked_rabi(alpha, cutoff, times):
+    """rabi's excited_population_final and
+    max_deviation_from_rotation_formula from one propagated table of all
+    ``times``, each row's population one 1-D sum."""
+    reg = build_register([boson("field", cutoff), two_level("atom")])
+    psi0 = coherent_state(reg, "field", alpha, 1e-7)
+    spectrum = swap_coupler(reg, "field", "atom", 1.0).eigh()
+    amps = spectrum.propagate(psi0.amplitudes, times)
+    excited = amps[:, reg.occupation_table()[:, reg.position("atom")] == 1]
+    del amps
+    populations = [float(np.sum(row)) for row in np.abs(excited) ** 2]
+    t_end = math.pi / (2.0 * alpha)
+    devs = [0.0] + [abs(pe - math.sin(alpha * t) ** 2)
+                    for t, pe in zip(times, populations) if t <= t_end + 1e-12]
+    return populations[-1], float(np.max(devs))
+
+
+@pytest.mark.parametrize("alpha, cutoff", [(2.0, 24), (10.0, 160), (25.0, 800),
+                                           (40.0, MAX_REGISTER_DIM // 2 - 1)])
+@pytest.mark.parametrize("count", [1, 65, MAX_RABI_TIMES])
+def test_rabi_in_chunks_of_times_moves_no_bit(alpha, cutoff, count):
+    # a row of the propagated amplitudes could round differently with its
+    # place in the table, so the chunked report is held to the whole table;
+    # 65 times is the default grid, and the others run past pi / (2 alpha)
+    t_end = math.pi / (2.0 * alpha)
+    times = (None if count == 65 else
+             [0.6 * t_end] if count == 1 else
+             np.linspace(0.0, 1.25 * t_end, count).tolist())
+    report = rabi_rotation(alpha, cutoff, times=times)
+    assert report.passed
+    final, deviation = _unchunked_rabi(alpha, cutoff, report.params["times"])
+    assert report.analytic["excited_population_final"] == final
+    assert report.analytic["max_deviation_from_rotation_formula"] == deviation
 
 
 # --- bell chain ---------------------------------------------------------------
@@ -467,8 +504,12 @@ _LAUNCHER = ("import subprocess, sys; "
 
 @pytest.mark.parametrize("call, bound_mb", [
     # the generator is kept as its nonzero entries, so no d x d matrix is
-    # allocated (46 MB peak on 2 vCPU, numpy 2.4.6)
+    # allocated (33 MB peak on 2 vCPU, numpy 2.4.6)
     (f"rabi_rotation(40, {MAX_REGISTER_DIM // 2 - 1})", 512),
+    # the propagated amplitudes are held a few rows at a time, so the
+    # largest accepted times add no (times x dim) table (33 MB peak)
+    (f"rabi_rotation(40, {MAX_REGISTER_DIM // 2 - 1}, times=[0.04 * k / "
+     f"{MAX_RABI_TIMES - 1} for k in range({MAX_RABI_TIMES})])", 128),
     # means come from the occupation table, so no d x d matrix at all
     (f"coherent_factorization(5, {math.isqrt(MAX_REGISTER_DIM) - 1})", 128),
 ])
@@ -495,6 +536,16 @@ def _traced_peak(work) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_rabi_traced_peak_does_not_grow_with_its_times():
+    # no array of rabi's outlives one chunk of its times; a first untraced
+    # run makes the imports and caches that any first call makes
+    times = {n: np.linspace(0.0, 0.15, n).tolist() for n in (65, MAX_RABI_TIMES)}
+    rabi_rotation(10.0, 160, times=times[65])
+    peak = {n: _traced_peak(lambda: rabi_rotation(10.0, 160, times=t))
+            for n, t in times.items()}
+    assert peak[MAX_RABI_TIMES] - peak[65] < 2**20, peak
 
 
 def _rabi_generator_spectrum():
