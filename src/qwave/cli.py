@@ -15,6 +15,7 @@ import json
 import logging
 import operator
 import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -360,8 +361,7 @@ def run(config: RunConfig, entry: int | None = None) -> int:
         else:
             text = canonical_json(report.to_dict()) + "\n"
         if config.output_path is not None:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_in_place(config.output_path, text)
         else:
             sys.stdout.write(text)
     except ConfigError as exc:
@@ -371,6 +371,20 @@ def run(config: RunConfig, entry: int | None = None) -> int:
     except OSError as exc:
         return _emit_error("IoError", EXIT_IO, str(exc), entry)
     return EXIT_OK
+
+
+def _write_in_place(path, text: str) -> None:
+    """Write ``text`` over the file at ``path``, created if missing. The
+    file is opened without truncating it and cut to the new length after
+    the write: on ext4, a file truncated to 0 bytes and rewritten has its
+    writeback started on close. Nothing is synced, so a crash mid-write can
+    leave the old report, the new one or a mix of both. Only a regular file
+    is cut; ``/dev/null`` cannot be."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _emit_error(err_type: str, code: int, message: str, entry=None) -> int:

@@ -125,6 +125,10 @@ class OperatorMatrix:
             object.__setattr__(self, "elements", mat)
             pattern = np.flatnonzero(mat)
             values = mat.reshape(-1)[pattern]
+        # operators are shared (setups hold them across runs): the entries
+        # are read-only like ``elements``
+        pattern.flags.writeable = False
+        values.flags.writeable = False
         object.__setattr__(self, "_pattern", pattern)
         object.__setattr__(self, "_values", values)
 

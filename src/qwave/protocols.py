@@ -218,29 +218,29 @@ def _statistics_kind(statistics: str) -> ModeKind:
     raise ValueError(f"unknown statistics {statistics!r}")
 
 
-def _split_particle_op(
-    reg: ModeRegister, mode_a: str, mode_b: str, phi: float
-) -> OperatorMatrix:
-    """(create_a + e^{i phi} create_b) / sqrt(2): puts one particle into an
-    equal-weight two-site superposition when applied to an empty pair."""
-    op = creation(reg, mode_a) + np.exp(1j * phi) * creation(reg, mode_b)
+#: The creation operators of one species at sites A and B.
+_Ups = tuple[OperatorMatrix, OperatorMatrix]
+
+
+def _creations(reg: ModeRegister, species: str) -> _Ups:
+    """The creation operators of the modes species_a and species_b, built
+    once per setup: none depends on phi."""
+    return creation(reg, species + "_a"), creation(reg, species + "_b")
+
+
+def _split_particle_op(ups: _Ups, phi: float) -> OperatorMatrix:
+    """(create_a + e^{i phi} create_b) / sqrt(2) from the two creation
+    operators ``ups``: puts one particle into an equal-weight two-site
+    superposition when applied to an empty pair."""
+    op = ups[0] + np.exp(1j * phi) * ups[1]
     return (1.0 / math.sqrt(2.0)) * op
 
 
-def _split_pair(reg: ModeRegister, outer: str, inner: str, phi: float) -> StateVector:
-    """Two split particles from the vacuum: first ``inner`` over the modes
-    inner_a, inner_b at phase zero, then ``outer`` over outer_a, outer_b at
-    phase phi."""
-    psi = apply(
-        _split_particle_op(reg, inner + "_a", inner + "_b", 0.0),
-        vacuum_state(reg),
-        renormalize=True,
-    )
-    return apply(
-        _split_particle_op(reg, outer + "_a", outer + "_b", phi),
-        psi,
-        renormalize=True,
-    )
+def _split_pair(reg: ModeRegister, outer: _Ups, inner: _Ups, phi: float) -> StateVector:
+    """Two split particles from the vacuum: first the ``inner`` species at
+    phase zero, then the ``outer`` one at phase phi."""
+    psi = apply(_split_particle_op(inner, 0.0), vacuum_state(reg), renormalize=True)
+    return apply(_split_particle_op(outer, phi), psi, renormalize=True)
 
 
 def _absence_measurement(
@@ -441,18 +441,20 @@ def lhv_max_satisfied(n: int) -> int:
 
 
 @functools.cache
-def _bell_setup(n: int) -> tuple[StateVector, tuple[MeasurementSpec, ...]]:
-    """The singlet and the spin measurements along the 2n + 1 directions
-    i pi / 2n of the n-link chain, even i at A and odd i at B."""
+def _bell_setup(n: int) -> tuple[StateVector, tuple[MeasurementSpec, ...], int]:
+    """The singlet, the spin measurements along the 2n + 1 directions
+    i pi / 2n of the n-link chain, even i at A and odd i at B, and the
+    chain's enumerated ``lhv_max_satisfied(n)``."""
     reg = build_register([two_level("spin_a", Site.A), two_level("spin_b", Site.B)])
     amps = np.zeros(reg.dim, dtype=complex)
     amps[reg.index_of((1, 0))] = 1.0 / math.sqrt(2.0)
     amps[reg.index_of((0, 1))] = -1.0 / math.sqrt(2.0)
     thetas = [i * math.pi / (2.0 * n) for i in range(2 * n + 1)]
-    return from_amplitudes(reg, amps), tuple(
+    directions = tuple(
         spin_direction_measurement(reg, f"spin_{s}", theta, s)
         for theta, s in zip(thetas, "ab" * n + "a")
     )
+    return from_amplitudes(reg, amps), directions, lhv_max_satisfied(n)
 
 
 def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
@@ -469,7 +471,7 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
         raise ValueError("need n >= 2 for a nontrivial chain")
     if n > 8:
         raise NTooLargeError("exhaustive enumeration supported for n <= 8")
-    singlet, direction = _bell_setup(n)
+    singlet, direction, lhv_max = _bell_setup(n)
     p_formula = math.cos(math.pi / (4.0 * n)) ** 2
     relations = []
     for m in range(n):
@@ -493,7 +495,6 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
             _record(report, f"relation_{k:02d}_satisfied", n_sat, shots, p_formula)
         report.analytic[f"relation_{k:02d}_satisfied"] = p_formula
 
-    lhv_max = lhv_max_satisfied(n)
     ceiling = (2.0 * n - 1.0) / (2.0 * n)
     bound = 2.0 * n * (1.0 - p_formula)
     approx = math.pi**2 / (8.0 * n)
@@ -523,19 +524,21 @@ _AUX_SPECIES_ORDER = ("test_a", "test_b", "aux_a", "aux_b")
 @functools.cache
 def _aux_setup(
     kind: ModeKind, labels: tuple[str, ...]
-) -> tuple[ModeRegister, tuple[MeasurementSpec, MeasurementSpec]]:
-    """Register and site specs of the auxiliary-particle experiment, with
-    its four modes of ``kind`` declared in the order ``labels``."""
+) -> tuple[ModeRegister, tuple[MeasurementSpec, MeasurementSpec], _Ups, _Ups]:
+    """Register, site specs and the test and auxiliary creation operators
+    of the auxiliary-particle experiment, with its four modes of ``kind``
+    declared in the order ``labels``."""
     if kind is ModeKind.FERMION:
         make = fermion
     else:
         make = lambda label, site: boson(label, 1, site)
     site_of = {"test_a": Site.A, "aux_a": Site.A, "test_b": Site.B, "aux_b": Site.B}
     reg = build_register([make(l, site_of[l]) for l in labels])
-    return reg, (
+    specs = (
         plus_minus_basis(reg, "test_a", "aux_a", "site_a"),
         plus_minus_basis(reg, "test_b", "aux_b", "site_b"),
     )
+    return reg, specs, _creations(reg, "test"), _creations(reg, "aux")
 
 
 def _aux_phase_exact(phi: float, kind: ModeKind, labels: tuple[str, ...]):
@@ -546,8 +549,8 @@ def _aux_phase_exact(phi: float, kind: ModeKind, labels: tuple[str, ...]):
     fermions permutes the anticommutation bookkeeping; the conditional
     statistics must not depend on it.
     """
-    reg, specs = _aux_setup(kind, labels)
-    psi = _split_pair(reg, "test", "aux", phi)
+    reg, specs, test, aux = _aux_setup(kind, labels)
+    psi = _split_pair(reg, test, aux, phi)
     return reg, psi, specs, joint_distribution(psi, specs)
 
 
@@ -773,10 +776,11 @@ _CHAIN_MODES = {spec.label: spec for spec in (
 
 @functools.cache
 def _collective_setup(labels: tuple[str, ...]):
-    """Register, annihilation coupler, lepton-absence measurement and the
-    two photon superposition measurements of the collective chain, with
-    its modes declared in the order ``labels``. The coupler keeps the
-    spectrum its first ``evolve`` computes."""
+    """Register, annihilation coupler, lepton-absence measurement, the two
+    photon superposition measurements, the electron and positron creation
+    operators and the two photon resets of the collective chain, with its
+    modes declared in the order ``labels``. The coupler keeps the spectrum
+    its first ``evolve`` computes."""
     reg = build_register([_CHAIN_MODES[label] for label in labels])
 
     def coupler(site: str) -> OperatorMatrix:
@@ -795,6 +799,9 @@ def _collective_setup(labels: tuple[str, ...]):
         lepton_spec,
         vacuum_one_superposition_basis(reg, "ph_a", "photon_a"),
         vacuum_one_superposition_basis(reg, "ph_b", "photon_b"),
+        _creations(reg, "el"),
+        _creations(reg, "pos"),
+        (_superposition_reset(reg, "ph_a"), _superposition_reset(reg, "ph_b")),
     )
 
 
@@ -804,7 +811,8 @@ def _collective_exact(
     """Exact quantities of the collective chain for one declaration order,
     with the direct variant's state before post-selection and the
     lepton-absence measurement that post-selects it."""
-    reg, h_total, lepton_spec, spec_pa, spec_pb = _collective_setup(labels)
+    (reg, h_total, lepton_spec, spec_pa, spec_pb,
+     el, pos, resets) = _collective_setup(labels)
     quarter = math.pi / 2.0
     vac = vacuum_state(reg)
     out: dict[str, float] = {}
@@ -812,7 +820,7 @@ def _collective_exact(
     # direct variant: both species split with the positron at phase zero,
     # annihilated for a quarter period at each site, post-select all
     # leptons gone
-    direct = evolve(_split_pair(reg, "el", "pos", phi), h_total, quarter)
+    direct = evolve(_split_pair(reg, el, pos, phi), h_total, quarter)
     photon_state, p_direct = post_select(direct, lepton_spec, "absent")
     out["direct_postselection_probability"] = p_direct
     out["direct_photon_fidelity"] = photon_state.fidelity(
@@ -821,12 +829,8 @@ def _collective_exact(
 
     # stage 1: one positron per site, electron split
     psi1 = apply(
-        _split_particle_op(reg, "el_a", "el_b", phi),
-        apply(
-            creation(reg, "pos_a"),
-            apply(creation(reg, "pos_b"), vac, renormalize=True),
-            renormalize=True,
-        ),
+        _split_particle_op(el, phi),
+        apply(pos[0], apply(pos[1], vac, renormalize=True), renormalize=True),
         renormalize=True,
     )
     psi1 = evolve(psi1, h_total, quarter)
@@ -847,11 +851,8 @@ def _collective_exact(
 
     # stage 3: reset the measured photon modes, feed in a fresh split
     # electron, annihilate again, post-select all leptons gone
-    psi3 = apply(_superposition_reset(reg, "ph_a"), psi2)
-    psi3 = apply(_superposition_reset(reg, "ph_b"), psi3)
-    psi4 = apply(
-        _split_particle_op(reg, "el_a", "el_b", phi), psi3, renormalize=True
-    )
+    psi3 = apply(resets[1], apply(resets[0], psi2))
+    psi4 = apply(_split_particle_op(el, phi), psi3, renormalize=True)
     psi5 = evolve(psi4, h_total, quarter)
     psi6, p_nolep = post_select(psi5, lepton_spec, "absent")
     out["stage3_postselection_probability"] = p_nolep

@@ -42,7 +42,7 @@ from qwave import (
     vacuum_state,
 )
 from qwave import protocols
-from qwave.cli import EXIT_OK, RunConfig, run
+from qwave.cli import EXIT_OK, RunConfig, canonical_json, run
 from qwave.fock import ModeKind
 
 GOLDEN_BATCH = Path(__file__).parent / "golden" / "batch.json"
@@ -252,6 +252,73 @@ def test_a_second_run_validates_no_spec_and_decomposes_nothing(
     # at another phi (bell-chain: another seed), with shots drawn
     assert second().passed
     assert specs == [] and eighs == []
+
+
+#: The protocol builders of what the setups hold besides their specs: the
+#: creation operators of the split particles, collective-chain's photon
+#: resets and bell-chain's enumerated LHV maximum.
+HELD_BUILDERS = ("creation", "_superposition_reset", "lhv_max_satisfied")
+
+
+@pytest.mark.parametrize("first, second", [
+    (lambda: aux_particle_phase(0.4, "boson", 0, 1),
+     lambda: aux_particle_phase(2.2, "boson", 1000, 3)),
+    (lambda: aux_particle_phase(0.4, "fermion", 0, 1),
+     lambda: aux_particle_phase(2.2, "fermion", 1000, 3)),
+    (lambda: ab_gauge_check(0.4, 0.3, 0, 1),
+     lambda: ab_gauge_check(2.2, 1.1, 1000, 3)),
+    (lambda: collective_chain(0.4, 0, 1), lambda: collective_chain(2.2, 1000, 3)),
+    (lambda: bell_chain(3, 0, 1), lambda: bell_chain(3, 1000, 3)),
+], ids=["aux-phase-boson", "aux-phase-fermion", "gauge-check",
+        "collective-chain", "bell-chain"])
+def test_a_second_run_builds_nothing_its_setup_holds(first, second, monkeypatch):
+    calls = []
+    for name in HELD_BUILDERS:
+        def counted(*args, _build=getattr(protocols, name), _name=name):
+            calls.append(_name)
+            return _build(*args)
+
+        monkeypatch.setattr(protocols, name, counted)
+    _clear_setups()
+    assert first().passed
+    # the first run builds its setup, so the counters see its builds
+    assert calls
+    calls.clear()
+    # at another phi (bell-chain: another seed), with shots drawn
+    assert second().passed
+    assert calls == []
+
+
+def test_a_setup_held_operator_cannot_be_written():
+    _clear_setups()
+    held = []
+    for kind in (ModeKind.BOSON, ModeKind.FERMION):
+        held += protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
+    held += protocols._collective_setup(protocols._CHAIN_SITE_ORDER)[5:]
+    ops = [op for pair in held for op in pair]
+    assert len(ops) == 14
+    for op in ops:
+        for name in ("_values", "_pattern"):
+            entries = op.__dict__[name]
+            with pytest.raises(ValueError, match="read-only"):
+                entries[0] = entries[-1]
+
+
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_aux_phase_runs_at_two_phases_give_their_solo_bytes_in_either_order(
+    statistics
+):
+    def report(phi):
+        return canonical_json(aux_particle_phase(phi, statistics, 1000, 3).to_dict())
+
+    solo = {}
+    for phi in (0.4, 2.2):
+        _clear_setups()
+        solo[phi] = report(phi)
+    assert solo[0.4] != solo[2.2]
+    for order in ((0.4, 2.2), (2.2, 0.4)):
+        _clear_setups()
+        assert [report(phi) for phi in order] == [solo[phi] for phi in order]
 
 
 def _held_arrays(value):

@@ -19,6 +19,7 @@ import qwave
 from qwave import measurement, protocols
 from qwave.cli import (
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_OK,
     EXIT_PROTOCOL,
     EXPERIMENTS,
@@ -919,3 +920,54 @@ def test_report_that_cannot_be_rendered_exits_protocol_error(
     assert not out.exists()
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["message"] == "reports must not contain NaN or infinities"
+
+
+def _report_args(fmt):
+    return ["run", "photon-swap", "--phi", "0.5", "--shots", "100",
+            "--seed", "1", "--format", fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_written_over_a_longer_file_leaves_only_its_bytes(fmt, tmp_path):
+    # the report is written in place and the file then cut to its length
+    expected = _run_cli(_report_args(fmt)).stdout_bytes
+    out = tmp_path / f"report.{fmt}"
+    out.write_bytes(b"x" * (3 * len(expected)) + b"\n")
+    result = _run_cli(_report_args(fmt) + ["--out", str(out)])
+    assert result.exit_code == EXIT_OK
+    assert out.read_bytes() == expected
+    # and over a shorter one, and over itself
+    for before in (b"{", expected):
+        out.write_bytes(before)
+        assert _run_cli(_report_args(fmt) + ["--out", str(out)]).exit_code == EXIT_OK
+        assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_to_dev_null_exits_ok(fmt):
+    # /dev/null is not a regular file, so it is written and not cut
+    result = _run_cli(_report_args(fmt) + ["--out", os.devnull])
+    assert result.exit_code == EXIT_OK
+    assert result.stdout == result.stderr == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_through_a_symlink_writes_its_target(fmt, tmp_path):
+    expected = _run_cli(_report_args(fmt)).stdout_bytes
+    target = tmp_path / "target"
+    target.write_bytes(b"y" * (2 * len(expected)))
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    result = _run_cli(_report_args(fmt) + ["--out", str(link)])
+    assert result.exit_code == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_to_a_directory_exits_io_error(fmt, tmp_path):
+    result = _run_cli(_report_args(fmt) + ["--out", str(tmp_path)])
+    assert result.exit_code == EXIT_IO
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "IoError"
+    assert list(tmp_path.iterdir()) == []

@@ -529,7 +529,7 @@ def test_spec_projectors_match_their_dense_formulas():
     # aux_a, so the sign string of the first pair's transfer crosses it
     for kind in (ModeKind.BOSON, ModeKind.FERMION):
         for order in (protocols._AUX_SITE_ORDER, protocols._AUX_SPECIES_ORDER):
-            aux, _ = protocols._aux_setup(kind, order)
+            aux = protocols._aux_setup(kind, order)[0]
             pairs += [(aux, ("test_a", "aux_a")), (aux, ("test_b", "aux_b"))]
     for reg, pair in pairs:
         x, y = (annihilation(reg, m).elements for m in pair)
