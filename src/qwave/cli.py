@@ -10,6 +10,7 @@ error, 4 I/O error. Set QWAVE_LOG=debug|info|warning for logging.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import inspect
 import json
 import logging
@@ -478,7 +479,32 @@ def _configure_logging() -> None:
                         format="%(name)s %(levelname)s %(message)s")
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group. A usage error of click (an unknown option, an
+    extra or missing argument, a bad ``--jobs`` or a batch file that is not
+    there) is a configuration error: one JSON error line and exit 2. Bare
+    ``qwave`` still prints its help."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_as_json():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_as_json():
+            return super().invoke(ctx)
+
+
+@contextlib.contextmanager
+def _usage_errors_as_json():
+    try:
+        yield
+    except click.exceptions.NoArgsIsHelpError:
+        raise
+    except click.UsageError as exc:
+        sys.exit(_emit_error("ConfigError", EXIT_CONFIG, exc.format_message()))
+
+
+@click.group(cls=_Commands)
 def main():
     """Exact simulator of split-particle nonlocality experiments."""
     _configure_logging()

@@ -185,7 +185,10 @@ def build_register(specs: Sequence[ModeSpec]) -> ModeRegister:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized pure state over a register's occupation basis. Immutable."""
+    """Normalized pure state over a register's occupation basis. Immutable:
+    its amplitudes are read-only. It keeps the last joint law that
+    ``measurement.joint_distribution`` computed on it, with that law's
+    specs, so a histogram drawn after the exact law reuses it."""
 
     register: ModeRegister
     amplitudes: np.ndarray

@@ -284,7 +284,16 @@ def joint_distribution(
     state: StateVector, specs: list[MeasurementSpec]
 ) -> dict[tuple[str, ...], float]:
     """Exact joint Born distribution of pairwise-commuting measurements, in
-    ``itertools.product`` order; each prefix P_k ... P_1 psi is made once."""
+    ``itertools.product`` order; each prefix P_k ... P_1 psi is made once.
+
+    The state keeps the last law computed on it with its specs, as one
+    tuple, so threads that race read one whole pair. A call with the same
+    specs in the same order (compared by identity) gets a fresh copy of
+    that law and computes nothing."""
+    key = tuple(specs)
+    kept = state.__dict__.get("_joint")
+    if kept is not None and kept[0] == key:
+        return dict(kept[1])
     if not specs:
         raise ValueError("need at least one measurement spec")
     for s in specs:
@@ -294,7 +303,9 @@ def joint_distribution(
     for s in specs:
         prefixes = [(labels + (label,), p._dot(v))
                     for labels, v in prefixes for label, p in s.projectors]
-    return {labels: float(np.real(np.vdot(v, v))) for labels, v in prefixes}
+    law = {labels: float(np.real(np.vdot(v, v))) for labels, v in prefixes}
+    object.__setattr__(state, "_joint", (key, law))
+    return dict(law)
 
 
 def born_probabilities(state: StateVector, spec: MeasurementSpec) -> dict[str, float]:

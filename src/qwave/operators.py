@@ -154,17 +154,38 @@ class OperatorMatrix:
         gap = np.abs(self._values - mirrored.conj()).max(initial=0.0)
         return gap, rows, cols
 
-    def _dot(self, x: np.ndarray) -> np.ndarray:
-        """The product of this operator with ``x``, a vector or a block of
-        columns of length dim: each row's products summed in column
-        order."""
+    def _laid_out(self) -> tuple:
+        """The row layout of :func:`_row_layout`, built on the first call
+        and kept; threads that race may each build one, and all get the one
+        kept."""
         layout = self.__dict__.get("_layout")
         if layout is None:
             layout = self.__dict__.setdefault("_layout", _row_layout(
                 self._pattern, self._values, self.register.dim))
-        starts, cols, values = layout
+        return layout
+
+    def _dot(self, x: np.ndarray) -> np.ndarray:
+        """The product of this operator with ``x``, a vector or a block of
+        columns of length dim: each row's products summed in column
+        order."""
+        starts, cols, values, _ = self._laid_out()
         terms = (values if x.ndim == 1 else values[:, None]) * x[cols]
         return terms if starts is None else np.add.reduceat(terms, starts)
+
+    def _revalued(self, values: np.ndarray) -> "OperatorMatrix":
+        """The operator with this one's pattern and ``values``, none of them
+        0, in place of its values. It shares the pattern and the row starts
+        and columns of this operator's row layout, so it builds no layout of
+        its own."""
+        starts, cols, _, slots = self._laid_out()
+        op = OperatorMatrix(self.register, _Entries(self._pattern, values))
+        laid = op._values
+        if slots is not None:
+            laid = np.zeros(len(cols), dtype=complex)
+            laid[slots] = op._values
+            laid.flags.writeable = False
+        object.__setattr__(op, "_layout", (starts, cols, laid, slots))
+        return op
 
     def eigh(self) -> "BlockSpectrum":
         """Eigendecomposition block by block; requires hermiticity. Computed
@@ -224,23 +245,30 @@ class OperatorMatrix:
 
 def _row_layout(
     pattern: np.ndarray, values: np.ndarray, dim: int
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
     """The entries of an ascending flat pattern laid out row by row, so
     that ``np.add.reduceat`` sums each row's products: where each row
-    starts (None when each holds one entry), and the column and value of
-    each entry. ``reduceat`` gives no 0 for an empty segment, so an empty
-    row holds one entry of value 0 on the diagonal."""
+    starts (None when each holds one entry), the column and value of each
+    entry, and where each of ``values`` sits among them (None when each
+    sits at its own index). ``reduceat`` gives no 0 for an empty segment,
+    so an empty row holds one entry of value 0 on the diagonal. The arrays
+    are read-only: operators of one pattern share them."""
     rows, cols = np.divmod(pattern, dim)
     counts = np.bincount(rows, minlength=dim)
     empty = np.flatnonzero(counts == 0)
+    slots = None
     if len(empty):
         order = np.concatenate((rows, empty)).argsort(kind="stable")
         cols = np.concatenate((cols, empty))[order]
         values = np.concatenate((values, np.zeros(len(empty))))[order]
+        # the rows' own entries keep their order among those of value 0
+        slots = np.flatnonzero(order < len(pattern))
         counts[empty] = 1
-    if len(cols) == dim:
-        return None, cols, values
-    return np.cumsum(counts) - counts, cols, values
+    starts = None if len(cols) == dim else np.cumsum(counts) - counts
+    for a in (starts, cols, values, slots):
+        if a is not None:
+            a.flags.writeable = False
+    return starts, cols, values, slots
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -526,6 +554,35 @@ def creation(register: ModeRegister, mode: str) -> OperatorMatrix:
     return _embed(register, _creation_factors(register, mode))
 
 
+class _SplitCreation:
+    """(up_a + e^{i phi} up_b) / sqrt(2) at any phi, for two creation
+    operators ``up_a`` and ``up_b`` of distinct modes: the pattern and row
+    layout of ``template = up_a + up_b``, built once, where up_b's entries
+    sit in that pattern (``at_b``), up_a's values there with 0 elsewhere
+    (``a_values``) and up_b's own values. :meth:`at` computes the values as
+    the operator algebra would, ``e^{i phi} * up_b``, then the sum, then the
+    scalar multiple, and none of them is 0, so its operator has the same
+    pattern and the same bits as that expression."""
+
+    __slots__ = ("template", "at_b", "a_values", "b_values")
+
+    def __init__(self, up_a: OperatorMatrix, up_b: OperatorMatrix):
+        self.template = up_a + up_b
+        pattern = self.template._pattern
+        self.at_b = pattern.searchsorted(up_b._pattern)
+        self.a_values = np.zeros(len(pattern), dtype=complex)
+        self.a_values[pattern.searchsorted(up_a._pattern)] = up_a._values
+        self.b_values = up_b._values
+        for a in (self.at_b, self.a_values):
+            a.flags.writeable = False
+
+    def at(self, phi: float) -> OperatorMatrix:
+        b = np.zeros(len(self.a_values), dtype=complex)
+        b[self.at_b] = self.b_values * np.exp(1j * phi)
+        return self.template._revalued(
+            np.add(self.a_values, b) * (1.0 / math.sqrt(2.0)))
+
+
 def number_operator(register: ModeRegister, mode: str) -> OperatorMatrix:
     n = np.arange(register.mode(mode).dim)
     return embed(register, {mode: np.diag(n)})
@@ -695,6 +752,28 @@ def phase_kick(register: ModeRegister, mode: str, phi: float) -> OperatorMatrix:
     n = np.arange(register.mode(mode).dim)
     kick = np.diag(np.exp(1j * phi * n))
     return embed(register, {mode: kick})
+
+
+class _PhaseKick:
+    """``phase_kick(register, mode, phi)`` at any phi, on the pattern and
+    row layout of a diagonal operator (``identity``) of the same register,
+    which kicks of several modes share, with the mode's occupation at each
+    basis index. :meth:`at` computes each value as ``embed`` does, the
+    factor product 1.0 * exp(i phi n), and reads it at the occupation n of
+    each basis index, so its operator has the bits of ``phase_kick``."""
+
+    __slots__ = ("diagonal", "occupation", "levels")
+
+    def __init__(self, diagonal: OperatorMatrix, mode: str):
+        reg = diagonal.register
+        self.diagonal = diagonal
+        self.occupation = reg.occupation_table()[:, reg.position(mode)].copy()
+        self.occupation.flags.writeable = False
+        self.levels = reg.mode(mode).dim
+
+    def at(self, phi: float) -> OperatorMatrix:
+        kick = (np.ones(1)[:, None] * np.exp(1j * phi * np.arange(self.levels))).ravel()
+        return self.diagonal._revalued(kick[self.occupation])
 
 
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, t: float) -> StateVector:

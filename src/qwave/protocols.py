@@ -66,6 +66,8 @@ from .measurement import (
 )
 from .operators import (
     OperatorMatrix,
+    _PhaseKick,
+    _SplitCreation,
     _ladder_hermitian,
     apply,
     check_tail_bound,
@@ -76,7 +78,6 @@ from .operators import (
     embed,
     evolve,
     identity,
-    phase_kick,
     poisson_tail,
     quadrature,
     swap_coupler,
@@ -228,19 +229,14 @@ def _creations(reg: ModeRegister, species: str) -> _Ups:
     return creation(reg, species + "_a"), creation(reg, species + "_b")
 
 
-def _split_particle_op(ups: _Ups, phi: float) -> OperatorMatrix:
-    """(create_a + e^{i phi} create_b) / sqrt(2) from the two creation
-    operators ``ups``: puts one particle into an equal-weight two-site
-    superposition when applied to an empty pair."""
-    op = ups[0] + np.exp(1j * phi) * ups[1]
-    return (1.0 / math.sqrt(2.0)) * op
-
-
-def _split_pair(reg: ModeRegister, outer: _Ups, inner: _Ups, phi: float) -> StateVector:
-    """Two split particles from the vacuum: first the ``inner`` species at
-    phase zero, then the ``outer`` one at phase phi."""
-    psi = apply(_split_particle_op(inner, 0.0), vacuum_state(reg), renormalize=True)
-    return apply(_split_particle_op(outer, phi), psi, renormalize=True)
+def _split_pair(
+    reg: ModeRegister, outer: OperatorMatrix, inner: OperatorMatrix
+) -> StateVector:
+    """Two split particles from the vacuum: first by ``inner``, then by
+    ``outer``, each a split-particle operator (create_a + e^{i phi}
+    create_b) / sqrt(2) of one species."""
+    psi = apply(inner, vacuum_state(reg), renormalize=True)
+    return apply(outer, psi, renormalize=True)
 
 
 def _absence_measurement(
@@ -524,10 +520,13 @@ _AUX_SPECIES_ORDER = ("test_a", "test_b", "aux_a", "aux_b")
 @functools.cache
 def _aux_setup(
     kind: ModeKind, labels: tuple[str, ...]
-) -> tuple[ModeRegister, tuple[MeasurementSpec, MeasurementSpec], _Ups, _Ups]:
-    """Register, site specs and the test and auxiliary creation operators
-    of the auxiliary-particle experiment, with its four modes of ``kind``
-    declared in the order ``labels``."""
+) -> tuple[ModeRegister, tuple[MeasurementSpec, MeasurementSpec],
+           tuple[_SplitCreation, _SplitCreation], tuple[_PhaseKick, _PhaseKick]]:
+    """Register, site specs, the test and auxiliary split-particle
+    operators and gauge-check's phase kicks on test_b and aux_b of the
+    auxiliary-particle experiment, with its four modes of ``kind`` declared
+    in the order ``labels``. A run computes only the values of the
+    operators at its phi and kick."""
     if kind is ModeKind.FERMION:
         make = fermion
     else:
@@ -538,7 +537,11 @@ def _aux_setup(
         plus_minus_basis(reg, "test_a", "aux_a", "site_a"),
         plus_minus_basis(reg, "test_b", "aux_b", "site_b"),
     )
-    return reg, specs, _creations(reg, "test"), _creations(reg, "aux")
+    splits = (_SplitCreation(*_creations(reg, "test")),
+              _SplitCreation(*_creations(reg, "aux")))
+    diagonal = identity(reg)
+    kicks = (_PhaseKick(diagonal, "test_b"), _PhaseKick(diagonal, "aux_b"))
+    return reg, specs, splits, kicks
 
 
 def _aux_phase_exact(phi: float, kind: ModeKind, labels: tuple[str, ...]):
@@ -549,8 +552,8 @@ def _aux_phase_exact(phi: float, kind: ModeKind, labels: tuple[str, ...]):
     fermions permutes the anticommutation bookkeeping; the conditional
     statistics must not depend on it.
     """
-    reg, specs, test, aux = _aux_setup(kind, labels)
-    psi = _split_pair(reg, test, aux, phi)
+    reg, specs, (test, aux), _ = _aux_setup(kind, labels)
+    psi = _split_pair(reg, test.at(phi), aux.at(0.0))
     return reg, psi, specs, joint_distribution(psi, specs)
 
 
@@ -777,10 +780,11 @@ _CHAIN_MODES = {spec.label: spec for spec in (
 @functools.cache
 def _collective_setup(labels: tuple[str, ...]):
     """Register, annihilation coupler, lepton-absence measurement, the two
-    photon superposition measurements, the electron and positron creation
-    operators and the two photon resets of the collective chain, with its
-    modes declared in the order ``labels``. The coupler keeps the spectrum
-    its first ``evolve`` computes."""
+    photon superposition measurements, the electron and positron
+    split-particle operators, the positron creation operators and the two
+    photon resets of the collective chain, with its modes declared in the
+    order ``labels``. The coupler keeps the spectrum its first ``evolve``
+    computes."""
     reg = build_register([_CHAIN_MODES[label] for label in labels])
 
     def coupler(site: str) -> OperatorMatrix:
@@ -790,6 +794,7 @@ def _collective_setup(labels: tuple[str, ...]):
         )
 
     h_total = coupler("a") + coupler("b")
+    pos = _creations(reg, "pos")
     lepton_spec = _absence_measurement(
         reg, ("el_a", "el_b", "pos_a", "pos_b"), "leptons"
     )
@@ -799,8 +804,8 @@ def _collective_setup(labels: tuple[str, ...]):
         lepton_spec,
         vacuum_one_superposition_basis(reg, "ph_a", "photon_a"),
         vacuum_one_superposition_basis(reg, "ph_b", "photon_b"),
-        _creations(reg, "el"),
-        _creations(reg, "pos"),
+        (_SplitCreation(*_creations(reg, "el")), _SplitCreation(*pos)),
+        pos,
         (_superposition_reset(reg, "ph_a"), _superposition_reset(reg, "ph_b")),
     )
 
@@ -812,15 +817,16 @@ def _collective_exact(
     with the direct variant's state before post-selection and the
     lepton-absence measurement that post-selects it."""
     (reg, h_total, lepton_spec, spec_pa, spec_pb,
-     el, pos, resets) = _collective_setup(labels)
+     (el, pos_split), pos, resets) = _collective_setup(labels)
     quarter = math.pi / 2.0
     vac = vacuum_state(reg)
+    split_el = el.at(phi)
     out: dict[str, float] = {}
 
     # direct variant: both species split with the positron at phase zero,
     # annihilated for a quarter period at each site, post-select all
     # leptons gone
-    direct = evolve(_split_pair(reg, el, pos, phi), h_total, quarter)
+    direct = evolve(_split_pair(reg, split_el, pos_split.at(0.0)), h_total, quarter)
     photon_state, p_direct = post_select(direct, lepton_spec, "absent")
     out["direct_postselection_probability"] = p_direct
     out["direct_photon_fidelity"] = photon_state.fidelity(
@@ -829,7 +835,7 @@ def _collective_exact(
 
     # stage 1: one positron per site, electron split
     psi1 = apply(
-        _split_particle_op(el, phi),
+        split_el,
         apply(pos[0], apply(pos[1], vac, renormalize=True), renormalize=True),
         renormalize=True,
     )
@@ -852,7 +858,7 @@ def _collective_exact(
     # stage 3: reset the measured photon modes, feed in a fresh split
     # electron, annihilate again, post-select all leptons gone
     psi3 = apply(resets[1], apply(resets[0], psi2))
-    psi4 = apply(_split_particle_op(el, phi), psi3, renormalize=True)
+    psi4 = apply(split_el, psi3, renormalize=True)
     psi5 = evolve(psi4, h_total, quarter)
     psi6, p_nolep = post_select(psi5, lepton_spec, "absent")
     out["stage3_postselection_probability"] = p_nolep
@@ -939,11 +945,12 @@ def ab_gauge_check(
     phi = phi % TWO_PI
     kick = kick % TWO_PI
     # the charged reference is the auxiliary particle
-    reg, baseline, specs, dist0 = _aux_phase_exact(
+    _, baseline, specs, dist0 = _aux_phase_exact(
         phi, ModeKind.BOSON, _AUX_SITE_ORDER
     )
-    kicked_test_only = apply(phase_kick(reg, "test_b", kick), baseline)
-    kicked_both = apply(phase_kick(reg, "aux_b", kick), kicked_test_only)
+    kick_test, kick_aux = _aux_setup(ModeKind.BOSON, _AUX_SITE_ORDER)[3]
+    kicked_test_only = apply(kick_test.at(kick), baseline)
+    kicked_both = apply(kick_aux.at(kick), kicked_test_only)
     dist1 = joint_distribution(kicked_both, specs)
     cond0, coinc0, _ = _conditional_rates(dist0)
     cond1, _, _ = _conditional_rates(dist1)

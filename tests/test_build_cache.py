@@ -41,7 +41,7 @@ from qwave import (
     two_level,
     vacuum_state,
 )
-from qwave import protocols
+from qwave import operators, protocols
 from qwave.cli import EXIT_OK, RunConfig, canonical_json, run
 from qwave.fock import ModeKind
 
@@ -289,12 +289,46 @@ def test_a_second_run_builds_nothing_its_setup_holds(first, second, monkeypatch)
     assert calls == []
 
 
+@pytest.mark.parametrize("first, second", [
+    (lambda: aux_particle_phase(0.4, "boson", 0, 1),
+     lambda: aux_particle_phase(2.2, "boson", 1000, 3)),
+    (lambda: aux_particle_phase(0.4, "fermion", 0, 1),
+     lambda: aux_particle_phase(2.2, "fermion", 1000, 3)),
+    (lambda: ab_gauge_check(0.4, 0.3, 0, 1),
+     lambda: ab_gauge_check(2.2, 1.1, 1000, 3)),
+    (lambda: collective_chain(0.4, 0, 1), lambda: collective_chain(2.2, 1000, 3)),
+], ids=["aux-phase-boson", "aux-phase-fermion", "gauge-check", "collective-chain"])
+def test_a_second_run_lays_out_adds_and_kicks_nothing(first, second, monkeypatch):
+    # a run's split-particle operators and phase kicks take the pattern and
+    # row layout of their setup's templates, so it builds no row layout,
+    # no sum of operators and no phase kick
+    calls = []
+    patched = [(operators, "_row_layout"), (OperatorMatrix, "_combined")]
+    patched += [(module, "phase_kick") for module in (operators, protocols)
+                if hasattr(module, "phase_kick")]
+    for owner, name in patched:
+        def counted(*args, _build=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _build(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    _clear_setups()
+    assert first().passed
+    assert calls
+    calls.clear()
+    # at another phi and kick, with shots drawn
+    assert second().passed
+    assert calls == []
+
+
 def test_a_setup_held_operator_cannot_be_written():
     _clear_setups()
     held = []
     for kind in (ModeKind.BOSON, ModeKind.FERMION):
-        held += protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
-    held += protocols._collective_setup(protocols._CHAIN_SITE_ORDER)[5:]
+        splits, kicks = protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
+        held += [[s.template for s in splits], [k.diagonal for k in kicks]]
+    splits, *pairs = protocols._collective_setup(protocols._CHAIN_SITE_ORDER)[5:]
+    held += [[s.template for s in splits], *pairs]
     ops = [op for pair in held for op in pair]
     assert len(ops) == 14
     for op in ops:
@@ -302,6 +336,21 @@ def test_a_setup_held_operator_cannot_be_written():
             entries = op.__dict__[name]
             with pytest.raises(ValueError, match="read-only"):
                 entries[0] = entries[-1]
+    # every other array a setup holds, once every experiment has run: the
+    # row layouts that a run's split-particle operators and kicks share
+    # with their templates, where up_b's entries sit, up_a's zero-filled
+    # values, the kicked modes' occupations, spectra and probe products
+    for run_once in RUNS + [lambda: ab_gauge_check(0.4, 0.3, 0, 1)]:
+        assert run_once().passed
+    arrays = list(_held_arrays(tuple(setup(*args) for setup, args in SETUP_KEYS)))
+    for kind in (ModeKind.BOSON, ModeKind.FERMION):
+        splits, kicks = protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
+        assert {id(s.at_b) for s in splits} <= {id(a) for a in arrays}
+        assert {id(k.occupation) for k in kicks} <= {id(a) for a in arrays}
+    for a in arrays:
+        if a.size:
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[0] = a.reshape(-1)[-1]
 
 
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
@@ -323,13 +372,22 @@ def test_aux_phase_runs_at_two_phases_give_their_solo_bytes_in_either_order(
 
 def _held_arrays(value):
     """The arrays a setup's value holds: the entries or elements, row
-    layouts and spectra of its operators, the probe products of its specs
-    and the amplitudes of its states."""
+    layouts and spectra of its operators, the probe products of its specs,
+    the amplitudes of its states, and of its split-particle templates and
+    phase kicks the template operator, where up_b's entries sit, up_a's
+    zero-filled values and up_b's values, and the kicked mode's
+    occupations."""
     if isinstance(value, tuple):
         for item in value:
             yield from _held_arrays(item)
     elif isinstance(value, OperatorMatrix):
         yield from _op_arrays(value)
+    elif isinstance(value, operators._SplitCreation):
+        yield from _op_arrays(value.template)
+        yield from (value.at_b, value.a_values, value.b_values)
+    elif isinstance(value, operators._PhaseKick):
+        yield from _op_arrays(value.diagonal)
+        yield value.occupation
     elif isinstance(value, MeasurementSpec):
         for _, p in value.projectors:
             yield from _held_arrays(p)

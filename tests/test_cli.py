@@ -401,6 +401,30 @@ def test_batch_jobs_below_one_exits_config_error(jobs, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["run", "photon-swap", "--bogus=1", "--seed", "1"], "No such option '--bogus'"),
+    (["run", "--", "-x", "--seed", "1"], "Got unexpected extra arguments (--seed 1)"),
+    (["batch"], "Missing argument 'CONFIG_FILE'."),
+    (["batch", "missing.json"], "File 'missing.json' does not exist."),
+    (["--bogus"], "No such option '--bogus'."),
+], ids=["unknown-option", "extra-arguments", "no-batch-file", "missing-batch-file",
+        "unknown-group-option"])
+def test_a_usage_error_is_one_json_error_line(args, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = _run_cli(args)
+    assert result.exit_code == EXIT_CONFIG and result.stdout == ""
+    [line] = result.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ConfigError" and error["code"] == EXIT_CONFIG
+    assert message in error["message"]
+
+
+def test_bare_qwave_still_prints_its_help():
+    result = _run_cli([])
+    assert result.exit_code == EXIT_CONFIG
+    assert "Usage:" in result.output and '"error"' not in result.output
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_batch_rejects_entries_sharing_an_output_file(jobs, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

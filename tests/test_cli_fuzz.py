@@ -1,7 +1,7 @@
 """Every config value maps to a documented exit code.
 
 Batch files and ``qwave run`` options are drawn with JSON values of every
-type in every field: bools, integers beyond 2**63 and beyond the float
+type in every field, and options with names that no parameter has: bools, integers beyond 2**63 and beyond the float
 range, NaN and infinity literals, nested containers, and non-ASCII and NUL
 strings. Output paths name new files, existing files (the batch file
 itself among them), ``/dev/null``, directories and missing directories.
@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qwave.cli import (
-    EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PROTOCOL, EXPERIMENTS, PARAMS, main,
+    EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PROTOCOL, EXPERIMENTS, main,
 )
 
 EXIT_CODES = {EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL, EXIT_IO}
@@ -229,10 +229,9 @@ def test_any_run_options_exit_with_a_documented_code(run_object):
         with open(os.path.join(root, "existing.out"), "w") as fh:
             fh.write("an older and longer file " * 40)
         # the values are drawn; the option names are click's, one per
-        # parameter
+        # parameter, and now and then a drawn name that no option has
         params = run_object.get("params")
-        options = ({k: v for k, v in params.items() if k in PARAMS}
-                   if isinstance(params, dict) else {})
+        options = dict(params) if isinstance(params, dict) else {}
         options.update({k: run_object[k] for k in ("shots", "seed", "format")
                         if k in run_object})
         path = None

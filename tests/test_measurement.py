@@ -1,10 +1,12 @@
 import itertools
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from qwave import measurement
+from qwave import measurement, protocols
 from qwave.measurement import PROJECTOR_ATOL
 from qwave import (
     MeasurementSpec,
@@ -14,6 +16,7 @@ from qwave import (
     SimulationError,
     Site,
     SiteMismatchError,
+    StateVector,
     basis_state,
     born_probabilities,
     boson,
@@ -261,6 +264,86 @@ def test_joint_distribution_extends_prefixes_in_product_order():
         v = p3.elements @ (p2.elements @ (p1.elements @ psi.amplitudes))
         assert prob == np.vdot(v, v).real
         assert (prob == 0.0) == (l1 == "-1")
+
+
+def _counted_dots(monkeypatch) -> list:
+    dots = []
+    dot = OperatorMatrix._dot
+    monkeypatch.setattr(OperatorMatrix, "_dot",
+                        lambda op, x: dots.append(op) or dot(op, x))
+    return dots
+
+
+def test_a_state_keeps_its_last_joint_law(monkeypatch):
+    reg = _aux_register()
+    psi = prepare_superposition(reg, "ta", "tb", 0.7)
+    specs = [plus_minus_basis(reg, "ta", "ra", "a"),
+             plus_minus_basis(reg, "tb", "rb", "b")]
+    other = [vacuum_one_superposition_basis(reg, "ta", "va")]
+    law = joint_distribution(psi, specs)
+    counts = sample_counts(psi, specs, 1000, seed=4)
+    dots = _counted_dots(monkeypatch)
+    # the same specs: a fresh copy of the kept law, and no product
+    again = joint_distribution(psi, specs)
+    assert again == law and again is not law and dots == []
+    again[("+", "+")] = 5.0
+    again.clear()
+    law.clear()
+    assert joint_distribution(psi, list(specs)) == joint_distribution(psi, specs)
+    assert dots == []
+    # a histogram drawn after the law reads it: no product either
+    assert sample_counts(psi, specs, 1000, seed=4) == counts and dots == []
+    # other specs, or the same specs in another order, compute their own law
+    fresh = StateVector(reg, psi.amplitudes)
+    assert joint_distribution(psi, other) == joint_distribution(fresh, other)
+    assert dots
+    dots.clear()
+    swapped = joint_distribution(psi, specs[::-1])
+    assert dots and swapped == joint_distribution(fresh, specs[::-1])
+    expected = joint_distribution(fresh, specs)
+    dots.clear()
+    assert joint_distribution(psi, specs) == expected and dots
+    assert sample_counts(psi, specs, 1000, seed=4) == counts
+
+
+def test_threads_sharing_a_state_get_the_serial_laws_and_counts():
+    # the bell-chain singlet is held by its setup and shared by every run
+    # in the process, whatever thread runs it
+    singlet, directions, _ = protocols._bell_setup(4)
+    pairs = [[directions[i], directions[j]]
+             for i in range(len(directions)) for j in range(len(directions))
+             if i % 2 == 0 and j % 2 == 1]
+
+    def both(psi, k):
+        specs = pairs[k]
+        return (joint_distribution(psi, specs),
+                sample_counts(psi, specs, 1000, seed=9, stream=k))
+
+    serial = [both(StateVector(singlet.register, singlet.amplitudes), k)
+              for k in range(len(pairs))]
+    threads = 4
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def work(slot):
+        barrier.wait()
+        order = [(k + slot) % len(pairs) for k in range(len(pairs))] * 3
+        results[slot] = [(k, both(singlet, k)) for k in order]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(slot,))
+                   for slot in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers)
+    for got in results:
+        assert [serial[k] for k, _ in got] == [r for _, r in got]
 
 
 def test_spec_rejects_nan_projector():

@@ -264,9 +264,11 @@ def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
                            shots=entry["shots"], seed=entry["seed"],
                            output_path=str(tmp_path / "report.json"))
         assert run(config) == EXIT_OK
-    # the setups hold the creation operators and photon resets that the
-    # runs share, so the batch builds 409 operators, and checks each
-    assert len(seen) > 100 and len(built) >= 409
+    # the setups hold the creation operators, photon resets, split-particle
+    # templates and phase-kick diagonals that the runs share, and a run
+    # builds each split-particle operator and kick as one operator on a
+    # template, so the batch builds 281 operators, and checks each
+    assert len(seen) > 100 and len(built) >= 281
     for op in seen + built:
         _assert_pattern_is_nonzero_set(op)
     # the fermion chain of the chain pipeline, dim 512: each quadrature's
@@ -370,3 +372,64 @@ def test_products_by_the_entries_match_the_dense_products(reg, seed):
             ok = ~np.isnan(want)
             assert (np.abs(got[ok] - want[ok]).max(initial=0.0)
                     <= 1e-13 * np.abs(want[ok]).max(initial=1.0))
+
+
+#: Phases at the edges of phi % 2 pi and between: the quarter turns, a
+#: value below the smallest normal float, one just below 2 pi, and phases
+#: whose e^{i phi} has components of either sign.
+KEPT_PHASES = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0,
+               2.0 * math.pi - 1e-12, 1e-300, 0.5, 2.2, 5.9)
+
+
+def _kept_structure_registers():
+    """The aux-phase registers (two statistics by two declaration orders),
+    the collective chain's (two orders) and one with a cutoff-3 boson."""
+    site_of = {"test_a": Site.A, "aux_a": Site.A, "test_b": Site.B, "aux_b": Site.B}
+    for make in (lambda label, site: boson(label, 1, site), fermion):
+        for order in (protocols._AUX_SITE_ORDER, protocols._AUX_SPECIES_ORDER):
+            yield build_register([make(label, site_of[label]) for label in order])
+    for order in (protocols._CHAIN_SITE_ORDER, protocols._CHAIN_SPECIES_ORDER):
+        yield build_register([protocols._CHAIN_MODES[label] for label in order])
+    yield build_register([boson("x_a", 3, Site.A), fermion("f", Site.A),
+                          boson("x_b", 2, Site.B)])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_operator(got: OperatorMatrix, expected: OperatorMatrix):
+    # the same pattern and values, bit for bit, and the same products
+    assert np.array_equal(_pattern(got), _pattern(expected))
+    assert _same_bits(got.__dict__["_values"], expected.__dict__["_values"])
+    rng = np.random.default_rng(5)
+    d = got.register.dim
+    for shape in ((d,), (d, 3)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert _same_bits(got._dot(x), expected._dot(x))
+    _assert_pattern_is_nonzero_set(got)
+
+
+@pytest.mark.parametrize("reg", list(_kept_structure_registers()),
+                         ids=lambda reg: reg.modes[0].kind.value + ":"
+                         + ",".join(m.label for m in reg.modes))
+def test_kept_structure_operators_have_the_bits_of_their_builders(reg):
+    labels = [m.label for m in reg.modes]
+    pairs = [(f"{s}_a", f"{s}_b") for s in {l[:-2] for l in labels}
+             if f"{s}_a" in labels and f"{s}_b" in labels]
+    assert pairs
+    diagonal = identity(reg)
+    for mode_a, mode_b in pairs:
+        up_a, up_b = creation(reg, mode_a), creation(reg, mode_b)
+        split = operators._SplitCreation(up_a, up_b)
+        for phi in KEPT_PHASES:
+            expected = (1.0 / math.sqrt(2.0)) * (up_a + np.exp(1j * phi) * up_b)
+            got = split.at(phi)
+            assert _pattern(got) is _pattern(split.template)
+            _assert_same_operator(got, expected)
+    for mode in labels:
+        kick = operators._PhaseKick(diagonal, mode)
+        for phi in KEPT_PHASES:
+            got = kick.at(phi)
+            assert _pattern(got) is _pattern(diagonal)
+            _assert_same_operator(got, phase_kick(reg, mode, phi))
