@@ -290,6 +290,15 @@ class DensityMatrix:
 def partial_trace(state: StateVector, keep: Iterable[str]) -> DensityMatrix:
     """Reduced density matrix over the kept modes.
 
+    Fermion modes are traced in the usual convention: the kept modes, in
+    their declared order, are moved in front of the dropped ones before the
+    trace. A basis state is a product of creation operators in declaration
+    order, so moving kept fermion mode k past dropped fermion mode t
+    declared before it multiplies its amplitude by (-1)^(n_t n_k). Without
+    that sign, the reduced state would depend on where the dropped modes
+    were declared; with it, the reduced states of one state declared in any
+    two orders differ only by the order of the kept modes.
+
     Parameters
     ----------
     state:
@@ -306,10 +315,25 @@ def partial_trace(state: StateVector, keep: Iterable[str]) -> DensityMatrix:
     drop_pos = [i for i in range(len(register.modes)) if i not in keep_pos]
     sub = register.sub_register(keep)
     tensor = state.amplitudes.reshape(register.dims)
+    fermions = {p for p, m in enumerate(register.modes) if m.kind is ModeKind.FERMION}
+    # n_t n_k summed over each dropped fermion mode t before a kept one k,
+    # on the fermion axes of the tensor only
+    exponent = sum(_occupation_axis(register, t) * _occupation_axis(register, k)
+                   for k in keep_pos for t in drop_pos
+                   if t < k and {t, k} <= fermions)
+    if np.ndim(exponent):
+        tensor = np.where(exponent % 2 == 1, -tensor, tensor)
     rho = np.tensordot(tensor, tensor.conj(), axes=(drop_pos, drop_pos))
     # tensordot leaves kept axes of ket then bra; flatten each side
     rho = rho.reshape(sub.dim, sub.dim)
     return DensityMatrix(sub, rho)
+
+
+def _occupation_axis(register: ModeRegister, position: int) -> np.ndarray:
+    """The occupations 0 and 1 of the fermion mode at ``position``, along
+    its axis of the register's amplitude tensor."""
+    return np.arange(2).reshape(
+        [2 if q == position else 1 for q in range(len(register.modes))])
 
 
 def _check_same_register(a: ModeRegister, b: ModeRegister) -> None:

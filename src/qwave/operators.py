@@ -314,6 +314,13 @@ class BlockSpectrum:
     eigenvectors (columns), so ``H[index[k]][:, index[k]] = v[k] diag(w[k])
     v[k]^H``. Like ``np.linalg.eigh``, it reads each block's lower triangle.
     Spectra compare and hash by identity.
+
+    :meth:`propagated` is the one propagation. It goes through BLAS only
+    for groups of blocks larger than 2 x 2, by a batched ``np.matmul``. A
+    1 x 1 block's eigenvector is 1, so its coefficient is its amplitude and
+    its output its phase times that. A 2 x 2 block's coefficients and
+    output components are each two products and a sum, read from views of
+    the block's eigenvector columns, so the spectrum holds nothing more.
     """
 
     dim: int
@@ -365,18 +372,43 @@ class BlockSpectrum:
         """Largest |eigenvalue|, the fastest phase rate of exp(-iHt)."""
         return max(float(np.abs(w).max()) for _, w, _ in self.groups)
 
-    def propagate(self, amplitudes: np.ndarray, times) -> np.ndarray:
-        """exp(-iHt) applied to ``amplitudes`` at each of ``times``, as an
-        array of shape ``(len(times), dim)``, row i at ``times[i]``."""
+    def propagated(self, amplitudes: np.ndarray, times, rows: int):
+        """exp(-iHt) applied to ``amplitudes`` at ``times``, yielded for
+        successive slices of at most ``rows`` times as arrays of shape
+        ``(len(slice), dim)``, row i at the slice's i-th time. Each block's
+        coefficients v^H amplitudes are computed once, before the first
+        slice."""
         times = np.asarray(times, dtype=float).reshape(-1, 1, 1)
-        out = np.empty((times.shape[0], self.dim), dtype=complex)
-        for index, w, v in self.groups:
-            # per block k: coeffs[k] = v[k]^H amplitudes[index[k]]
-            coeffs = np.matmul(amplitudes[index][:, None, :], v.conj())[:, 0]
-            phases = np.exp(-1j * w * times)
-            phases *= coeffs
-            out[:, index] = np.matmul(v, phases[..., None])[..., 0]
-        return out
+        coeffs = [_coefficients(amplitudes, index, v) for index, _, v in self.groups]
+        for start in range(0, len(times), rows):
+            at = times[start:start + rows]
+            out = np.empty((len(at), self.dim), dtype=complex)
+            for (index, w, v), c in zip(self.groups, coeffs):
+                phases = np.exp(-1j * w * at)
+                phases *= c
+                s = index.shape[1]
+                if s == 1:  # v is 1
+                    out[:, index] = phases
+                elif s == 2:  # two products and a sum per component
+                    for i in range(2):
+                        terms = v[:, i] * phases
+                        out[:, index[:, i]] = terms[..., 0] + terms[..., 1]
+                else:
+                    out[:, index] = np.matmul(v, phases[..., None])[..., 0]
+            yield out
+
+
+def _coefficients(amplitudes: np.ndarray, index: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v[k]^H amplitudes[index[k]] for each block k of a group, as an array
+    of shape ``(blocks, size)``; for 2 x 2 blocks, two products and a sum
+    per coefficient."""
+    s = index.shape[1]
+    if s == 1:  # v is 1
+        return amplitudes[index]
+    if s == 2:
+        terms = v.conj() * amplitudes[index][..., None]
+        return terms[:, 0] + terms[:, 1]
+    return np.matmul(amplitudes[index][:, None, :], v.conj())[:, 0]
 
 
 def identity(register: ModeRegister) -> OperatorMatrix:
@@ -780,7 +812,7 @@ def evolve(state: StateVector, hamiltonian: OperatorMatrix, t: float) -> StateVe
     """Exact exp(-iHt)|psi> through the eigendecomposition of each connected
     block of H, which ``OperatorMatrix.eigh`` computes once per operator."""
     _check_same_register(state.register, hamiltonian.register)
-    amps = hamiltonian.eigh().propagate(state.amplitudes, [t])[0]
+    (amps,), = hamiltonian.eigh().propagated(state.amplitudes, [t], 1)
     return StateVector(state.register, amps)
 
 

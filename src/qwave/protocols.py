@@ -65,6 +65,7 @@ from .measurement import (
     vacuum_one_superposition_basis,
 )
 from .operators import (
+    BlockSpectrum,
     OperatorMatrix,
     _PhaseKick,
     _SplitCreation,
@@ -102,6 +103,11 @@ MAX_RABI_TIMES = 4096
 #: Complex entries in one chunk of rabi's propagated amplitudes: 128 KiB,
 #: glibc's default mmap threshold, so the chunks reuse heap memory.
 _RABI_CHUNK_ENTRIES = 8192
+
+#: Most cutoffs whose rabi setup is kept; the least recently used goes
+#: first. A setup at the largest cutoff, 2047, holds 196 KiB, so 16 of them
+#: and every other setup stay inside the 4 MiB that the setups may hold.
+_RABI_SETUPS = 16
 
 
 @dataclass(frozen=True)
@@ -229,14 +235,13 @@ def _creations(reg: ModeRegister, species: str) -> _Ups:
     return creation(reg, species + "_a"), creation(reg, species + "_b")
 
 
-def _split_pair(
-    reg: ModeRegister, outer: OperatorMatrix, inner: OperatorMatrix
-) -> StateVector:
-    """Two split particles from the vacuum: first by ``inner``, then by
-    ``outer``, each a split-particle operator (create_a + e^{i phi}
-    create_b) / sqrt(2) of one species."""
-    psi = apply(inner, vacuum_state(reg), renormalize=True)
-    return apply(outer, psi, renormalize=True)
+def _split_at_zero(reg: ModeRegister, ups: _Ups) -> StateVector:
+    """One split particle at phase 0 from the vacuum, (create_a + create_b)
+    / sqrt(2) |0>: the inner particle of a split pair, built once per
+    setup."""
+    up_a, up_b = ups
+    return apply((up_a + up_b) * (1.0 / math.sqrt(2.0)), vacuum_state(reg),
+                 renormalize=True)
 
 
 def _absence_measurement(
@@ -328,6 +333,18 @@ def photon_swap_experiment(phi: float, shots: int, seed: int) -> ExperimentRepor
 # coherent-field-driven rotation of a two-level system
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_RABI_SETUPS)
+def _rabi_setup(cutoff: int) -> tuple[ModeRegister, BlockSpectrum, np.ndarray]:
+    """Register, coupler spectrum and excited-atom mask of rabi at
+    ``cutoff``; none depends on alpha or the times. The coupler itself is
+    not kept."""
+    reg = build_register([boson("field", cutoff), two_level("atom")])
+    spectrum = swap_coupler(reg, "field", "atom", 1.0).eigh()
+    atom_excited = reg.occupation_table()[:, reg.position("atom")] == 1
+    atom_excited.flags.writeable = False
+    return reg, spectrum, atom_excited
+
+
 def rabi_rotation(
     alpha: complex,
     cutoff: int,
@@ -360,9 +377,9 @@ def rabi_rotation(
         if any(not t >= 0.0 for t in times):  # NaN too
             raise ValueError("times must be nonnegative")
 
-    reg = build_register([boson("field", cutoff), two_level("atom")])
+    # the cutoff is checked before a setup is reached, and keys it as an int
+    reg, spectrum, atom_excited = _rabi_setup(boson("field", cutoff).cutoff)
     psi0 = coherent_state(reg, "field", alpha, tail_bound)
-    spectrum = swap_coupler(reg, "field", "atom", 1.0).eigh()
     # each phase (w t, sqrt(n) t, |alpha| t) is at most rate * t; one past
     # the float range would turn into NaN. The default grid ends at t_end.
     rate = max(spectrum.max_abs_eigenvalue, mag)
@@ -371,15 +388,6 @@ def rabi_rotation(
             raise ValueError(f"phase at time {t:.17g} overflows for alpha={alpha}")
     if times is None:
         times = [float(t) for t in np.linspace(0.0, t_end, 65)]
-    atom_excited = reg.occupation_table()[:, reg.position("atom")] == 1
-    rows = max(1, _RABI_CHUNK_ENTRIES // reg.dim)
-    norms, populations = [], []
-    for start in range(0, len(times), rows):
-        amps = spectrum.propagate(psi0.amplitudes, times[start:start + rows])
-        norms.extend(np.linalg.norm(amps, axis=1).tolist())
-        # one sum per row: a sum along the rows of the table rounds differently
-        populations.extend(
-            float(np.sum(row)) for row in np.abs(amps[:, atom_excited]) ** 2)
     # |n, g> couples only to |n-1, e>, at rate sqrt(n)
     p_n = np.abs(psi0.amplitudes.reshape(cutoff + 1, 2)[:, 0]) ** 2
     sqrt_n = np.sqrt(np.arange(cutoff + 1.0))
@@ -396,12 +404,19 @@ def rabi_rotation(
         shots=0,
     )
     devs = [0.0]
-    for t, norm, pe in zip(times, norms, populations):
-        report.require(abs(norm - 1.0), 1e-9)
-        closed_form = float(np.sum(p_n * np.sin(sqrt_n * t) ** 2))
-        report.require(abs(pe - closed_form), 1e-10)
-        if t <= t_end + 1e-12:
-            devs.append(abs(pe - math.sin(mag * t) ** 2))
+    rows = max(1, _RABI_CHUNK_ENTRIES // reg.dim)
+    chunks = spectrum.propagated(psi0.amplitudes, times, rows)
+    for start, amps in zip(range(0, len(times), rows), chunks):
+        at = times[start:start + rows]
+        # one sum per row: a sum along the rows of the table rounds differently
+        populations = [float(row.sum()) for row in np.abs(amps[:, atom_excited]) ** 2]
+        # the closed forms only decide pass, a chunk's times at a time
+        closed_forms = (p_n * np.sin(np.multiply.outer(at, sqrt_n)) ** 2).sum(axis=1)
+        # np.max carries a NaN through, so a NaN gap fails its check
+        report.require(np.max(np.abs(np.linalg.norm(amps, axis=1) - 1.0)), 1e-9)
+        report.require(np.max(np.abs(populations - closed_forms)), 1e-10)
+        devs.extend(abs(pe - math.sin(mag * t) ** 2)
+                    for t, pe in zip(at, populations) if t <= t_end + 1e-12)
 
     # the tail two ways: Poisson survival function, and the norm the
     # unnormalised amplitudes below the cutoff leave out
@@ -412,7 +427,7 @@ def rabi_rotation(
     report.analytic = {
         # np.max carries a NaN through, where max() would keep its other operand
         "max_deviation_from_rotation_formula": float(np.max(devs)),
-        "excited_population_final": pe,
+        "excited_population_final": populations[-1],
         "rotation_formula_final": math.sin(mag * times[-1]) ** 2,
         "tail_mass": tail_mass,
     }
@@ -521,12 +536,12 @@ _AUX_SPECIES_ORDER = ("test_a", "test_b", "aux_a", "aux_b")
 def _aux_setup(
     kind: ModeKind, labels: tuple[str, ...]
 ) -> tuple[ModeRegister, tuple[MeasurementSpec, MeasurementSpec],
-           tuple[_SplitCreation, _SplitCreation], tuple[_PhaseKick, _PhaseKick]]:
-    """Register, site specs, the test and auxiliary split-particle
-    operators and gauge-check's phase kicks on test_b and aux_b of the
-    auxiliary-particle experiment, with its four modes of ``kind`` declared
-    in the order ``labels``. A run computes only the values of the
-    operators at its phi and kick."""
+           _SplitCreation, StateVector, tuple[_PhaseKick, _PhaseKick]]:
+    """Register, site specs, the test split-particle operator, the split
+    auxiliary particle at phase 0 and gauge-check's phase kicks on test_b
+    and aux_b of the auxiliary-particle experiment, with its four modes of
+    ``kind`` declared in the order ``labels``. A run computes only the
+    values of the operators at its phi and kick."""
     if kind is ModeKind.FERMION:
         make = fermion
     else:
@@ -537,11 +552,11 @@ def _aux_setup(
         plus_minus_basis(reg, "test_a", "aux_a", "site_a"),
         plus_minus_basis(reg, "test_b", "aux_b", "site_b"),
     )
-    splits = (_SplitCreation(*_creations(reg, "test")),
-              _SplitCreation(*_creations(reg, "aux")))
+    test = _SplitCreation(*_creations(reg, "test"))
+    aux = _split_at_zero(reg, _creations(reg, "aux"))
     diagonal = identity(reg)
     kicks = (_PhaseKick(diagonal, "test_b"), _PhaseKick(diagonal, "aux_b"))
-    return reg, specs, splits, kicks
+    return reg, specs, test, aux, kicks
 
 
 def _aux_phase_exact(phi: float, kind: ModeKind, labels: tuple[str, ...]):
@@ -552,8 +567,9 @@ def _aux_phase_exact(phi: float, kind: ModeKind, labels: tuple[str, ...]):
     fermions permutes the anticommutation bookkeeping; the conditional
     statistics must not depend on it.
     """
-    reg, specs, (test, aux), _ = _aux_setup(kind, labels)
-    psi = _split_pair(reg, test.at(phi), aux.at(0.0))
+    reg, specs, test, aux, _ = _aux_setup(kind, labels)
+    # the test particle split on top of the auxiliary one
+    psi = apply(test.at(phi), aux, renormalize=True)
     return reg, psi, specs, joint_distribution(psi, specs)
 
 
@@ -623,6 +639,41 @@ def aux_particle_phase(
 # why the trick above is the only option for fermions
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _fermion_nogo_setup() -> tuple[
+    tuple[tuple[str, OperatorMatrix, OperatorMatrix, StateVector,
+                MeasurementSpec, MeasurementSpec], ...],
+    tuple[OperatorMatrix, OperatorMatrix],
+]:
+    """What fermion-nogo reads, none of which depends on a parameter: per
+    statistics, the quadratures at sites A and B of a two-site register,
+    the particle split between them at phi = pi / 3 and the two quadrature
+    measurements; and the same-site pair operators of a four-fermion
+    register."""
+    phi = math.pi / 3.0
+    pairs = []
+    for kind, make in (("boson", lambda label, site: boson(label, 1, site)),
+                       ("fermion", fermion)):
+        reg = build_register([make("a", Site.A), make("b", Site.B)])
+        pairs.append((
+            kind, quadrature(reg, "a"), quadrature(reg, "b"),
+            prepare_superposition(reg, "a", "b", phi),
+            quadrature_basis(reg, "a", "quad_a"),
+            quadrature_basis(reg, "b", "quad_b"),
+        ))
+    regp = build_register(
+        [
+            fermion("up_a", Site.A),
+            fermion("down_a", Site.A),
+            fermion("up_b", Site.B),
+            fermion("down_b", Site.B),
+        ]
+    )
+    pair_ops = (_ladder_hermitian(regp, ("up_a", "down_a"), (), 1.0),
+                _ladder_hermitian(regp, ("up_b", "down_b"), (), 1.0))
+    return tuple(pairs), pair_ops
+
+
 def fermion_nogo() -> ExperimentReport:
     """Quantify the obstruction to measuring a fermion's split-particle
     phase with single-site quadrature measurements.
@@ -637,18 +688,10 @@ def fermion_nogo() -> ExperimentReport:
     deterministic to uniform (total-variation distance 1/2), while the
     bosonic analog stays untouched.
     """
+    pairs, pair_ops = _fermion_nogo_setup()
     results: dict[str, float] = {}
-    phi = math.pi / 3.0
-    pair_registers = (
-        ("boson", build_register([boson("a", 1, Site.A), boson("b", 1, Site.B)])),
-        ("fermion", build_register([fermion("a", Site.A), fermion("b", Site.B)])),
-    )
-    for kind, reg in pair_registers:
-        xa, xb = quadrature(reg, "a"), quadrature(reg, "b")
+    for kind, xa, xb, psi, spec_a, spec_b in pairs:
         results[f"{kind}_quadrature_commutator"] = commutator_norm(xa, xb)
-        psi = prepare_superposition(reg, "a", "b", phi)
-        spec_a = quadrature_basis(reg, "a", "quad_a")
-        spec_b = quadrature_basis(reg, "b", "quad_b")
         first, _ = post_select(psi, spec_b, "+1")
         repeat = born_probabilities(first, spec_b)
         # B's distribution after an unread quadrature measurement at A
@@ -660,20 +703,8 @@ def fermion_nogo() -> ExperimentReport:
         tvd = 0.5 * sum(abs(repeat[l] - disturbed[l]) for l in repeat)
         results[f"{kind}_signaling_tvd"] = tvd
 
-    regp = build_register(
-        [
-            fermion("up_a", Site.A),
-            fermion("down_a", Site.A),
-            fermion("up_b", Site.B),
-            fermion("down_b", Site.B),
-        ]
-    )
-
     # c_dag(up) c_dag(down) + c(down) c(up) at each site
-    results["fermion_pair_commutator"] = commutator_norm(
-        _ladder_hermitian(regp, ("up_a", "down_a"), (), 1.0),
-        _ladder_hermitian(regp, ("up_b", "down_b"), (), 1.0),
-    )
+    results["fermion_pair_commutator"] = commutator_norm(*pair_ops)
 
     report = ExperimentReport(
         experiment="fermion-nogo",
@@ -780,11 +811,11 @@ _CHAIN_MODES = {spec.label: spec for spec in (
 @functools.cache
 def _collective_setup(labels: tuple[str, ...]):
     """Register, annihilation coupler, lepton-absence measurement, the two
-    photon superposition measurements, the electron and positron
-    split-particle operators, the positron creation operators and the two
-    photon resets of the collective chain, with its modes declared in the
-    order ``labels``. The coupler keeps the spectrum its first ``evolve``
-    computes."""
+    photon superposition measurements, the electron split-particle
+    operator, the split positron at phase 0, the positron creation
+    operators and the two photon resets of the collective chain, with its
+    modes declared in the order ``labels``. The coupler keeps the spectrum
+    its first ``evolve`` computes."""
     reg = build_register([_CHAIN_MODES[label] for label in labels])
 
     def coupler(site: str) -> OperatorMatrix:
@@ -804,7 +835,8 @@ def _collective_setup(labels: tuple[str, ...]):
         lepton_spec,
         vacuum_one_superposition_basis(reg, "ph_a", "photon_a"),
         vacuum_one_superposition_basis(reg, "ph_b", "photon_b"),
-        (_SplitCreation(*_creations(reg, "el")), _SplitCreation(*pos)),
+        _SplitCreation(*_creations(reg, "el")),
+        _split_at_zero(reg, pos),
         pos,
         (_superposition_reset(reg, "ph_a"), _superposition_reset(reg, "ph_b")),
     )
@@ -817,7 +849,7 @@ def _collective_exact(
     with the direct variant's state before post-selection and the
     lepton-absence measurement that post-selects it."""
     (reg, h_total, lepton_spec, spec_pa, spec_pb,
-     (el, pos_split), pos, resets) = _collective_setup(labels)
+     el, split_pos, pos, resets) = _collective_setup(labels)
     quarter = math.pi / 2.0
     vac = vacuum_state(reg)
     split_el = el.at(phi)
@@ -826,7 +858,7 @@ def _collective_exact(
     # direct variant: both species split with the positron at phase zero,
     # annihilated for a quarter period at each site, post-select all
     # leptons gone
-    direct = evolve(_split_pair(reg, split_el, pos_split.at(0.0)), h_total, quarter)
+    direct = evolve(apply(split_el, split_pos, renormalize=True), h_total, quarter)
     photon_state, p_direct = post_select(direct, lepton_spec, "absent")
     out["direct_postselection_probability"] = p_direct
     out["direct_photon_fidelity"] = photon_state.fidelity(
@@ -948,7 +980,7 @@ def ab_gauge_check(
     _, baseline, specs, dist0 = _aux_phase_exact(
         phi, ModeKind.BOSON, _AUX_SITE_ORDER
     )
-    kick_test, kick_aux = _aux_setup(ModeKind.BOSON, _AUX_SITE_ORDER)[3]
+    kick_test, kick_aux = _aux_setup(ModeKind.BOSON, _AUX_SITE_ORDER)[4]
     kicked_test_only = apply(kick_test.at(kick), baseline)
     kicked_both = apply(kick_aux.at(kick), kicked_test_only)
     dist1 = joint_distribution(kicked_both, specs)

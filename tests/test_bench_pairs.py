@@ -96,3 +96,42 @@ def test_unpaired_runs_are_refused(tmp_path):
                              "--out", str(tmp_path / "b.json")])
     assert code == 2
     assert not (tmp_path / "b.json").exists()
+
+
+def _aa_logs(tmp_path, side: str) -> list[str]:
+    """Ten runs of one commit, spread as two runs of the same code are."""
+    return [_log(tmp_path / f"{side}{i}.txt", "paper-suite", {
+        "op_iqm_ms": 7.0 + 0.01 * ((i + (side == "b")) % 3),
+        "op_tail_ms": 60.0, "reports_per_s": 80.0, "peak_rss_mb": 85.0})
+        for i in range(10)]
+
+
+def test_aa_mode_writes_the_spread_of_identical_code_beside_the_result(tmp_path):
+    a, b = _aa_logs(tmp_path, "a"), _aa_logs(tmp_path, "b")
+    plain = _summary(tmp_path, change_failed=0)
+    parent = [str(tmp_path / f"p{i}.txt") for i in range(10)]
+    change = [str(tmp_path / f"c{i}.txt") for i in range(10)]
+    out = tmp_path / "aa.json"
+    assert bench_pairs.main(["--parent", *parent, "--change", *change,
+                             "--aa-first", *a, "--aa-second", *b,
+                             "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    # the A/B result is as without A/A logs, and the A/A one sits beside it
+    assert summary["workloads"] == plain["workloads"]
+    aa = summary["aa"]["workloads"]["paper-suite"]["metrics"]["op_iqm_ms"]
+    assert aa["verdict"] != "gain" and aa["pairs"] == 10
+    # pair by pair the second copy reads 0.01 ms more or 0.02 ms less
+    assert -0.01 / 7.0 <= aa["pair_gain"]["q1"] < 0.0 < aa["pair_gain"]["q3"] < 0.02 / 7.0
+    # the A/B gain is resolved beyond that spread
+    ab = summary["workloads"]["paper-suite"]["metrics"]["op_iqm_ms"]
+    assert ab["pair_gain"]["q1"] > aa["pair_gain"]["q3"]
+
+
+def test_aa_mode_needs_both_copies(tmp_path):
+    a = _aa_logs(tmp_path, "a")
+    parent = [_log(tmp_path / "p.txt", "cold-cli", {})]
+    change = [_log(tmp_path / "c.txt", "cold-cli", {})]
+    code = bench_pairs.main(["--parent", *parent, "--change", *change,
+                             "--aa-first", *a, "--out", str(tmp_path / "b.json")])
+    assert code == 2
+    assert not (tmp_path / "b.json").exists()

@@ -45,12 +45,16 @@ def _assert_matches_dense(op: OperatorMatrix, seed: int = 0):
     d = op.register.dim
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi = from_amplitudes(op.register, amps, normalize=True)
-    got = op.eigh().propagate(psi.amplitudes, TIMES)
+    (got,) = op.eigh().propagated(psi.amplitudes, TIMES, len(TIMES))
     assert got.shape == (len(TIMES), d)
     dense = _dense_propagate(op.elements, psi.amplitudes, TIMES)
     assert np.abs(got - dense).max() < 1e-12
-    # evolve is the same propagation at one time (numpy's complex products
-    # may round differently in a longer array)
+    # slices of fewer times give the same rows, and evolve is the same
+    # propagation at one time (a batched matmul of a group larger than
+    # 2 x 2 may round differently in a longer array)
+    sliced = list(op.eigh().propagated(psi.amplitudes, TIMES, 3))
+    assert [len(rows) for rows in sliced] == [3, 1]
+    assert np.abs(np.concatenate(sliced) - got).max() < 1e-15
     for t, row in zip(TIMES, got):
         assert np.abs(evolve(psi, op, t).amplitudes - row).max() < 1e-15
 

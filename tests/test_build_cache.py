@@ -1,14 +1,17 @@
-"""The four setups that do not depend on phi, built once per process.
+"""The six setups that do not depend on phi, built once per process.
 
-photon-swap, bell-chain, aux-phase with gauge-check, and collective-chain
-take their register, coupler and specs from four private setups in
-``qwave.protocols``, each kept by ``functools.cache``: one photon-swap
-key, seven bell-chain keys (n = 2..8, checked before the setup is
-reached), four aux-phase keys (two statistics by two declaration orders)
-and two collective-chain keys (two declaration orders), 14 in all. The
-public spec constructors build on every call. Specs compare and hash by
-identity and remember which specs they have passed the commuting check
-with, so a kept pair is read once per process.
+photon-swap, bell-chain, aux-phase with gauge-check, collective-chain,
+fermion-nogo and rabi take their registers, couplers and specs from six
+private setups in ``qwave.protocols``. Five are kept by
+``functools.cache``: one photon-swap key, seven bell-chain keys (n = 2..8,
+checked before the setup is reached), four aux-phase keys (two statistics
+by two declaration orders), two collective-chain keys (two declaration
+orders) and one fermion-nogo key, 15 in all. rabi's setup, its register,
+coupler spectrum and excited-atom mask, is kept per cutoff by
+``functools.lru_cache``, for at most ``_RABI_SETUPS`` cutoffs. The public
+spec constructors build on every call. Specs compare and hash by identity
+and remember which specs they have passed the commuting check with, so a
+kept pair is read once per process.
 """
 
 import json
@@ -34,23 +37,30 @@ from qwave import (
     boson,
     build_register,
     collective_chain,
+    fermion_nogo,
     joint_distribution,
     photon_swap_experiment,
     quadrature_basis,
+    rabi_rotation,
     spin_direction_measurement,
     two_level,
     vacuum_state,
 )
 from qwave import operators, protocols
 from qwave.cli import EXIT_OK, RunConfig, canonical_json, run
-from qwave.fock import ModeKind
+from qwave.fock import MAX_REGISTER_DIM, ModeKind
 
 GOLDEN_BATCH = Path(__file__).parent / "golden" / "batch.json"
 
 SETUPS = (protocols._photon_swap_setup, protocols._bell_setup,
-          protocols._aux_setup, protocols._collective_setup)
+          protocols._aux_setup, protocols._collective_setup,
+          protocols._fermion_nogo_setup, protocols._rabi_setup)
 
-#: Every argument tuple each setup can be called with.
+#: The alphas and cutoffs of the golden batch's rabi reports.
+RABI_CONFIGS = ((2.0, 24), (10.0, 160))
+
+#: Every argument tuple each setup can be called with; for rabi's, the
+#: golden batch's cutoffs.
 SETUP_KEYS = (
     [(protocols._photon_swap_setup, ())]
     + [(protocols._bell_setup, (n,)) for n in range(2, 9)]
@@ -59,6 +69,8 @@ SETUP_KEYS = (
        for order in (protocols._AUX_SITE_ORDER, protocols._AUX_SPECIES_ORDER)]
     + [(protocols._collective_setup, (order,))
        for order in (protocols._CHAIN_SITE_ORDER, protocols._CHAIN_SPECIES_ORDER)]
+    + [(protocols._fermion_nogo_setup, ())]
+    + [(protocols._rabi_setup, (cutoff,)) for _, cutoff in RABI_CONFIGS]
 )
 
 
@@ -102,10 +114,11 @@ def test_a_register_above_the_limit_is_built_afresh_on_every_call():
 
 def test_every_constructor_keeps_its_specs():
     # every setup constructor, at each of its keys, hands back the specs
-    # it built first
+    # it built first; rabi's setup holds none
     _clear_setups()
     kept = [list(_specs(setup(*args))) for setup, args in SETUP_KEYS]
-    assert all(kept)
+    holds_specs = [setup is not protocols._rabi_setup for setup, _ in SETUP_KEYS]
+    assert [bool(specs) for specs in kept] == holds_specs
     for (setup, args), specs in zip(SETUP_KEYS, kept):
         again = list(_specs(setup(*args)))
         assert len(again) == len(specs)
@@ -160,7 +173,9 @@ RUNS = (
     + [lambda n=n: bell_chain(n, 0, 1) for n in range(2, 9)]
     + [lambda: aux_particle_phase(0.4, "boson", 0, 1),
        lambda: aux_particle_phase(0.4, "fermion", 0, 1),
-       lambda: collective_chain(0.4, 0, 1)]
+       lambda: collective_chain(0.4, 0, 1),
+       fermion_nogo]
+    + [lambda a=alpha, c=cutoff: rabi_rotation(a, c) for alpha, cutoff in RABI_CONFIGS]
 )
 
 
@@ -232,8 +247,10 @@ def test_the_setups_keep_their_coupler_spectra():
     (lambda: ab_gauge_check(0.4, 0.3, 0, 1),
      lambda: ab_gauge_check(2.2, 1.1, 1000, 3)),
     (lambda: collective_chain(0.4, 0, 1), lambda: collective_chain(2.2, 1000, 3)),
+    (fermion_nogo, fermion_nogo),
+    (lambda: rabi_rotation(2.0, 24), lambda: rabi_rotation(1.5, 24, times=[0.3, 0.9])),
 ], ids=["photon-swap", "bell-chain", "aux-phase-boson", "aux-phase-fermion",
-        "gauge-check", "collective-chain"])
+        "gauge-check", "collective-chain", "fermion-nogo", "rabi"])
 def test_a_second_run_validates_no_spec_and_decomposes_nothing(
     first, second, monkeypatch
 ):
@@ -249,15 +266,24 @@ def test_a_second_run_validates_no_spec_and_decomposes_nothing(
     monkeypatch.setattr(MeasurementSpec, "__post_init__", counted_post_init)
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: eighs.append(a.shape) or eigh(a))
-    # at another phi (bell-chain: another seed), with shots drawn
+    # at another phi (bell-chain: another seed; rabi: another alpha and
+    # other times), with shots drawn
     assert second().passed
     assert specs == [] and eighs == []
 
 
 #: The protocol builders of what the setups hold besides their specs: the
-#: creation operators of the split particles, collective-chain's photon
-#: resets and bell-chain's enumerated LHV maximum.
-HELD_BUILDERS = ("creation", "_superposition_reset", "lhv_max_satisfied")
+#: registers, the creation operators of the split particles,
+#: collective-chain's photon resets and coupler, bell-chain's enumerated
+#: LHV maximum, fermion-nogo's quadratures, split particles and pair
+#: operators, and rabi's coupler.
+HELD_BUILDERS = ("build_register", "creation", "_superposition_reset",
+                 "lhv_max_satisfied", "quadrature", "prepare_superposition",
+                 "_ladder_hermitian", "swap_coupler")
+
+#: What a run builds afresh because it depends on phi: collective-chain's
+#: photon targets and positron target.
+PER_RUN = {"collective-chain": {"prepare_superposition"}}
 
 
 @pytest.mark.parametrize("first, second", [
@@ -269,9 +295,12 @@ HELD_BUILDERS = ("creation", "_superposition_reset", "lhv_max_satisfied")
      lambda: ab_gauge_check(2.2, 1.1, 1000, 3)),
     (lambda: collective_chain(0.4, 0, 1), lambda: collective_chain(2.2, 1000, 3)),
     (lambda: bell_chain(3, 0, 1), lambda: bell_chain(3, 1000, 3)),
+    (fermion_nogo, fermion_nogo),
+    (lambda: rabi_rotation(2.0, 24), lambda: rabi_rotation(1.5, 24, times=[0.3, 0.9])),
 ], ids=["aux-phase-boson", "aux-phase-fermion", "gauge-check",
-        "collective-chain", "bell-chain"])
-def test_a_second_run_builds_nothing_its_setup_holds(first, second, monkeypatch):
+        "collective-chain", "bell-chain", "fermion-nogo", "rabi"])
+def test_a_second_run_builds_nothing_its_setup_holds(first, second, monkeypatch,
+                                                      request):
     calls = []
     for name in HELD_BUILDERS:
         def counted(*args, _build=getattr(protocols, name), _name=name):
@@ -284,9 +313,10 @@ def test_a_second_run_builds_nothing_its_setup_holds(first, second, monkeypatch)
     # the first run builds its setup, so the counters see its builds
     assert calls
     calls.clear()
-    # at another phi (bell-chain: another seed), with shots drawn
+    # at another phi (bell-chain: another seed; rabi: another alpha and
+    # other times), with shots drawn
     assert second().passed
-    assert calls == []
+    assert set(calls) == PER_RUN.get(request.node.callspec.id, set())
 
 
 @pytest.mark.parametrize("first, second", [
@@ -325,12 +355,14 @@ def test_a_setup_held_operator_cannot_be_written():
     _clear_setups()
     held = []
     for kind in (ModeKind.BOSON, ModeKind.FERMION):
-        splits, kicks = protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
-        held += [[s.template for s in splits], [k.diagonal for k in kicks]]
-    splits, *pairs = protocols._collective_setup(protocols._CHAIN_SITE_ORDER)[5:]
-    held += [[s.template for s in splits], *pairs]
+        test, _, kicks = protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
+        held += [[test.template], [k.diagonal for k in kicks]]
+    el, _, *pairs = protocols._collective_setup(protocols._CHAIN_SITE_ORDER)[5:]
+    held += [[el.template], *pairs]
+    pairs, pair_ops = protocols._fermion_nogo_setup()
+    held += [[xa, xb] for _, xa, xb, *_ in pairs] + [pair_ops]
     ops = [op for pair in held for op in pair]
-    assert len(ops) == 14
+    assert len(ops) == 17
     for op in ops:
         for name in ("_values", "_pattern"):
             entries = op.__dict__[name]
@@ -339,14 +371,19 @@ def test_a_setup_held_operator_cannot_be_written():
     # every other array a setup holds, once every experiment has run: the
     # row layouts that a run's split-particle operators and kicks share
     # with their templates, where up_b's entries sit, up_a's zero-filled
-    # values, the kicked modes' occupations, spectra and probe products
+    # values, the kicked modes' occupations, the inner split particles,
+    # spectra, rabi's excited-atom masks and probe products
     for run_once in RUNS + [lambda: ab_gauge_check(0.4, 0.3, 0, 1)]:
         assert run_once().passed
     arrays = list(_held_arrays(tuple(setup(*args) for setup, args in SETUP_KEYS)))
     for kind in (ModeKind.BOSON, ModeKind.FERMION):
-        splits, kicks = protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
-        assert {id(s.at_b) for s in splits} <= {id(a) for a in arrays}
+        test, aux, kicks = protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
+        assert {id(test.at_b), id(aux.amplitudes)} <= {id(a) for a in arrays}
         assert {id(k.occupation) for k in kicks} <= {id(a) for a in arrays}
+    for _, cutoff in RABI_CONFIGS:
+        _, spectrum, excited = protocols._rabi_setup(cutoff)
+        assert {id(a) for group in spectrum.groups for a in group} | {id(excited)} <= {
+            id(a) for a in arrays}
     for a in arrays:
         if a.size:
             with pytest.raises(ValueError, match="read-only"):
@@ -372,9 +409,10 @@ def test_aux_phase_runs_at_two_phases_give_their_solo_bytes_in_either_order(
 
 def _held_arrays(value):
     """The arrays a setup's value holds: the entries or elements, row
-    layouts and spectra of its operators, the probe products of its specs,
-    the amplitudes of its states, and of its split-particle templates and
-    phase kicks the template operator, where up_b's entries sit, up_a's
+    layouts and spectra of its operators, the spectra it holds without
+    their operator, the probe products of its specs, the amplitudes of its
+    states, its own arrays, and of its split-particle templates and phase
+    kicks the template operator, where up_b's entries sit, up_a's
     zero-filled values and up_b's values, and the kicked mode's
     occupations."""
     if isinstance(value, tuple):
@@ -394,6 +432,11 @@ def _held_arrays(value):
         yield from value._probed
     elif isinstance(value, StateVector):
         yield value.amplitudes
+    elif isinstance(value, operators.BlockSpectrum):
+        # its split 2 x 2 columns are views of these
+        yield from (a for group in value.groups for a in group)
+    elif isinstance(value, np.ndarray):
+        yield value
 
 
 def _op_arrays(op):
@@ -438,9 +481,9 @@ def test_the_store_charges_every_array_of_the_photon_swap_setup():
     assert _distinct_bytes(_held_arrays(setup)) == _distinct_bytes(held)
 
 
-def test_the_store_never_holds_more_than_its_budget(tmp_path):
-    """The store is the four setups' caches; its budget is 4 MiB over all
-    14 keys, once every experiment has run."""
+def _golden_store(tmp_path) -> list:
+    """Every setup key's value, once the golden batch and every bell-chain
+    length have run, each key kept already."""
     _clear_setups()
     for entry in json.loads(GOLDEN_BATCH.read_text()):
         config = RunConfig(
@@ -451,13 +494,42 @@ def test_the_store_never_holds_more_than_its_budget(tmp_path):
         assert run(config) == EXIT_OK
     for n in range(2, 9):
         assert bell_chain(n, 0, 1).passed
-    assert _kept_keys() == len(SETUP_KEYS) == 14
+    assert _kept_keys() == len(SETUP_KEYS) == 17
     misses = [setup.cache_info().misses for setup in SETUPS]
     values = [setup(*args) for setup, args in SETUP_KEYS]
     # every key was kept already
     assert [setup.cache_info().misses for setup in SETUPS] == misses
+    return values
+
+
+def test_the_store_never_holds_more_than_its_budget(tmp_path):
+    """The store is the six setups' caches; its budget is 4 MiB over all
+    17 keys, once every experiment has run."""
+    values = _golden_store(tmp_path)
     # the runs computed every spectrum the protocols read
-    assert "_spectrum" in values[0][1].__dict__
-    assert all("_spectrum" in value[1].__dict__ for value in values[-2:])
+    keyed = dict(zip(SETUP_KEYS, values))
+    assert "_spectrum" in keyed[protocols._photon_swap_setup, ()][1].__dict__
+    assert all("_spectrum" in keyed[protocols._collective_setup, (order,)][1].__dict__
+               for order in (protocols._CHAIN_SITE_ORDER,
+                             protocols._CHAIN_SPECIES_ORDER))
     held = {id(a): a.nbytes for a in _held_arrays(tuple(values))}
+    assert sum(held.values()) <= 4 << 20
+
+
+def test_rabi_keeps_its_most_recent_setups_within_the_budget(tmp_path):
+    """The worst case: the golden store, with rabi's cache filled at the
+    largest cutoffs, whose setups hold the most."""
+    values = _golden_store(tmp_path)
+    largest = MAX_REGISTER_DIM // 2 - 1
+    cutoffs = range(largest, largest - protocols._RABI_SETUPS - 2, -1)
+    for cutoff in cutoffs:
+        protocols._rabi_setup(cutoff)
+    # the two least recently used are dropped
+    info = protocols._rabi_setup.cache_info()
+    assert info.currsize == info.maxsize == protocols._RABI_SETUPS
+    kept = [protocols._rabi_setup(c) for c in cutoffs[-protocols._RABI_SETUPS:]]
+    assert protocols._rabi_setup.cache_info().misses == info.misses
+    others = [v for (setup, _), v in zip(SETUP_KEYS, values)
+              if setup is not protocols._rabi_setup]
+    held = {id(a): a.nbytes for a in _held_arrays(tuple(others + kept))}
     assert sum(held.values()) <= 4 << 20

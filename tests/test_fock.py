@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwave import (
     DensityMatrix,
@@ -14,10 +16,14 @@ from qwave import (
     Site,
     StateVector,
     UnknownModeError,
+    annihilation,
+    apply,
     basis_state,
     boson,
     build_register,
+    creation,
     fermion,
+    identity,
     from_amplitudes,
     partial_trace,
     prepare_superposition,
@@ -214,3 +220,80 @@ def test_sub_register_preserves_declaration_order():
     reg = build_register([boson("a", 1), fermion("f"), boson("b", 2)])
     sub = reg.sub_register({"b", "a"})
     assert tuple(m.label for m in sub.modes) == ("a", "b")
+
+
+# --- fermionic reduction and the declaration order ---------------------------
+
+def _entropy_bits(rho: DensityMatrix) -> float:
+    p = np.linalg.eigvalsh(rho.elements)
+    p = p[p > 1e-12]
+    return float(-np.sum(p * np.log2(p)))
+
+
+@pytest.mark.parametrize("order", [("A1", "A2", "B1"), ("B1", "A1", "A2"),
+                                   ("A1", "B1", "A2")])
+def test_a_product_of_fermion_states_reduces_to_a_pure_state_in_any_order(order):
+    # (c_dag_A1 + c_dag_A2)(1 + c_dag_B1)|0> / 2 is a state on A times a
+    # state on B; declared (A1, B1, A2), the trace once mixed B1's sign into
+    # rho_A and read 1 bit
+    reg = build_register([fermion(l, Site.A if l[0] == "A" else Site.B)
+                          for l in order])
+    psi = apply(identity(reg) + creation(reg, "B1"), vacuum_state(reg),
+                renormalize=True)
+    psi = apply(creation(reg, "A1") + creation(reg, "A2"), psi, renormalize=True)
+    rho = partial_trace(psi, {"A1", "A2"})
+    assert _entropy_bits(rho) == pytest.approx(0.0, abs=1e-12)
+
+
+#: One mode of each kind the registers below draw from.
+_MODES = {
+    "fermion": lambda label: fermion(label),
+    "boson": lambda label: boson(label, 2),
+    "two_level": lambda label: two_level(label),
+}
+
+
+def _state_by_creation(reg, labels, coefficients) -> StateVector:
+    """prod_f (c[f, 0] + sum_l c[f, l] a_dag_l) |0>, normalized, with the
+    modes ``labels`` numbered 1, 2, ... in ``c``: operators of the modes,
+    not of the register, so one physical state for every declaration
+    order."""
+    ups = [creation(reg, l).elements for l in labels]
+    v = vacuum_state(reg).amplitudes
+    for c in coefficients:
+        v = c[0] * v + sum(a * (up @ v) for a, up in zip(c[1:], ups))
+    return from_amplitudes(reg, v, normalize=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kinds=st.lists(st.sampled_from(sorted(_MODES)),
+                                      min_size=2, max_size=5))
+def test_reduced_states_do_not_depend_on_the_declaration_order(data, kinds):
+    labels = [f"m{i}" for i in range(len(kinds))]
+    specs = {l: _MODES[k](l) for l, k in zip(labels, kinds)}
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (data.draw(st.integers(1, 3)), len(labels) + 1)
+    coefficients = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    kept = data.draw(st.lists(st.booleans(), min_size=len(labels),
+                              max_size=len(labels)))
+    keep = {l for l, k in zip(labels, kept) if k}
+    spectra = []
+    for order in (labels, data.draw(st.permutations(labels))):
+        reg = build_register([specs[l] for l in order])
+        psi = _state_by_creation(reg, labels, coefficients)
+        rho = partial_trace(psi, keep)
+        spectra.append(np.linalg.eigvalsh(rho.elements))
+        # <c_dag_i c_j> of kept fermion modes, on the full register and on
+        # the reduced state, with each register's own sign strings
+        sub = rho.register
+        kept = [l for l in order if l in keep and specs[l].kind is ModeKind.FERMION]
+        for i in kept:
+            for j in kept:
+                full = (creation(reg, i).elements
+                        @ annihilation(reg, j).elements)
+                reduced = (creation(sub, i).elements
+                           @ annihilation(sub, j).elements)
+                want = np.vdot(psi.amplitudes, full @ psi.amplitudes)
+                got = np.trace(rho.elements @ reduced)
+                assert abs(got - want) < 1e-12, (order, keep, i, j)
+    assert np.abs(spectra[0] - spectra[1]).max() < 1e-12

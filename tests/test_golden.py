@@ -21,9 +21,12 @@ kernels ``Sandybridge`` and ``Prescott`` every report must keep its bytes,
 except those that ``KERNEL_MOVES`` lists for the kernel. Those must give
 the same parameters, seeds, shots, verdicts and sampled values and counts,
 and analytic values and discrepancies within 1e-13 of the goldens: a
-different kernel sums the BLAS products that are left (``np.vdot`` and
-``propagate``'s ``matmul``) in another order, which moves the last bits of
-a closed-form check and nothing else.
+different kernel sums the BLAS products that are left (``np.vdot``, and
+the batched ``matmul`` by which ``BlockSpectrum.propagated`` propagates
+groups of blocks larger than 2 x 2) in another order, which moves the last
+bits of a closed-form check and nothing else. Blocks of 1 x 1 and 2 x 2,
+all of rabi's coupler, no longer go through BLAS; both rabi reports still
+move under Prescott, through the other BLAS products.
 """
 
 import json

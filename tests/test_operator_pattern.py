@@ -257,7 +257,8 @@ def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
     monkeypatch.setattr(OperatorMatrix, "__post_init__", recorded_op_post_init)
     # the setups that do not depend on phi build their specs afresh
     for setup in (protocols._photon_swap_setup, protocols._bell_setup,
-                  protocols._aux_setup, protocols._collective_setup):
+                  protocols._aux_setup, protocols._collective_setup,
+                  protocols._rabi_setup, protocols._fermion_nogo_setup):
         setup.cache_clear()
     for entry in json.loads(GOLDEN_BATCH.read_text()):
         config = RunConfig(entry["experiment"], entry["params"],
@@ -265,10 +266,11 @@ def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
                            output_path=str(tmp_path / "report.json"))
         assert run(config) == EXIT_OK
     # the setups hold the creation operators, photon resets, split-particle
-    # templates and phase-kick diagonals that the runs share, and a run
-    # builds each split-particle operator and kick as one operator on a
-    # template, so the batch builds 281 operators, and checks each
-    assert len(seen) > 100 and len(built) >= 281
+    # templates, inner split particles and phase-kick diagonals that the
+    # runs share, and a run builds each split-particle operator and kick as
+    # one operator on a template, so the batch builds 260 operators, and
+    # checks each
+    assert len(seen) > 100 and len(built) >= 260
     for op in seen + built:
         _assert_pattern_is_nonzero_set(op)
     # the fermion chain of the chain pipeline, dim 512: each quadrature's

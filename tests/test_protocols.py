@@ -104,6 +104,8 @@ def test_rabi_fails_when_simulation_leaves_closed_form(monkeypatch):
     monkeypatch.setattr(
         protocols, "swap_coupler", lambda reg, b, t, strength: swap(reg, b, t, 1.01)
     )
+    # rabi builds its setup afresh, and the kept setups stay as they are
+    monkeypatch.setattr(protocols, "_rabi_setup", protocols._rabi_setup.__wrapped__)
     # still unitary, so only the closed-form check can catch the wrong rate
     assert not rabi_rotation(2.0, 24).passed
 
@@ -145,6 +147,8 @@ def test_rabi_rejects_a_nan_time_before_building_anything(monkeypatch):
         raise AssertionError("register built")
 
     monkeypatch.setattr(protocols, "build_register", no_build)
+    # rabi builds its setup afresh, and the kept setups stay as they are
+    monkeypatch.setattr(protocols, "_rabi_setup", protocols._rabi_setup.__wrapped__)
     # at cutoff 2047 the register has dim 4096, the largest accepted
     for times in ([math.nan], [0.5, math.nan], [-1.0]):
         with pytest.raises(ValueError, match="^times must be nonnegative$"):
@@ -167,6 +171,8 @@ def test_rabi_maxima_carry_a_nan(monkeypatch):
         return dataclasses.replace(spectrum, groups=(*kept, (index, w, v)))
 
     monkeypatch.setattr(OperatorMatrix, "eigh", nan_eigh)
+    # rabi builds its setup afresh, and the kept setups stay as they are
+    monkeypatch.setattr(protocols, "_rabi_setup", protocols._rabi_setup.__wrapped__)
     report = rabi_rotation(2.0, 24)
     assert math.isnan(report.analytic["excited_population_final"])
     assert not report.passed
@@ -175,11 +181,11 @@ def test_rabi_maxima_carry_a_nan(monkeypatch):
 def _unchunked_rabi(alpha, cutoff, times):
     """rabi's excited_population_final and
     max_deviation_from_rotation_formula from one propagated table of all
-    ``times``, each row's population one 1-D sum."""
+    ``times``, one slice of them all, each row's population one 1-D sum."""
     reg = build_register([boson("field", cutoff), two_level("atom")])
     psi0 = coherent_state(reg, "field", alpha, 1e-7)
     spectrum = swap_coupler(reg, "field", "atom", 1.0).eigh()
-    amps = spectrum.propagate(psi0.amplitudes, times)
+    (amps,) = spectrum.propagated(psi0.amplitudes, times, len(times))
     excited = amps[:, reg.occupation_table()[:, reg.position("atom")] == 1]
     del amps  # 256 MB at dim 4096 with 4096 times
     populations = [float(np.sum(row)) for row in np.abs(excited) ** 2]

@@ -18,8 +18,9 @@ Alternate which side runs first from pair to pair, for instance::
 
 The summary holds the machine of the runs and, per workload and metric,
 each side's runs, median and quartiles, the change's wins, its relative
-change in the worse direction, and a verdict against the bound that
-``BENCHMARK.json`` fixes for the metric:
+change in the worse direction, the quartiles of its relative gain pair by
+pair, and a verdict against the bound that ``BENCHMARK.json`` fixes for
+the metric:
 
 * ``gain``: the change wins at least nine tenths of the pairs (ties count
   for neither), the medians differ by more than the parent's IQR, and the
@@ -32,6 +33,13 @@ change in the worse direction, and a verdict against the bound that
 * ``unresolved``: otherwise, when the parent's IQR relative to its median
   is wider than the bound and not every change run beats every parent run;
 * ``within bound``: otherwise.
+
+A/A mode tells what the host resolves: run the parent commit twice in the
+same alternation, from two copies of it, and give those logs as
+``--aa-first`` and ``--aa-second``. They are summarised by the same rules
+under ``aa``, beside the A/B result. Identical code should come out with
+no ``gain``, and its pair gains show how far two runs of one commit
+spread; state that spread beside a claimed gain.
 """
 
 from __future__ import annotations
@@ -89,6 +97,7 @@ def compare(parent: list[float], change: list[float], better: str,
     # positive when the change is better
     gains = [sign * (p - c) for p, c in zip(parent, change)]
     wins = sum(g > 0 for g in gains)
+    q1, median, q3 = quartiles([g / abs(p) for g, p in zip(gains, parent)])
     p, c = side_summary(parent), side_summary(change)
     worse_by = sign * (c["median"] - p["median"]) / abs(p["median"])
     beats_all = (max(change) < min(parent) if better == "lower"
@@ -102,6 +111,7 @@ def compare(parent: list[float], change: list[float], better: str,
     else:
         verdict = "within bound"
     return {"parent": p, "change": c, "pairs": len(gains), "wins": wins,
+            "pair_gain": {"median": median, "q1": q1, "q3": q3},
             "worse_by": worse_by, "bound": bound, "verdict": verdict}
 
 
@@ -154,25 +164,41 @@ def main(argv: list[str] | None = None) -> int:
                         help="logs of the parent commit, in run order")
     parser.add_argument("--change", nargs="+", required=True,
                         help="logs of the change, in run order")
+    parser.add_argument("--aa-first", nargs="+",
+                        help="logs of the parent commit, in run order, paired "
+                             "with --aa-second for the A/A spread")
+    parser.add_argument("--aa-second", nargs="+",
+                        help="logs of a second copy of the parent commit, "
+                             "in run order")
     parser.add_argument("--out", required=True,
                         help="summary file, BENCH_<pr>.json by convention")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     try:
+        if (args.aa_first is None) != (args.aa_second is None):
+            raise ValueError("--aa-first and --aa-second go together")
         summary = summarise(args.parent, args.change, benchmark)
+        if args.aa_first:
+            summary["aa"] = summarise(args.aa_first, args.aa_second, benchmark)
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"bench_pairs: {exc}\n")
         return 2
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
+    aa = summary.get("aa", {"workloads": {}})["workloads"]
     for name, entry in summary["workloads"].items():
         for metric, m in entry["metrics"].items():
-            print(f"{name} {metric}: parent {m['parent']['median']:.4g} "
-                  f"(IQR {m['parent']['iqr']:.3g}) -> change "
-                  f"{m['change']['median']:.4g}, wins {m['wins']}/{m['pairs']}, "
-                  f"{m['verdict']}")
+            line = (f"{name} {metric}: parent {m['parent']['median']:.4g} "
+                    f"(IQR {m['parent']['iqr']:.3g}) -> change "
+                    f"{m['change']['median']:.4g}, wins {m['wins']}/{m['pairs']}, "
+                    f"{m['verdict']}")
+            if name in aa:
+                spread = aa[name]["metrics"][metric]["pair_gain"]
+                line += (f"; A/A pair gain {spread['median']:+.3f} "
+                         f"[{spread['q1']:+.3f}, {spread['q3']:+.3f}]")
+            print(line)
     return 0
 
 
