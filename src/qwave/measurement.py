@@ -8,22 +8,17 @@ exact joint Born distribution on a counter-based Philox generator keyed by
 seed, and each draw within it takes its own stream number, so no two
 (seed, stream) pairs share a generator.
 
-The projector algebra is checked on a fixed probe block R instead of by
-forming products: a residual matrix E (P^2 - P, P_i P_j, sum P - I or
-PQ - QP) is read as max |E R|, at O(k d^2) instead of O(d^3), and at O(k)
-per nonzero for a projector kept as its nonzero entries. R has k = 2
-columns of unit-modulus entries exp(2 pi i u), u drawn from a Philox
-generator with a fixed key, so every verdict is deterministic. A residual
-with one nonzero per row reads exactly its max-element norm; for a general
-E, the mean of |(E R)_i|^2 over the phases is row i's squared 2-norm, which
-is at least max_j |E_ij|^2 (Freivalds, IFIP Congress 1977).
+The projector algebra is checked exactly: each residual matrix E (P^2 - P,
+P_i P_j, sum P - I or PQ - QP) is formed from the projectors' nonzero
+entries and read as its largest entry, max |E_ij|. A product costs one
+scalar product per pair of entries that meet, so a projector with a few
+entries per row costs a few per entry, and every verdict is deterministic.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +38,7 @@ from .fock import (
     StateVector,
     _check_same_register,
 )
-from .operators import OperatorMatrix, _ladder_hermitian, embed, identity
+from .operators import OperatorMatrix, _ladder_hermitian, _residuals, embed, identity
 
 #: Projector algebra tolerance (hermiticity, idempotence, orthogonality,
 #: completeness, site locality).
@@ -53,21 +48,6 @@ PROJECTOR_ATOL = 1e-10
 #: States are normalized to NORM_ATOL, so a valid total is within ~2e-10.
 _TOTAL_PROBABILITY_ATOL = 1e-9
 
-#: Columns of the probe block and the key of the Philox generator drawing it.
-_PROBE_COLUMNS = 2
-_PROBE_KEY = 0x9E3779B97F4A7C15
-
-
-@lru_cache(maxsize=32)
-def _probes(dim: int) -> np.ndarray:
-    """The read-only dim x k probe block that the product checks apply to:
-    unit-modulus entries exp(2 pi i u), u uniform on a fixed-key Philox."""
-    u = np.random.Generator(np.random.Philox(key=_PROBE_KEY)).random(
-        (dim, _PROBE_COLUMNS))
-    r = np.exp(2j * np.pi * u)
-    r.flags.writeable = False
-    return r
-
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSpec:
@@ -76,19 +56,18 @@ class MeasurementSpec:
     Validation: every projector is hermitian and idempotent, distinct
     projectors are orthogonal and together they sum to the identity (a NaN
     entry fails each of these checks). Hermiticity is read exactly over
-    each projector's nonzero pattern, the same read as
-    ``OperatorMatrix.eigh`` (every constructor here builds projectors that
-    are kept as their nonzero entries); the other three are read on the
-    probe block (see the module docstring).
+    each projector's nonzero pattern, as ``OperatorMatrix.eigh`` reads it.
+    Once every projector has passed, one pass forms the exact residuals of
+    the other three (see the module docstring), or raises
+    DimensionBudgetError before it forms products beyond the budget.
     Whether the projectors act only on one site is not part of the spec;
     ``site_locality_gap(spec, site)`` answers it on request (fermionic sign
     strings can reach across sites).
 
     Specs hold their (label, projector) pairs as a tuple and compare and
-    hash by identity. Each keeps the read-only probe product P R of each
-    projector, in projector order, and a weak set of the specs it has
-    passed ``joint_distribution``'s commuting check with, so a pair that
-    has passed is not read again.
+    hash by identity. Each keeps a weak set of the specs it has passed
+    ``joint_distribution``'s commuting check with, so a pair that has
+    passed is not read again.
     """
 
     name: str
@@ -106,23 +85,27 @@ class MeasurementSpec:
             raise ValueError(f"duplicate outcome labels in {self.name!r}")
         for _, p in self.projectors:
             _check_same_register(reg, p.register)
-        r = _probes(reg.dim)
         ops = [p for _, p in self.projectors]
-        probed = [p._dot(r) for p in ops]
-        for pr in probed:
-            pr.flags.writeable = False
-        object.__setattr__(self, "_probed", tuple(probed))
-        for label, p, pr in zip(labels, ops, probed):
+        for label, p in zip(labels, ops):
             check_within(p._hermiticity_gap()[0], PROJECTOR_ATOL,
                          "projector %r of %r not hermitian", label, self.name)
-            check_within(np.abs(p._dot(pr) - pr).max(), PROJECTOR_ATOL,
+        # P_k P_k - P_k for each k, P_i P_j for each i < j, sum_k P_k - I
+        n = len(ops)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        last = n + len(pairs)
+        gaps = _residuals(
+            reg.dim, last + 1,
+            [(k, 1.0, p, p) for k, p in enumerate(ops)]
+            + [(n + s, 1.0, ops[i], ops[j]) for s, (i, j) in enumerate(pairs)],
+            [(k, -1.0, p) for k, p in enumerate(ops)]
+            + [(last, 1.0, p) for p in ops] + [(last, -1.0, identity(reg))])
+        for label, gap in zip(labels, gaps):
+            check_within(gap, PROJECTOR_ATOL,
                          "projector %r of %r not idempotent", label, self.name)
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                check_within(np.abs(ops[i]._dot(probed[j])).max(), PROJECTOR_ATOL,
-                             "projectors %r, %r of %r not orthogonal",
-                             labels[i], labels[j], self.name)
-        check_within(np.abs(sum(probed) - r).max(), PROJECTOR_ATOL,
+        for (i, j), gap in zip(pairs, gaps[n:]):
+            check_within(gap, PROJECTOR_ATOL, "projectors %r, %r of %r not orthogonal",
+                         labels[i], labels[j], self.name)
+        check_within(gaps[last], PROJECTOR_ATOL,
                      "projectors of %r do not sum to identity", self.name)
 
     @property
@@ -263,19 +246,19 @@ def quadrature_basis(
 
 def _check_commuting(specs: list[MeasurementSpec]) -> None:
     """Every pair of projectors from two different specs commutes, read as
-    max |P (QR) - Q (PR)| from the probe products the specs keep; the specs
-    share one register. A pair of specs that passed once is not read again;
-    a failing pair is read, and raises, on every call."""
+    max |PQ - QP| exactly, one pass per pair of specs on their shared
+    register. A pair of specs that passed once is not read again; a failing
+    pair is read, and raises, on every call."""
     for i, s in enumerate(specs):
         for t in specs[i + 1:]:
             if t in s._commutes:
                 continue
-            for (_, p), pr in zip(s.projectors, s._probed):
-                for (_, q), qr in zip(t.projectors, t._probed):
-                    check_within(np.abs(p._dot(qr) - q._dot(pr)).max(),
-                                 PROJECTOR_ATOL,
-                                 "%r and %r do not commute, max |(PQ - QP)R|",
-                                 s.name, t.name, error=NonCommutingSpecsError)
+            pairs = [(p, q) for _, p in s.projectors for _, q in t.projectors]
+            products = [product for k, (p, q) in enumerate(pairs)
+                        for product in ((k, 1.0, p, q), (k, -1.0, q, p))]
+            gap = _residuals(s.register.dim, len(pairs), products).max()
+            check_within(gap, PROJECTOR_ATOL, "%r and %r do not commute, max |PQ - QP|",
+                         s.name, t.name, error=NonCommutingSpecsError)
             s._commutes.add(t)
             t._commutes.add(s)
 

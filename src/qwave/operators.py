@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DimensionBudgetError,
     KindMismatchError,
     NotHermitianError,
     TailBoundExceededError,
@@ -42,18 +43,6 @@ from .fock import (
 )
 
 
-class _Entries:
-    """The nonzero entries of a matrix built inside qwave: ``values[k]`` at
-    the flat index ``pattern[k] = row * dim + col``, the indices ascending
-    and distinct. Handed to ``OperatorMatrix``, they are kept as they are."""
-
-    __slots__ = ("pattern", "values")
-
-    def __init__(self, pattern: np.ndarray, values: np.ndarray):
-        self.pattern = pattern
-        self.values = values
-
-
 def _sparse(
     register: ModeRegister, pattern: np.ndarray, values: np.ndarray
 ) -> "OperatorMatrix":
@@ -61,76 +50,57 @@ def _sparse(
     flat index ``pattern[k]``, the indices distinct and in any order, and
     the values nonzero."""
     order = pattern.argsort()
-    return OperatorMatrix(
-        register, _Entries(pattern[order], values[order].astype(complex, copy=False)))
+    return OperatorMatrix._of(
+        register, pattern[order], values[order].astype(complex, copy=False))
 
 
-class _BuiltOnRead:
-    """The ``elements`` field of ``OperatorMatrix``, which has no default.
-    An operator built from its entries holds no ``elements`` of its own
-    until the first read, which builds the dense read-only matrix and keeps
-    it on the operator; threads that race on that read may each build one,
-    and all get the one kept."""
-
-    def __get__(self, op, owner=None):
-        if op is None:
-            raise AttributeError("elements")
-        d = op.register.dim
-        mat = np.zeros((d, d), dtype=complex)
-        mat.reshape(-1)[op._pattern] = op._values
-        mat.flags.writeable = False
-        # a thread that got here first has kept its copy; read that one
-        return op.__dict__.setdefault("elements", mat)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class OperatorMatrix:
     """Complex matrix acting on a register's Hilbert space, kept as its
-    nonzero entries: their flat indices ``row * dim + col`` in ascending
-    order (its pattern) and their values. ``elements`` is its dense value,
-    read-only and C-contiguous.
-
-    A caller's array is copied and frozen as ``elements``, and its entries
-    are found once by scanning it; a NaN entry is nonzero. Every other
-    operator comes from entries: those of ``identity``, ``embed`` and the
-    builders on it (ladder operators, couplers, quadratures, phase kicks,
-    the projectors of the spin, vacuum-one, quadrature and plus/minus
-    measurements), and those of sums, differences, scalar multiples,
-    ``-x`` and ``dag()``, which drop what comes out exactly 0. Its
-    ``elements`` are built on the first read and then kept; threads that
-    race on that read may each build them, and all get the one kept.
-    Products with a vector or a matrix (``apply``, ``post_select``,
-    ``joint_distribution``, ``commutator_norm`` and the checks of
-    ``MeasurementSpec``), ``eigh`` and the hermiticity check read the
-    entries and never build ``elements``; ``@`` multiplies the two
-    ``elements``. Only this module reads or writes the entries. Operators
-    compare and hash by identity.
-    """
+    nonzero entries: their flat indices ``row * dim + col``, ascending (its
+    pattern), and their values, both read-only. ``OperatorMatrix(register,
+    array)`` scans a caller's array once for them (a NaN entry is nonzero);
+    every other operator comes from entries: of ``identity``, ``embed`` and
+    the builders on it, and of sums, differences, products, scalar
+    multiples, ``-x`` and ``dag()``, less what comes out exactly 0.
+    ``elements`` builds the dense read-only matrix afresh on each read and
+    keeps nothing; everything else reads the entries, and only this module
+    reads or writes them. Operators compare and hash by identity."""
 
     register: ModeRegister
-    elements: np.ndarray = _BuiltOnRead()
 
-    def __post_init__(self):
-        given = self.elements
-        if type(given) is _Entries:
-            # ``elements`` is built on the first read
-            del self.__dict__["elements"]
-            pattern, values = given.pattern, given.values
-        else:
-            mat = np.array(given, dtype=complex, order="C")
-            d = self.register.dim
-            if mat.shape != (d, d):
-                raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
-            mat.flags.writeable = False
-            object.__setattr__(self, "elements", mat)
-            pattern = np.flatnonzero(mat)
-            values = mat.reshape(-1)[pattern]
-        # operators are shared (setups hold them across runs): the entries
-        # are read-only like ``elements``
-        pattern.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "_pattern", pattern)
-        object.__setattr__(self, "_values", values)
+    def __init__(self, register: ModeRegister, elements) -> None:
+        mat = np.asarray(elements, dtype=complex)
+        d = register.dim
+        if mat.shape != (d, d):
+            raise ValueError(f"operator has shape {mat.shape}, expected ({d}, {d})")
+        pattern = np.flatnonzero(mat)
+        # a fancy index copies, so the caller's array is not shared
+        self.__dict__.update(register=register, _pattern=pattern,
+                             _values=mat.reshape(-1)[pattern])
+        self.__post_init__()
+
+    @classmethod
+    def _of(cls, register: ModeRegister, pattern: np.ndarray,
+            values: np.ndarray) -> "OperatorMatrix":
+        """The operator with ``values`` at the ascending ``pattern``."""
+        op = object.__new__(cls)
+        op.__dict__.update(register=register, _pattern=pattern, _values=values)
+        op.__post_init__()
+        return op
+
+    def __post_init__(self):  # setups share operators across runs
+        self._pattern.flags.writeable = False
+        self._values.flags.writeable = False
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The dense matrix, read-only and C-contiguous, built afresh."""
+        d = self.register.dim
+        mat = np.zeros((d, d), dtype=complex)
+        mat.reshape(-1)[self._pattern] = self._values
+        mat.flags.writeable = False
+        return mat
 
     def dag(self) -> "OperatorMatrix":
         d = self.register.dim
@@ -160,31 +130,30 @@ class OperatorMatrix:
         kept."""
         layout = self.__dict__.get("_layout")
         if layout is None:
-            layout = self.__dict__.setdefault("_layout", _row_layout(
-                self._pattern, self._values, self.register.dim))
+            layout = self.__dict__.setdefault(
+                "_layout", _row_layout(self._pattern, self.register.dim))
         return layout
 
     def _dot(self, x: np.ndarray) -> np.ndarray:
         """The product of this operator with ``x``, a vector or a block of
         columns of length dim: each row's products summed in column
         order."""
-        starts, cols, values, _ = self._laid_out()
-        terms = (values if x.ndim == 1 else values[:, None]) * x[cols]
-        return terms if starts is None else np.add.reduceat(terms, starts)
+        cols, _, rows, starts = self._laid_out()
+        terms = (self._values if x.ndim == 1 else self._values[:, None]) * x[cols]
+        if starts is None:
+            return terms
+        sums = np.add.reduceat(terms, starts)
+        if rows is None:
+            return sums
+        out = np.zeros(x.shape, dtype=sums.dtype)
+        out[rows] = sums
+        return out
 
     def _revalued(self, values: np.ndarray) -> "OperatorMatrix":
         """The operator with this one's pattern and ``values``, none of them
-        0, in place of its values. It shares the pattern and the row starts
-        and columns of this operator's row layout, so it builds no layout of
-        its own."""
-        starts, cols, _, slots = self._laid_out()
-        op = OperatorMatrix(self.register, _Entries(self._pattern, values))
-        laid = op._values
-        if slots is not None:
-            laid = np.zeros(len(cols), dtype=complex)
-            laid[slots] = op._values
-            laid.flags.writeable = False
-        object.__setattr__(op, "_layout", (starts, cols, laid, slots))
+        0, sharing this operator's row layout, so it builds none."""
+        op = OperatorMatrix._of(self.register, self._pattern, values)
+        object.__setattr__(op, "_layout", self._laid_out())
         return op
 
     def eigh(self) -> "BlockSpectrum":
@@ -206,7 +175,7 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return OperatorMatrix(self.register, self.elements @ other.elements)
+        return self._kept(*_sums(self.register.dim, [(0, 1.0, self, other)]))
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
@@ -221,7 +190,8 @@ class OperatorMatrix:
         their entries, each combined as the dense ``op`` combines it, less
         those that came out exactly 0."""
         p, q = self._pattern, other._pattern
-        pattern = _distinct(np.concatenate((p, q)))
+        pattern = np.sort(np.concatenate((p, q)))
+        pattern = pattern[_firsts(pattern)]
         a = np.zeros(len(pattern), dtype=complex)
         b = np.zeros(len(pattern), dtype=complex)
         a[pattern.searchsorted(p)] = self._values
@@ -234,50 +204,94 @@ class OperatorMatrix:
     __rmul__ = __mul__
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.register, _Entries(self._pattern, -self._values))
+        return OperatorMatrix._of(self.register, self._pattern, -self._values)
 
     def _kept(self, pattern: np.ndarray, values: np.ndarray) -> "OperatorMatrix":
         """Operator on this register with ``values`` at the ascending
         ``pattern``, less those that are exactly 0."""
         keep = values != 0
-        return OperatorMatrix(self.register, _Entries(pattern[keep], values[keep]))
+        return OperatorMatrix._of(self.register, pattern[keep], values[keep])
 
 
-def _row_layout(
-    pattern: np.ndarray, values: np.ndarray, dim: int
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The entries of an ascending flat pattern laid out row by row, so
-    that ``np.add.reduceat`` sums each row's products: where each row
-    starts (None when each holds one entry), the column and value of each
-    entry, and where each of ``values`` sits among them (None when each
-    sits at its own index). ``reduceat`` gives no 0 for an empty segment,
-    so an empty row holds one entry of value 0 on the diagonal. The arrays
-    are read-only: operators of one pattern share them."""
-    rows, cols = np.divmod(pattern, dim)
-    counts = np.bincount(rows, minlength=dim)
-    empty = np.flatnonzero(counts == 0)
-    slots = None
-    if len(empty):
-        order = np.concatenate((rows, empty)).argsort(kind="stable")
-        cols = np.concatenate((cols, empty))[order]
-        values = np.concatenate((values, np.zeros(len(empty))))[order]
-        # the rows' own entries keep their order among those of value 0
-        slots = np.flatnonzero(order < len(pattern))
-        counts[empty] = 1
-    starts = None if len(cols) == dim else np.cumsum(counts) - counts
-    for a in (starts, cols, values, slots):
+def _row_layout(pattern: np.ndarray, dim: int) -> tuple:
+    """The entries of an ascending flat pattern by row: each entry's column,
+    the bounds of each row's entries (row k's are ``bounds[k]:bounds[k +
+    1]``), and for ``np.add.reduceat``, which gives no 0 for an empty
+    segment, the rows that hold an entry (None when all do) and where each
+    starts (both None when each row holds one entry). Read-only arrays."""
+    cols = pattern % dim
+    bounds = pattern.searchsorted(np.arange(0, dim * dim + 1, dim))
+    rows = starts = None
+    if not np.array_equal(bounds, np.arange(dim + 1)):
+        rows = np.flatnonzero(bounds[1:] > bounds[:-1])
+        starts = bounds[rows]
+        if len(rows) == dim:
+            rows = None
+    for a in (cols, bounds, rows, starts):
         if a is not None:
             a.flags.writeable = False
-    return starts, cols, values, slots
+    return cols, bounds, rows, starts
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a``, ascending; ``a`` is sorted in place."""
-    a.sort()
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``a`` starts, as a mask."""
     first = np.empty(len(a), dtype=bool)
     first[:1] = True
     np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first]
+    return first
+
+
+#: The most scalar products that one pass of :func:`_sums` may form, at
+#: about 57 bytes of temporaries each; two dense dim-128 matrices need 128**3.
+_MAX_PRODUCTS = 1 << 21
+
+
+def _sums(dim: int, products, terms=()) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of matrices R_s of dimension ``dim``, keyed ``s * dim**2
+    + row * dim + col`` and ascending: R_s sums ``sign * a @ b`` for each
+    ``(s, sign, a, b)`` of ``products``, then ``sign * a`` for each ``(s,
+    sign, a)`` of ``terms``. Entry (i, k) of a times entry (k, j) of b is a
+    term; each entry sums its terms product by product, in a's pattern
+    order, in b's column order, then the ``terms``. Above ``_MAX_PRODUCTS``
+    terms (over k, a's entries in column k times b's in row k) it raises
+    DimensionBudgetError before forming any."""
+    d2 = dim * dim
+    slots, signs, lefts, rights = zip(*products)
+    sizes = [len(a._pattern) for a in lefts]
+    cols = np.concatenate([a._laid_out()[0] for a in lefts])
+    rows = (np.concatenate([a._pattern for a in lefts]) - cols
+            + np.repeat(np.multiply(slots, d2), sizes))
+    # the row bounds of all the b's, counted among all their entries: the
+    # n-th b's row k at n * (dim + 1) + k
+    ahead = np.cumsum([0] + [len(b._pattern) for b in rights[:-1]])
+    bounds = np.concatenate([b._laid_out()[1] for b in rights]) + np.repeat(ahead, dim + 1)
+    at = np.repeat(np.arange(0, len(products) * (dim + 1), dim + 1), sizes) + cols
+    lo = bounds[at]
+    count = bounds[at + 1] - lo
+    total = int(count.sum())
+    if total > _MAX_PRODUCTS:
+        raise DimensionBudgetError(f"a product of operators needs {total} scalar "
+                                   f"products, more than the budget {_MAX_PRODUCTS}")
+    take = np.arange(total) + np.repeat(lo - (np.cumsum(count) - count), count)
+    left = np.concatenate([a._values for a in lefts]) * np.repeat(signs, sizes)
+    right_cols = np.concatenate([b._laid_out()[0] for b in rights])
+    keys = np.concatenate([np.repeat(rows, count) + right_cols[take],
+                           *(a._pattern + s * d2 for s, _, a in terms)])
+    values = np.concatenate([
+        np.repeat(left, count) * np.concatenate([b._values for b in rights])[take],
+        *(sign * a._values for _, sign, a in terms)])
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(_firsts(keys))
+    return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def _residuals(dim: int, slots: int, products, terms=()) -> np.ndarray:
+    """max |R_s| over the entries of each of the ``slots`` R_s of :func:`_sums`."""
+    keys, values = _sums(dim, products, terms)
+    d2 = dim * dim
+    return np.array([np.abs(v).max(initial=0.0) for v in
+                     np.split(values, keys.searchsorted(np.arange(d2, slots * d2, d2)))])
 
 
 def _connected_components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -835,7 +849,6 @@ def apply(
 
 
 def commutator_norm(x: OperatorMatrix, y: OperatorMatrix) -> float:
-    """Max-norm of the commutator XY - YX."""
+    """Max-norm of the commutator XY - YX, from the exact products."""
     _check_same_register(x.register, y.register)
-    c = x._dot(y.elements) - y._dot(x.elements)
-    return float(np.abs(c).max())
+    return float(_residuals(x.register.dim, 1, [(0, 1.0, x, y), (0, -1.0, y, x)])[0])

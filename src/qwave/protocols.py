@@ -69,7 +69,9 @@ from .operators import (
     OperatorMatrix,
     _PhaseKick,
     _SplitCreation,
+    _dense,
     _ladder_hermitian,
+    _lowering,
     apply,
     check_tail_bound,
     coherent_amplitudes,
@@ -745,9 +747,9 @@ def coherent_factorization(
     reg = build_register([boson("a", cutoff, Site.A), boson("b", cutoff, Site.B)])
 
     # (a_dag + b_dag) acts on the (n_a, n_b) amplitude table as one mode's
-    # raising matrix applied along each axis
+    # raising matrix (the lowering matrix transposed) along each axis
     one_mode = build_register([boson("a", cutoff)])
-    up = creation(one_mode, "a").elements
+    up = _dense(_lowering(cutoff + 1)).T
     term = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     term[0, 0] = 1.0
     total = term.copy()

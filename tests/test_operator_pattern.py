@@ -5,8 +5,8 @@ and their values: ``embed``, the hermitian couplers and ``identity`` from
 their builders, sums, differences, scalar multiples, ``-x`` and ``dag()``
 from their operands, and a caller's array by scanning it once. ``eigh``
 and ``MeasurementSpec`` read the kept pattern instead of scanning all
-dim^2 entries, products read the kept entries, and ``elements`` of an
-operator built from entries is built only when it is read.
+dim^2 entries, products read the kept entries, and ``elements`` is built
+afresh on each read and never kept.
 ``np.flatnonzero(elements)`` is the oracle: the kept pattern equals it, and
 the spectrum read through a builder's pattern equals the one read through
 the scan, bit for bit. Every operator that a golden run builds, every
@@ -17,8 +17,6 @@ and of a 9-fermion chain keeps one.
 import json
 import math
 import re
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwave import (
+    DimensionBudgetError,
     MeasurementSpec,
     NotHermitianError,
     OperatorMatrix,
@@ -36,6 +35,7 @@ from qwave import (
     born_probabilities,
     boson,
     build_register,
+    commutator_norm,
     creation,
     evolve,
     fermion,
@@ -289,7 +289,7 @@ def test_only_the_operators_module_handles_a_pattern():
     from qwave import fock, measurement
 
     for module in (measurement, protocols):
-        assert not ({"_sparse", "_Entries"} & set(vars(module))), module.__name__
+        assert "_sparse" not in vars(module), module.__name__
     assert not hasattr(fock, "_hermiticity_gap")
 
 
@@ -297,7 +297,7 @@ def _kept_entries_only(op: OperatorMatrix) -> bool:
     return _pattern(op) is not None and "elements" not in op.__dict__
 
 
-def test_elements_are_built_on_the_first_read_and_kept():
+def test_elements_are_built_afresh_on_each_read_and_never_kept():
     reg = build_register([boson("field", 40), two_level("atom")])
     h = swap_coupler(reg, "field", "atom", 0.8)
     spec = spin_direction_measurement(reg, "atom", 0.3)
@@ -310,7 +310,12 @@ def test_elements_are_built_on_the_first_read_and_kept():
     dense[_pattern(h)] = h.__dict__["_values"]
     first = h.elements
     assert np.array_equal(first, dense.reshape(reg.dim, reg.dim))
-    assert not first.flags.writeable and h.elements is first
+    assert not first.flags.writeable and first.flags.c_contiguous
+    second = h.elements
+    assert second is not first and np.array_equal(second, first)
+    # the operator holds no dim x dim array after the reads
+    held = [a for a in vars(h).values() if isinstance(a, np.ndarray)]
+    assert held and all(a.size < reg.dim**2 for a in held)
 
 
 def test_operators_and_spectra_compare_and_hash_by_identity():
@@ -323,32 +328,6 @@ def test_operators_and_spectra_compare_and_hash_by_identity():
     assert len({h, g, h}) == 2
     spectra = (h.eigh(), g.eigh())
     assert (spectra[0] == spectra[1]) is False and len(set(spectra)) == 2
-
-
-def test_threads_racing_on_the_first_read_get_one_whole_matrix():
-    reg = build_register([boson("field", 300), two_level("atom")])
-    want = swap_coupler(reg, "field", "atom", 0.8).elements
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            h = swap_coupler(reg, "field", "atom", 0.8)
-            start, got = threading.Barrier(4), []
-
-            def read():
-                start.wait(timeout=10)
-                got.append(h.elements)
-
-            threads = [threading.Thread(target=read) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            assert not any(t.is_alive() for t in threads)
-            assert len(got) == 4 and all(g is h.elements for g in got)
-            assert np.array_equal(h.elements, want)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @settings(max_examples=30, deadline=None)
@@ -374,6 +353,44 @@ def test_products_by_the_entries_match_the_dense_products(reg, seed):
             ok = ~np.isnan(want)
             assert (np.abs(got[ok] - want[ok]).max(initial=0.0)
                     <= 1e-13 * np.abs(want[ok]).max(initial=1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(reg=_registers(), seed=st.integers(0, 2**32 - 1))
+def test_operator_products_match_the_dense_products(reg, seed):
+    # ``@`` and ``commutator_norm`` form the exact products of the entries:
+    # each entry sums its terms in a fixed order, so two calls agree bit
+    # for bit, and the dense products agree to rounding
+    rng = np.random.default_rng(seed)
+    labels = [m.label for m in reg.modes]
+    mode, other = (labels[k] for k in rng.integers(len(labels), size=2))
+    a, q = annihilation(reg, mode), quadrature(reg, other)
+    ops = [a, creation(reg, other), q, a - a, identity(reg),
+           embed(reg, {mode: _random_factor(rng, reg.mode(mode).dim)})]
+    for x in ops:
+        for y in ops:
+            xy, yx = x.elements @ y.elements, y.elements @ x.elements
+            scale = np.abs(xy).max(initial=1.0) + np.abs(yx).max(initial=0.0)
+            # the budget counts, over k, the entries of the left factor's
+            # column k times those of the right factor's row k
+            needs = [int(np.count_nonzero(left.elements, axis=0)
+                         @ np.count_nonzero(right.elements, axis=1))
+                     for left, right in ((x, y), (y, x))]
+            if needs[0] > operators._MAX_PRODUCTS:
+                with pytest.raises(DimensionBudgetError, match=f"needs {needs[0]} "):
+                    x @ y
+            else:
+                got, again = x @ y, x @ y
+                _assert_pattern_is_nonzero_set(got)
+                assert np.array_equal(_pattern(again), _pattern(got))
+                assert np.array_equal(again.__dict__["_values"], got.__dict__["_values"])
+                assert np.abs(got.elements - xy).max(initial=0.0) <= 1e-13 * scale
+            if sum(needs) > operators._MAX_PRODUCTS:
+                with pytest.raises(DimensionBudgetError, match=f"needs {sum(needs)} "):
+                    commutator_norm(x, y)
+            else:
+                dense = np.abs(xy - yx).max(initial=0.0)
+                assert abs(commutator_norm(x, y) - dense) <= 1e-13 * scale
 
 
 #: Phases at the edges of phi % 2 pi and between: the quarter turns, a

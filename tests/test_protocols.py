@@ -478,9 +478,14 @@ def test_coherent_factorization_passes_at_any_accepted_tail(alpha, cutoff):
 @pytest.mark.parametrize("alpha, cutoff", [(2.0, 24), (3.0, 40)])
 def test_coherent_factorization_fails_a_wrong_route_one(alpha, cutoff,
                                                         monkeypatch):
-    creation = protocols.creation
-    monkeypatch.setattr(protocols, "creation",
-                        lambda reg, label: 1.001 * creation(reg, label))
+    # route one raises by the transpose of the lowering matrix
+    lowering = protocols._lowering
+
+    def wrong(dim):
+        _, rows, cols, vals = lowering(dim)
+        return dim, rows, cols, 1.001 * vals
+
+    monkeypatch.setattr(protocols, "_lowering", wrong)
     assert not coherent_factorization(alpha, cutoff).passed
 
 

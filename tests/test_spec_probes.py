@@ -1,13 +1,17 @@
-"""Spec checks on the probe block against the dense products they replace.
+"""Spec checks on exact products against the dense products.
 
 ``MeasurementSpec`` reads idempotence, orthogonality and completeness, and
-``joint_distribution`` reads pairwise commutation, as max |E R| on a fixed
-probe block R. The dense max-element checks are kept here as the oracle:
-on every constructor's specs and on random good and bad specs, both name
-the same first failing check, or both accept.
+``joint_distribution`` reads pairwise commutation, as the largest entry of
+a residual formed exactly from the projectors' nonzero entries. The dense
+max-element checks are kept here as the oracle: on every constructor's
+specs and on random good and bad specs, both name the same first failing
+check, or both accept. A perturbation that the fixed two-column probe
+block once read as 0 is rejected, and a product beyond the budget raises
+before it is formed.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwave import (
+    DimensionBudgetError,
     MeasurementSpec,
     NonCommutingSpecsError,
     OperatorMatrix,
@@ -22,6 +27,7 @@ from qwave import (
     Site,
     boson,
     build_register,
+    commutator_norm,
     fermion,
     joint_distribution,
     plus_minus_basis,
@@ -41,11 +47,12 @@ CHECKS = ("not hermitian", "not idempotent", "not orthogonal",
 
 def _dense_failure(mats) -> str | None:
     """The first check that dense max-element products fail, in the spec's
-    order (per projector hermiticity, then idempotence; then each pair's
-    orthogonality; then completeness), or None."""
+    order (each projector's hermiticity; then each one's idempotence; then
+    each pair's orthogonality; then completeness), or None."""
     for m in mats:
         if not np.abs(m - m.conj().T).max() <= PROJECTOR_ATOL:
             return "not hermitian"
+    for m in mats:
         if not np.abs(m @ m - m).max() <= PROJECTOR_ATOL:
             return "not idempotent"
     for i in range(len(mats)):
@@ -57,7 +64,7 @@ def _dense_failure(mats) -> str | None:
     return None
 
 
-def _probe_failure(register, mats) -> str | None:
+def _spec_failure(register, mats) -> str | None:
     """The check that ``MeasurementSpec`` fails on these projectors, or None."""
     projectors = tuple((str(k), OperatorMatrix(register, m))
                        for k, m in enumerate(mats))
@@ -74,35 +81,12 @@ def _dense_commute(a: MeasurementSpec, b: MeasurementSpec) -> bool:
                for _, p in a.projectors for _, q in b.projectors)
 
 
-def _probe_commute(a: MeasurementSpec, b: MeasurementSpec) -> bool:
+def _spec_commute(a: MeasurementSpec, b: MeasurementSpec) -> bool:
     try:
         measurement._check_commuting([a, b])
     except NonCommutingSpecsError:
         return False
     return True
-
-
-# --- the probe block ----------------------------------------------------------
-
-def test_probe_block_is_fixed_unit_modulus_and_read_only():
-    r = measurement._probes(64)
-    assert r.shape == (64, 2) and not r.flags.writeable
-    assert np.abs(np.abs(r) - 1.0).max() < 1e-15
-    assert measurement._probes(64) is r
-    # drawn afresh, not from the cache, it is the same block
-    measurement._probes.cache_clear()
-    assert np.array_equal(measurement._probes(64), r)
-
-
-def test_one_nonzero_per_row_reads_its_max_element():
-    # a residual with one nonzero per row reads exactly that entry's size
-    # on unit-modulus probes, so the old max-element gaps are kept
-    d = 16
-    rng = np.random.default_rng(3)
-    e = np.zeros((d, d), dtype=complex)
-    e[np.arange(d), rng.permutation(d)] = rng.normal(size=d) + 1j * rng.normal(size=d)
-    gap = np.abs(e @ measurement._probes(d)).max()
-    assert gap == pytest.approx(np.abs(e).max(), rel=1e-15)
 
 
 # --- register check comes first -------------------------------------------------
@@ -179,11 +163,11 @@ def test_constructor_specs_agree_with_dense(modes, theta, seed):
     picks = np.random.default_rng(seed).permutation(len(candidates))[:3]
     specs = [make(*args) for make, args in (candidates[k] for k in picks)]
     for spec in specs:
-        # the spec was built, so the probe checks accepted it
+        # the spec was built, so its checks accepted it
         assert _dense_failure([p.elements for _, p in spec.projectors]) is None
     for i, a in enumerate(specs):
         for b in specs[i + 1:]:
-            assert _probe_commute(a, b) == _dense_commute(a, b), (a.name, b.name)
+            assert _spec_commute(a, b) == _dense_commute(a, b), (a.name, b.name)
 
 
 def test_fermion_quadratures_read_half_and_are_rejected():
@@ -191,14 +175,14 @@ def test_fermion_quadratures_read_half_and_are_rejected():
                           fermion("b", Site.B)])
     qa, qb = quadrature_basis(reg, "a"), quadrature_basis(reg, "b")
     assert not _dense_commute(qa, qb)
-    message = ("'quad(a)' and 'quad(b)' do not commute, max |(PQ - QP)R|: "
+    message = ("'quad(a)' and 'quad(b)' do not commute, max |PQ - QP|: "
                "5.000e-01 exceeds bound 1e-10")
     with pytest.raises(NonCommutingSpecsError, match=re.escape(message)):
         joint_distribution(vacuum_state(reg), [qa, qb])
     # the bosonic quadratures commute
     breg = build_register([boson("a", 1, Site.A), boson("b", 1, Site.B)])
     specs = [quadrature_basis(breg, m) for m in ("a", "b")]
-    assert _probe_commute(*specs) and _dense_commute(*specs)
+    assert _spec_commute(*specs) and _dense_commute(*specs)
 
 
 # --- random specs ---------------------------------------------------------------
@@ -240,6 +224,9 @@ def _bad(kind, rng, mats, d, eps):
        kind=st.sampled_from(["valid", "oblique", "perturbed", "incomplete",
                              "overlapping"]),
        eps=st.sampled_from([1e-8, 1e-5, 1e-2]), seed=st.integers(0, 2**32 - 1))
+# the probe block read this idempotence gap, 8.2e-11 as the largest entry,
+# above the bound, and named idempotence before orthogonality (2.5e-8)
+@example(d=2, parts=2, kind="perturbed", eps=1e-8, seed=11998)
 def test_random_specs_agree_with_dense(d, parts, kind, eps, seed):
     # a perturbation of size eps (100 bounds and up) is caught both ways
     rng = np.random.default_rng(seed)
@@ -248,7 +235,7 @@ def test_random_specs_agree_with_dense(d, parts, kind, eps, seed):
     mats = _bad(kind, rng, mats, d, eps)
     reg = build_register([boson("a", d - 1)])
     dense = _dense_failure(mats)
-    assert _probe_failure(reg, mats) == dense
+    assert _spec_failure(reg, mats) == dense
     assert (dense is None) == (kind == "valid")
 
 
@@ -265,7 +252,59 @@ def test_random_commuting_verdicts_agree_with_dense(d, seed, shared):
                                         for k, m in enumerate(
                                             _projectors(w, _cuts(rng, d, 2)))))
             for name, w in (("a", u), ("b", v)))
-    assert _probe_commute(a, b) == _dense_commute(a, b) == shared
+    assert _spec_commute(a, b) == _dense_commute(a, b) == shared
+
+
+def test_a_perturbation_the_probe_block_read_as_zero_is_not_idempotent():
+    # {P + E, I - P - E} with E hermitian and E R = E P R = 0 for the fixed
+    # two-column block R that the checks once read: every probe residual
+    # was 0, so the pair was accepted, though P + E is no projector
+    d = 8
+    key = 0x9E3779B97F4A7C15
+    u = np.random.Generator(np.random.Philox(key=key)).random((d, 2))
+    r = np.exp(2j * np.pi * u)
+    rng = np.random.default_rng(47)
+    p = _projectors(_unitary(rng, d), [4])[0]
+    span, _ = np.linalg.qr(np.hstack([r, p @ r]))
+    q = np.eye(d) - span @ span.conj().T
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    e = 0.1 * q @ (h + h.conj().T) @ q
+    mats = [p + e, np.eye(d) - p - e]
+    assert np.abs((mats[0] @ mats[0] - mats[0]) @ r).max() < 1e-12
+    gap = np.abs(mats[0] @ mats[0] - mats[0]).max()
+    assert gap > 0.1
+    reg = build_register([boson("a", d - 1)])
+    projectors = tuple((str(k), OperatorMatrix(reg, m)) for k, m in enumerate(mats))
+    message = re.escape(f"projector '0' of 's' not idempotent: {gap:.3e}")
+    with pytest.raises(ValueError, match=message):
+        MeasurementSpec("s", projectors)
+    assert _dense_failure(mats) == "not idempotent"
+
+
+def test_a_dense_caller_projector_at_dim_512_exceeds_the_product_budget():
+    # P = v v^H is dense and exactly hermitian, so the checks reach the
+    # products: P P alone needs 512**3, about 1.3e8, scalar products
+    d = 512
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v /= np.linalg.norm(v)
+    p = np.outer(v, v.conj())
+    reg = build_register([boson("a", d - 1)])
+    projectors = (("v", OperatorMatrix(reg, p)),
+                  ("rest", OperatorMatrix(reg, np.eye(d) - p)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionBudgetError, match="scalar products"):
+            MeasurementSpec("dense", projectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # raised before the products were formed: they would take gigabytes
+    assert peak < 64 << 20
+    dense = projectors[0][1]
+    for product in (lambda: dense @ dense, lambda: commutator_norm(dense, dense)):
+        with pytest.raises(DimensionBudgetError, match="scalar products"):
+            product()
 
 
 # --- hermiticity, read over the nonzero pattern -----------------------------------

@@ -3,14 +3,19 @@
 ``perfbench/tracer.py`` wraps qwave's functions and methods by name for the
 benchmark's traced run. Installing and uninstalling it here turns a deleted
 or renamed name into a test failure, and checks that every binding it
-replaced is restored.
+replaced is restored. While it is installed, one operator is built and
+decomposed afresh, so that the tracer's own reads of an operator (the
+``elements`` that ``eigh``'s span fingerprints, the register that its
+operator count charges) run on the class as it is.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from qwave import cli, fock, measurement, operators, protocols
+import numpy as np
+
+from qwave import boson, build_register, cli, fock, measurement, operators, protocols
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 CLASSES = (fock.StateVector, fock.DensityMatrix, operators.OperatorMatrix,
@@ -50,6 +55,15 @@ def test_tracer_binds_existing_names_and_restores_them():
         assert {k: (d.takes, d.defaults)
                 for k, d in cli.EXPERIMENTS.items()} == derived
         assert cli.EXPERIMENTS["photon-swap"].run({"phi": 0.5}, 10, 1).shots == 10
+        reg = build_register([boson("a", 3)])
+        built = t.matrices
+        op = operators.OperatorMatrix(reg, np.diag([0.0, 1.0, 2.0, 3.0]))
+        assert t.matrices == built + 1
+        assert t.matrix_bytes >= 16 * reg.dim**2
+        op.eigh()
+        (span,) = [rec for rec in t.spans if rec[1] == "operators.eigh"
+                   and rec[6].get("dim") == reg.dim]
+        assert len(span[6]["fingerprint"]) == 32
     finally:
         t.uninstall()
     assert installed != before
