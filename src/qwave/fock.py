@@ -61,8 +61,11 @@ class ModeSpec:
     site: Site = Site.GLOBAL
 
     def __post_init__(self):
-        # operator.index accepts Python and numpy integers, nothing else
+        # operator.index accepts Python and numpy integers, nothing else;
+        # a bool is an int to it, but no cutoff
         try:
+            if isinstance(self.cutoff, bool):
+                raise TypeError
             object.__setattr__(self, "cutoff", operator.index(self.cutoff))
         except TypeError:
             raise InvalidCutoffError(

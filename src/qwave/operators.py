@@ -149,13 +149,6 @@ class OperatorMatrix:
         out[rows] = sums
         return out
 
-    def _revalued(self, values: np.ndarray) -> "OperatorMatrix":
-        """The operator with this one's pattern and ``values``, none of them
-        0, sharing this operator's row layout, so it builds none."""
-        op = OperatorMatrix._of(self.register, self._pattern, values)
-        object.__setattr__(op, "_layout", self._laid_out())
-        return op
-
     def eigh(self) -> "BlockSpectrum":
         """Eigendecomposition block by block; requires hermiticity. Computed
         on the first call and kept on the operator, whose elements are
@@ -600,35 +593,6 @@ def creation(register: ModeRegister, mode: str) -> OperatorMatrix:
     return _embed(register, _creation_factors(register, mode))
 
 
-class _SplitCreation:
-    """(up_a + e^{i phi} up_b) / sqrt(2) at any phi, for two creation
-    operators ``up_a`` and ``up_b`` of distinct modes: the pattern and row
-    layout of ``template = up_a + up_b``, built once, where up_b's entries
-    sit in that pattern (``at_b``), up_a's values there with 0 elsewhere
-    (``a_values``) and up_b's own values. :meth:`at` computes the values as
-    the operator algebra would, ``e^{i phi} * up_b``, then the sum, then the
-    scalar multiple, and none of them is 0, so its operator has the same
-    pattern and the same bits as that expression."""
-
-    __slots__ = ("template", "at_b", "a_values", "b_values")
-
-    def __init__(self, up_a: OperatorMatrix, up_b: OperatorMatrix):
-        self.template = up_a + up_b
-        pattern = self.template._pattern
-        self.at_b = pattern.searchsorted(up_b._pattern)
-        self.a_values = np.zeros(len(pattern), dtype=complex)
-        self.a_values[pattern.searchsorted(up_a._pattern)] = up_a._values
-        self.b_values = up_b._values
-        for a in (self.at_b, self.a_values):
-            a.flags.writeable = False
-
-    def at(self, phi: float) -> OperatorMatrix:
-        b = np.zeros(len(self.a_values), dtype=complex)
-        b[self.at_b] = self.b_values * np.exp(1j * phi)
-        return self.template._revalued(
-            np.add(self.a_values, b) * (1.0 / math.sqrt(2.0)))
-
-
 def number_operator(register: ModeRegister, mode: str) -> OperatorMatrix:
     n = np.arange(register.mode(mode).dim)
     return embed(register, {mode: np.diag(n)})
@@ -798,28 +762,6 @@ def phase_kick(register: ModeRegister, mode: str, phi: float) -> OperatorMatrix:
     n = np.arange(register.mode(mode).dim)
     kick = np.diag(np.exp(1j * phi * n))
     return embed(register, {mode: kick})
-
-
-class _PhaseKick:
-    """``phase_kick(register, mode, phi)`` at any phi, on the pattern and
-    row layout of a diagonal operator (``identity``) of the same register,
-    which kicks of several modes share, with the mode's occupation at each
-    basis index. :meth:`at` computes each value as ``embed`` does, the
-    factor product 1.0 * exp(i phi n), and reads it at the occupation n of
-    each basis index, so its operator has the bits of ``phase_kick``."""
-
-    __slots__ = ("diagonal", "occupation", "levels")
-
-    def __init__(self, diagonal: OperatorMatrix, mode: str):
-        reg = diagonal.register
-        self.diagonal = diagonal
-        self.occupation = reg.occupation_table()[:, reg.position(mode)].copy()
-        self.occupation.flags.writeable = False
-        self.levels = reg.mode(mode).dim
-
-    def at(self, phi: float) -> OperatorMatrix:
-        kick = (np.ones(1)[:, None] * np.exp(1j * phi * np.arange(self.levels))).ravel()
-        return self.diagonal._revalued(kick[self.occupation])
 
 
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, t: float) -> StateVector:

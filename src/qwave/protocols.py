@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,8 +68,6 @@ from .measurement import (
 from .operators import (
     BlockSpectrum,
     OperatorMatrix,
-    _PhaseKick,
-    _SplitCreation,
     _dense,
     _ladder_hermitian,
     _lowering,
@@ -237,13 +236,30 @@ def _creations(reg: ModeRegister, species: str) -> _Ups:
     return creation(reg, species + "_a"), creation(reg, species + "_b")
 
 
-def _split_at_zero(reg: ModeRegister, ups: _Ups) -> StateVector:
-    """One split particle at phase 0 from the vacuum, (create_a + create_b)
-    / sqrt(2) |0>: the inner particle of a split pair, built once per
-    setup."""
+def _split(ups: _Ups, phi: float, state: StateVector) -> StateVector:
+    """(create_a + e^{i phi} create_b) / sqrt(2) applied to ``state`` and
+    renormalized, from the products of the two creation operators with the
+    amplitudes. Where every creation value is +/-1 (one-particle modes),
+    these are the bits of ``apply`` with that operator, and elsewhere they
+    agree to rounding."""
     up_a, up_b = ups
-    return apply((up_a + up_b) * (1.0 / math.sqrt(2.0)), vacuum_state(reg),
-                 renormalize=True)
+    x = state.amplitudes
+    s = 1.0 / math.sqrt(2.0)
+    return from_amplitudes(state.register,
+                           up_a._dot(x) * s + np.exp(1j * phi) * s * up_b._dot(x),
+                           normalize=True)
+
+
+def _kicked(state: StateVector, mode: str, kick: float) -> StateVector:
+    """``apply(phase_kick(register, mode, kick), state)`` without the
+    operator: each amplitude times exp(i kick n) at the mode's occupation
+    n, with the bits of that product."""
+    reg = state.register
+    p = reg.position(mode)
+    levels = [1] * len(reg.dims)
+    levels[p] = reg.dims[p]
+    phases = np.exp(1j * kick * np.arange(reg.dims[p])).reshape(levels)
+    return from_amplitudes(reg, (phases * state.amplitudes.reshape(reg.dims)).ravel())
 
 
 def _absence_measurement(
@@ -380,7 +396,8 @@ def rabi_rotation(
             raise ValueError("times must be nonnegative")
 
     # the cutoff is checked before a setup is reached, and keys it as an int
-    reg, spectrum, atom_excited = _rabi_setup(boson("field", cutoff).cutoff)
+    cutoff = boson("field", cutoff).cutoff
+    reg, spectrum, atom_excited = _rabi_setup(cutoff)
     psi0 = coherent_state(reg, "field", alpha, tail_bound)
     # each phase (w t, sqrt(n) t, |alpha| t) is at most rate * t; one past
     # the float range would turn into NaN. The default grid ends at t_end.
@@ -480,6 +497,9 @@ def bell_chain(n: int, shots: int, seed: int) -> ExperimentReport:
     2N (1 - cos^2(pi/4N)) on the probability that any relation fails drops
     below 1 already at N = 2 and falls off like pi^2 / 8N.
     """
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    n = operator.index(n)
     if n < 2:
         raise ValueError("need n >= 2 for a nontrivial chain")
     if n > 8:
@@ -537,13 +557,12 @@ _AUX_SPECIES_ORDER = ("test_a", "test_b", "aux_a", "aux_b")
 @functools.cache
 def _aux_setup(
     kind: ModeKind, labels: tuple[str, ...]
-) -> tuple[ModeRegister, tuple[MeasurementSpec, MeasurementSpec],
-           _SplitCreation, StateVector, tuple[_PhaseKick, _PhaseKick]]:
-    """Register, site specs, the test split-particle operator, the split
-    auxiliary particle at phase 0 and gauge-check's phase kicks on test_b
-    and aux_b of the auxiliary-particle experiment, with its four modes of
-    ``kind`` declared in the order ``labels``. A run computes only the
-    values of the operators at its phi and kick."""
+) -> tuple[ModeRegister, tuple[MeasurementSpec, MeasurementSpec], _Ups,
+           StateVector]:
+    """Register, site specs, the test particle's creation operators and the
+    auxiliary particle split at phase 0 of the auxiliary-particle
+    experiment, with its four modes of ``kind`` declared in the order
+    ``labels``. A run splits the test particle on that state at its phi."""
     if kind is ModeKind.FERMION:
         make = fermion
     else:
@@ -554,11 +573,8 @@ def _aux_setup(
         plus_minus_basis(reg, "test_a", "aux_a", "site_a"),
         plus_minus_basis(reg, "test_b", "aux_b", "site_b"),
     )
-    test = _SplitCreation(*_creations(reg, "test"))
-    aux = _split_at_zero(reg, _creations(reg, "aux"))
-    diagonal = identity(reg)
-    kicks = (_PhaseKick(diagonal, "test_b"), _PhaseKick(diagonal, "aux_b"))
-    return reg, specs, test, aux, kicks
+    aux = _split(_creations(reg, "aux"), 0.0, vacuum_state(reg))
+    return reg, specs, _creations(reg, "test"), aux
 
 
 def _aux_phase_exact(phi: float, kind: ModeKind, labels: tuple[str, ...]):
@@ -569,9 +585,9 @@ def _aux_phase_exact(phi: float, kind: ModeKind, labels: tuple[str, ...]):
     fermions permutes the anticommutation bookkeeping; the conditional
     statistics must not depend on it.
     """
-    reg, specs, test, aux, _ = _aux_setup(kind, labels)
+    reg, specs, test, aux = _aux_setup(kind, labels)
     # the test particle split on top of the auxiliary one
-    psi = apply(test.at(phi), aux, renormalize=True)
+    psi = _split(test, phi, aux)
     return reg, psi, specs, joint_distribution(psi, specs)
 
 
@@ -742,6 +758,7 @@ def coherent_factorization(
     (|alpha|^2 / 2 each). Exact-only.
     """
     alpha = complex(alpha)
+    cutoff = boson("a", cutoff).cutoff
     # the local amplitudes alpha / sqrt(2) have the smaller tail
     check_tail_bound(alpha, cutoff, tail_bound)
     reg = build_register([boson("a", cutoff, Site.A), boson("b", cutoff, Site.B)])
@@ -813,11 +830,11 @@ _CHAIN_MODES = {spec.label: spec for spec in (
 @functools.cache
 def _collective_setup(labels: tuple[str, ...]):
     """Register, annihilation coupler, lepton-absence measurement, the two
-    photon superposition measurements, the electron split-particle
-    operator, the split positron at phase 0, the positron creation
-    operators and the two photon resets of the collective chain, with its
-    modes declared in the order ``labels``. The coupler keeps the spectrum
-    its first ``evolve`` computes."""
+    photon superposition measurements, the electron creation operators, the
+    positron split at phase 0, one positron at each site and the two photon
+    resets of the collective chain, with its modes declared in the order
+    ``labels``. A run splits the electron on those states at its phi. The
+    coupler keeps the spectrum its first ``evolve`` computes."""
     reg = build_register([_CHAIN_MODES[label] for label in labels])
 
     def coupler(site: str) -> OperatorMatrix:
@@ -827,6 +844,7 @@ def _collective_setup(labels: tuple[str, ...]):
         )
 
     h_total = coupler("a") + coupler("b")
+    vac = vacuum_state(reg)
     pos = _creations(reg, "pos")
     lepton_spec = _absence_measurement(
         reg, ("el_a", "el_b", "pos_a", "pos_b"), "leptons"
@@ -837,9 +855,9 @@ def _collective_setup(labels: tuple[str, ...]):
         lepton_spec,
         vacuum_one_superposition_basis(reg, "ph_a", "photon_a"),
         vacuum_one_superposition_basis(reg, "ph_b", "photon_b"),
-        _SplitCreation(*_creations(reg, "el")),
-        _split_at_zero(reg, pos),
-        pos,
+        _creations(reg, "el"),
+        _split(pos, 0.0, vac),
+        apply(pos[0], apply(pos[1], vac, renormalize=True), renormalize=True),
         (_superposition_reset(reg, "ph_a"), _superposition_reset(reg, "ph_b")),
     )
 
@@ -851,16 +869,14 @@ def _collective_exact(
     with the direct variant's state before post-selection and the
     lepton-absence measurement that post-selects it."""
     (reg, h_total, lepton_spec, spec_pa, spec_pb,
-     el, split_pos, pos, resets) = _collective_setup(labels)
+     el, split_pos, pos_per_site, resets) = _collective_setup(labels)
     quarter = math.pi / 2.0
-    vac = vacuum_state(reg)
-    split_el = el.at(phi)
     out: dict[str, float] = {}
 
     # direct variant: both species split with the positron at phase zero,
     # annihilated for a quarter period at each site, post-select all
     # leptons gone
-    direct = evolve(apply(split_el, split_pos, renormalize=True), h_total, quarter)
+    direct = evolve(_split(el, phi, split_pos), h_total, quarter)
     photon_state, p_direct = post_select(direct, lepton_spec, "absent")
     out["direct_postselection_probability"] = p_direct
     out["direct_photon_fidelity"] = photon_state.fidelity(
@@ -868,12 +884,7 @@ def _collective_exact(
     )
 
     # stage 1: one positron per site, electron split
-    psi1 = apply(
-        split_el,
-        apply(pos[0], apply(pos[1], vac, renormalize=True), renormalize=True),
-        renormalize=True,
-    )
-    psi1 = evolve(psi1, h_total, quarter)
+    psi1 = evolve(_split(el, phi, pos_per_site), h_total, quarter)
 
     # stage 2: photon superposition measurements, keep (+, +)
     psi2a, p_a = post_select(psi1, spec_pa, "+")
@@ -892,7 +903,7 @@ def _collective_exact(
     # stage 3: reset the measured photon modes, feed in a fresh split
     # electron, annihilate again, post-select all leptons gone
     psi3 = apply(resets[1], apply(resets[0], psi2))
-    psi4 = apply(split_el, psi3, renormalize=True)
+    psi4 = _split(el, phi, psi3)
     psi5 = evolve(psi4, h_total, quarter)
     psi6, p_nolep = post_select(psi5, lepton_spec, "absent")
     out["stage3_postselection_probability"] = p_nolep
@@ -982,9 +993,8 @@ def ab_gauge_check(
     _, baseline, specs, dist0 = _aux_phase_exact(
         phi, ModeKind.BOSON, _AUX_SITE_ORDER
     )
-    kick_test, kick_aux = _aux_setup(ModeKind.BOSON, _AUX_SITE_ORDER)[4]
-    kicked_test_only = apply(kick_test.at(kick), baseline)
-    kicked_both = apply(kick_aux.at(kick), kicked_test_only)
+    kicked_test_only = _kicked(baseline, "test_b", kick)
+    kicked_both = _kicked(kicked_test_only, "aux_b", kick)
     dist1 = joint_distribution(kicked_both, specs)
     cond0, coinc0, _ = _conditional_rates(dist0)
     cond1, _, _ = _conditional_rates(dist1)

@@ -8,10 +8,12 @@ checked before the setup is reached), four aux-phase keys (two statistics
 by two declaration orders), two collective-chain keys (two declaration
 orders) and one fermion-nogo key, 15 in all. rabi's setup, its register,
 coupler spectrum and excited-atom mask, is kept per cutoff by
-``functools.lru_cache``, for at most ``_RABI_SETUPS`` cutoffs. The public
-spec constructors build on every call. Specs compare and hash by identity
-and remember which specs they have passed the commuting check with, so a
-kept pair is read once per process.
+``functools.lru_cache``, for at most ``_RABI_SETUPS`` cutoffs. The
+aux-phase and collective-chain setups hold creation operators and the
+states a run splits its particle on, so a second run builds no operator.
+The public spec constructors build on every call. Specs compare and hash
+by identity and remember which specs they have passed the commuting check
+with, so a kept pair is read once per process.
 """
 
 import json
@@ -160,7 +162,8 @@ def test_a_failed_build_is_not_kept():
             quadrature_basis(reg, "a")
     # a chain length out of range is refused before its setup is reached
     protocols._bell_setup.cache_clear()
-    for n, error in ((1, ValueError), (9, NTooLargeError)):
+    for n, error in ((1, ValueError), (9, NTooLargeError), (2.5, ValueError),
+                     (3.0, ValueError), (True, ValueError)):
         with pytest.raises(error):
             bell_chain(n, 0, 1)
     assert protocols._bell_setup.cache_info().currsize == 0
@@ -329,11 +332,12 @@ def test_a_second_run_builds_nothing_its_setup_holds(first, second, monkeypatch,
     (lambda: collective_chain(0.4, 0, 1), lambda: collective_chain(2.2, 1000, 3)),
 ], ids=["aux-phase-boson", "aux-phase-fermion", "gauge-check", "collective-chain"])
 def test_a_second_run_lays_out_adds_and_kicks_nothing(first, second, monkeypatch):
-    # a run's split-particle operators and phase kicks take the pattern and
-    # row layout of their setup's templates, so it builds no row layout,
-    # no sum of operators and no phase kick
+    # a run splits its particles and kicks its modes on the amplitudes with
+    # the operators its setup holds, so it builds no operator, no row
+    # layout, no sum of operators and no phase kick
     calls = []
-    patched = [(operators, "_row_layout"), (OperatorMatrix, "_combined")]
+    patched = [(operators, "_row_layout"), (OperatorMatrix, "_combined"),
+               (OperatorMatrix, "__post_init__")]
     patched += [(module, "phase_kick") for module in (operators, protocols)
                 if hasattr(module, "phase_kick")]
     for owner, name in patched:
@@ -353,33 +357,31 @@ def test_a_second_run_lays_out_adds_and_kicks_nothing(first, second, monkeypatch
 
 def test_a_setup_held_operator_cannot_be_written():
     _clear_setups()
-    held = []
-    for kind in (ModeKind.BOSON, ModeKind.FERMION):
-        test, _, kicks = protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
-        held += [[test.template], [k.diagonal for k in kicks]]
-    el, _, *pairs = protocols._collective_setup(protocols._CHAIN_SITE_ORDER)[5:]
-    held += [[el.template], *pairs]
+    held = [protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2]
+            for kind in (ModeKind.BOSON, ModeKind.FERMION)]
+    el, _, _, resets = protocols._collective_setup(protocols._CHAIN_SITE_ORDER)[5:]
+    held += [el, resets]
     pairs, pair_ops = protocols._fermion_nogo_setup()
     held += [[xa, xb] for _, xa, xb, *_ in pairs] + [pair_ops]
     ops = [op for pair in held for op in pair]
-    assert len(ops) == 17
+    assert len(ops) == 14
     for op in ops:
         for name in ("_values", "_pattern"):
             entries = op.__dict__[name]
             with pytest.raises(ValueError, match="read-only"):
                 entries[0] = entries[-1]
     # every other array a setup holds, once every experiment has run: the
-    # row layouts that a run's split-particle operators and kicks share
-    # with their templates, where up_b's entries sit, up_a's zero-filled
-    # values, the kicked modes' occupations, the inner split particles,
-    # spectra and rabi's excited-atom masks
+    # row layouts of the creation operators that a run's splits read, the
+    # states they split on, spectra and rabi's excited-atom masks
     for run_once in RUNS + [lambda: ab_gauge_check(0.4, 0.3, 0, 1)]:
         assert run_once().passed
     arrays = list(_held_arrays(tuple(setup(*args) for setup, args in SETUP_KEYS)))
     for kind in (ModeKind.BOSON, ModeKind.FERMION):
-        test, aux, kicks = protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
-        assert {id(test.at_b), id(aux.amplitudes)} <= {id(a) for a in arrays}
-        assert {id(k.occupation) for k in kicks} <= {id(a) for a in arrays}
+        test, aux = protocols._aux_setup(kind, protocols._AUX_SITE_ORDER)[2:]
+        assert {id(up.__dict__["_layout"][0]) for up in test} | {
+            id(aux.amplitudes)} <= {id(a) for a in arrays}
+    states = protocols._collective_setup(protocols._CHAIN_SITE_ORDER)[6:8]
+    assert {id(s.amplitudes) for s in states} <= {id(a) for a in arrays}
     for _, cutoff in RABI_CONFIGS:
         _, spectrum, excited = protocols._rabi_setup(cutoff)
         assert {id(a) for group in spectrum.groups for a in group} | {id(excited)} <= {
@@ -410,21 +412,12 @@ def test_aux_phase_runs_at_two_phases_give_their_solo_bytes_in_either_order(
 def _held_arrays(value):
     """The arrays a setup's value holds: the entries, row layouts and
     spectra of its operators, the spectra it holds without their operator,
-    the amplitudes of its states, its own arrays, and of its split-particle
-    templates and phase kicks the template operator, where up_b's entries
-    sit, up_a's zero-filled values and up_b's values, and the kicked mode's
-    occupations."""
+    the amplitudes of its states and its own arrays."""
     if isinstance(value, tuple):
         for item in value:
             yield from _held_arrays(item)
     elif isinstance(value, OperatorMatrix):
         yield from _op_arrays(value)
-    elif isinstance(value, operators._SplitCreation):
-        yield from _op_arrays(value.template)
-        yield from (value.at_b, value.a_values, value.b_values)
-    elif isinstance(value, operators._PhaseKick):
-        yield from _op_arrays(value.diagonal)
-        yield value.occupation
     elif isinstance(value, MeasurementSpec):
         for _, p in value.projectors:
             yield from _held_arrays(p)

@@ -62,7 +62,7 @@ def test_invalid_cutoffs_rejected():
 
 
 def test_non_integer_cutoff_rejected_numpy_integer_accepted():
-    for cutoff in (2.5, 2.0, "2", None):
+    for cutoff in (2.5, 2.0, "2", None, True, np.True_):
         with pytest.raises(InvalidCutoffError, match="integer"):
             boson("a", cutoff)
     reg = build_register([boson("a", np.int64(2))])

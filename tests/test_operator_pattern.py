@@ -39,6 +39,7 @@ from qwave import (
     creation,
     evolve,
     fermion,
+    from_amplitudes,
     identity,
     pair_exchange,
     phase_kick,
@@ -246,8 +247,7 @@ def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
         seen.append(op)
         return eigh(op)
 
-    # every operator, whatever built it: the split-particle operators of
-    # the protocols are scalar multiples of sums
+    # every operator, whatever built it
     def recorded_op_post_init(op):
         op_post_init(op)
         built.append(op)
@@ -265,12 +265,10 @@ def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
                            shots=entry["shots"], seed=entry["seed"],
                            output_path=str(tmp_path / "report.json"))
         assert run(config) == EXIT_OK
-    # the setups hold the creation operators, photon resets, split-particle
-    # templates, inner split particles and phase-kick diagonals that the
-    # runs share, and a run builds each split-particle operator and kick as
-    # one operator on a template, so the batch builds 260 operators, and
-    # checks each
-    assert len(seen) > 100 and len(built) >= 260
+    # the setups hold the creation operators and photon resets that the
+    # runs share, and a run splits its particles and kicks its modes on the
+    # amplitudes, so the batch builds 241 operators, and checks each
+    assert len(seen) > 100 and len(built) >= 241
     for op in seen + built:
         _assert_pattern_is_nonzero_set(op)
     # the fermion chain of the chain pipeline, dim 512: each quadrature's
@@ -417,38 +415,34 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_same_operator(got: OperatorMatrix, expected: OperatorMatrix):
-    # the same pattern and values, bit for bit, and the same products
-    assert np.array_equal(_pattern(got), _pattern(expected))
-    assert _same_bits(got.__dict__["_values"], expected.__dict__["_values"])
-    rng = np.random.default_rng(5)
-    d = got.register.dim
-    for shape in ((d,), (d, 3)):
-        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert _same_bits(got._dot(x), expected._dot(x))
-    _assert_pattern_is_nonzero_set(got)
-
-
 @pytest.mark.parametrize("reg", list(_kept_structure_registers()),
                          ids=lambda reg: reg.modes[0].kind.value + ":"
                          + ",".join(m.label for m in reg.modes))
-def test_kept_structure_operators_have_the_bits_of_their_builders(reg):
+def test_split_and_kick_on_amplitudes_agree_with_their_operators(reg):
     labels = [m.label for m in reg.modes]
     pairs = [(f"{s}_a", f"{s}_b") for s in {l[:-2] for l in labels}
              if f"{s}_a" in labels and f"{s}_b" in labels]
     assert pairs
-    diagonal = identity(reg)
-    for mode_a, mode_b in pairs:
-        up_a, up_b = creation(reg, mode_a), creation(reg, mode_b)
-        split = operators._SplitCreation(up_a, up_b)
-        for phi in KEPT_PHASES:
-            expected = (1.0 / math.sqrt(2.0)) * (up_a + np.exp(1j * phi) * up_b)
-            got = split.at(phi)
-            assert _pattern(got) is _pattern(split.template)
-            _assert_same_operator(got, expected)
-    for mode in labels:
-        kick = operators._PhaseKick(diagonal, mode)
-        for phi in KEPT_PHASES:
-            got = kick.at(phi)
-            assert _pattern(got) is _pattern(diagonal)
-            _assert_same_operator(got, phase_kick(reg, mode, phi))
+    # every creation value is +/-1 on cutoff-1 modes, and the split has the
+    # bits of its operator there
+    exact = all(m.cutoff == 1 for m in reg.modes)
+    rng = np.random.default_rng(5)
+    states = [vacuum_state(reg)] + [
+        from_amplitudes(reg, rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim),
+                        normalize=True)
+        for _ in range(3)]
+    for state in states:
+        for mode_a, mode_b in pairs:
+            ups = up_a, up_b = creation(reg, mode_a), creation(reg, mode_b)
+            for phi in KEPT_PHASES:
+                split = (1.0 / math.sqrt(2.0)) * (up_a + np.exp(1j * phi) * up_b)
+                want = apply(split, state, renormalize=True).amplitudes
+                got = protocols._split(ups, phi, state).amplitudes
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.abs(got - want).max() <= 1e-15
+        for mode in labels:
+            for phi in KEPT_PHASES:
+                want = apply(phase_kick(reg, mode, phi), state).amplitudes
+                assert _same_bits(protocols._kicked(state, mode, phi).amplitudes, want)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qwave import (
+    InvalidCutoffError,
     ModeKind,
     NTooLargeError,
     Site,
@@ -252,6 +253,17 @@ def test_bell_chain_bounds():
         bell_chain(1, 0, 0)
     with pytest.raises(NTooLargeError):
         bell_chain(9, 0, 0)
+    # the report carries the chain length as an int
+    assert type(bell_chain(np.int64(3), 0, 0).params["n"]) is int
+
+
+def test_a_bool_cutoff_is_refused_and_an_integer_one_reported_as_int():
+    # True would run at cutoff 1 and be echoed as true
+    for run in (lambda cutoff: rabi_rotation(1.0, cutoff, tail_bound=0.5),
+                lambda cutoff: coherent_factorization(0.1, cutoff, tail_bound=0.5)):
+        with pytest.raises(InvalidCutoffError, match="integer"):
+            run(True)
+        assert type(run(np.int64(12)).params["cutoff"]) is int
 
 
 @dataclass(frozen=True)
