@@ -13,10 +13,17 @@ P_i P_j, sum P - I or PQ - QP) is formed from the projectors' nonzero
 entries and read as its largest entry, max |E_ij|. A product costs one
 scalar product per pair of entries that meet, so a projector with a few
 entries per row costs a few per entry, and every verdict is deterministic.
+
+The four public spec constructors share one memo of the ``_KEPT_SPECS``
+specs asked for most recently: equal arguments of equal types on equal
+registers get back the spec that the first call built and validated, so
+a phi sweep that rebuilds its specs for every fresh register pays the
+checks once.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -48,6 +55,13 @@ PROJECTOR_ATOL = 1e-10
 #: States are normalized to NORM_ATOL, so a valid total is within ~2e-10.
 _TOTAL_PROBABILITY_ATOL = 1e-9
 
+#: Most specs the public constructors keep, all four together; the least
+#: recently used goes first. perfbench's library pipelines ask for 10
+#: distinct specs (4 spin, 6 quadrature). The largest spec at
+#: MAX_REGISTER_DIM holds 655 376 B (640 KiB and 16 B), row layouts
+#: included, so 16 of them hold 10.0 MiB.
+_KEPT_SPECS = 16
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSpec:
@@ -67,7 +81,9 @@ class MeasurementSpec:
     Specs hold their (label, projector) pairs as a tuple and compare and
     hash by identity. Each keeps a weak set of the specs it has passed
     ``joint_distribution``'s commuting check with, so a pair that has
-    passed is not read again.
+    passed is not read again. The public constructors hand back one spec
+    for equal arguments, so a spec list rebuilt on a fresh register meets
+    that set and its commuting check is a lookup.
     """
 
     name: str
@@ -151,6 +167,29 @@ def site_locality_gap(spec: MeasurementSpec, site: Site) -> float:
     return float(np.abs(t).max())
 
 
+@functools.lru_cache(maxsize=_KEPT_SPECS, typed=True)
+def _memo(build, *args, **kwargs) -> MeasurementSpec:
+    return build(*args, **kwargs)
+
+
+def _kept(build):
+    """``build``, kept in the memo: equal arguments of equal types on equal
+    registers get back the spec the first call built and validated. A
+    failed build is not kept, and arguments that cannot be a key (a 0-d
+    array theta) build afresh."""
+
+    @functools.wraps(build)
+    def kept(*args, **kwargs):
+        try:
+            hash((args, tuple(kwargs.items())))
+        except TypeError:
+            return build(*args, **kwargs)
+        return _memo(build, *args, **kwargs)
+
+    return kept
+
+
+@_kept
 def spin_direction_measurement(
     register: ModeRegister, twolevel_mode: str, theta: float, name: str | None = None
 ) -> MeasurementSpec:
@@ -173,6 +212,7 @@ def spin_direction_measurement(
     return MeasurementSpec(name or f"spin({twolevel_mode})", projectors)
 
 
+@_kept
 def plus_minus_basis(
     register: ModeRegister, mode1: str, mode2: str, name: str | None = None
 ) -> MeasurementSpec:
@@ -200,6 +240,7 @@ def plus_minus_basis(
     return MeasurementSpec(name or f"pm({mode1},{mode2})", projectors)
 
 
+@_kept
 def vacuum_one_superposition_basis(
     register: ModeRegister, mode: str, name: str | None = None
 ) -> MeasurementSpec:
@@ -225,6 +266,7 @@ def vacuum_one_superposition_basis(
     return MeasurementSpec(name or f"vac1({mode})", tuple(projectors))
 
 
+@_kept
 def quadrature_basis(
     register: ModeRegister, mode: str, name: str | None = None
 ) -> MeasurementSpec:

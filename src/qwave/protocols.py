@@ -68,7 +68,6 @@ from .measurement import (
 from .operators import (
     BlockSpectrum,
     OperatorMatrix,
-    _dense,
     _ladder_hermitian,
     _lowering,
     apply,
@@ -763,15 +762,19 @@ def coherent_factorization(
     check_tail_bound(alpha, cutoff, tail_bound)
     reg = build_register([boson("a", cutoff, Site.A), boson("b", cutoff, Site.B)])
 
-    # (a_dag + b_dag) acts on the (n_a, n_b) amplitude table as one mode's
-    # raising matrix (the lowering matrix transposed) along each axis
+    # (a_dag + b_dag) raises the (n_a, n_b) amplitude table along each
+    # axis: row n takes sqrt(n) times row n - 1 of the last term, column n
+    # sqrt(n) times its column n - 1
     one_mode = build_register([boson("a", cutoff)])
-    up = _dense(_lowering(cutoff + 1)).T
+    root = _lowering(cutoff + 1)[3]
     term = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     term[0, 0] = 1.0
     total = term.copy()
+    down, right = np.zeros_like(term), np.zeros_like(term)
     for k in range(1, cutoff + 1):
-        term = alpha / (k * math.sqrt(2.0)) * (up @ term + term @ up.T)
+        np.multiply(root[:, None], term[:-1], out=down[1:])
+        np.multiply(term[:, :-1], root, out=right[:, 1:])
+        term = alpha / (k * math.sqrt(2.0)) * (down + right)
         total += term
     delocalized = from_amplitudes(reg, total.ravel(), normalize=True)
 

@@ -11,8 +11,10 @@ coupler spectrum and excited-atom mask, is kept per cutoff by
 ``functools.lru_cache``, for at most ``_RABI_SETUPS`` cutoffs. The
 aux-phase and collective-chain setups hold creation operators and the
 states a run splits its particle on, so a second run builds no operator.
-The public spec constructors build on every call. Specs compare and hash
-by identity and remember which specs they have passed the commuting check
+The public spec constructors keep the specs they built most recently, at
+most ``measurement._KEPT_SPECS`` of them: equal arguments of equal types on
+equal registers get back the one validated spec. Specs compare and hash by
+identity and remember which specs they have passed the commuting check
 with, so a kept pair is read once per process.
 """
 
@@ -32,6 +34,7 @@ from qwave import (
     NonCommutingSpecsError,
     NTooLargeError,
     OperatorMatrix,
+    Site,
     StateVector,
     ab_gauge_check,
     aux_particle_phase,
@@ -40,6 +43,7 @@ from qwave import (
     build_register,
     collective_chain,
     fermion_nogo,
+    from_amplitudes,
     joint_distribution,
     photon_swap_experiment,
     quadrature_basis,
@@ -48,7 +52,7 @@ from qwave import (
     two_level,
     vacuum_state,
 )
-from qwave import operators, protocols
+from qwave import measurement, operators, protocols
 from qwave.cli import EXIT_OK, RunConfig, canonical_json, run
 from qwave.fock import MAX_REGISTER_DIM, ModeKind
 
@@ -104,14 +108,120 @@ def _specs(value):
         yield value
 
 
-def test_a_register_above_the_limit_is_built_afresh_on_every_call():
-    # no dim limit is left: above the old 64 and below it alike, a public
-    # constructor builds a new spec with the same projectors on every call
-    for reg in (_atoms(7), _atoms(6)):
-        first = spin_direction_measurement(reg, "t0", 0.3)
-        again = spin_direction_measurement(reg, "t0", 0.3)
-        assert again is not first
-        _assert_same_projectors(first, again)
+def test_equal_arguments_on_equal_registers_get_the_one_spec(fresh_specs):
+    # at dim 64 and 128, two distinct registers of equal modes share the
+    # spec that the first call built
+    for n in (6, 7):
+        first = spin_direction_measurement(_atoms(n), "t0", 0.3)
+        again = spin_direction_measurement(_atoms(n), "t0", 0.3)
+        assert again is first
+    # another theta, name or type of theta is another key
+    reg = _atoms(6)
+    spec = spin_direction_measurement(reg, "t0", 0.3)
+    assert spin_direction_measurement(reg, "t0", 0.4) is not spec
+    assert spin_direction_measurement(reg, "t0", 0.3, "z") is not spec
+    typed = spin_direction_measurement(reg, "t0", np.float64(0.3))
+    assert typed is not spec
+    _assert_same_projectors(typed, spec)
+
+
+# a 0-d array cannot be a key, so it builds afresh; a scalar is kept
+@pytest.mark.parametrize("theta, kept", [(np.array(0.3), False),
+                                         (np.float64(0.3), True), (0.3, True)],
+                         ids=["0d-array", "float64", "float"])
+def test_a_0d_array_or_numpy_scalar_theta_builds_its_spec(theta, kept, fresh_specs):
+    reg = _atoms(2)
+    spec = spin_direction_measurement(reg, "t0", theta)
+    _assert_same_projectors(spec, spin_direction_measurement(_atoms(2), "t0", 0.3))
+    again = spin_direction_measurement(reg, "t0", theta)
+    assert (again is spec) == kept
+    _assert_same_projectors(again, spec)
+
+
+def test_a_nan_theta_raises_on_every_call_and_a_bool_theta_as_it_did(fresh_specs):
+    reg = _atoms(2)
+    for theta in (float("nan"), np.nan, np.float64("nan")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="'[+]1' of 'spin[(]t0[)]' not hermitian: nan"):
+                spin_direction_measurement(reg, "t0", theta)
+    assert measurement._memo.cache_info().currsize == 0
+    # True equals 1 but computes its cosine in float16, which fails the
+    # idempotence check: a kept theta 1 is not handed back for it
+    assert spin_direction_measurement(reg, "t0", 1).name == "spin(t0)"
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not idempotent"):
+            spin_direction_measurement(reg, "t0", True)
+    assert measurement._memo.cache_info().currsize == 1
+
+
+def _swap_pipeline_specs(phis):
+    """perfbench's swap pipeline up to its measurement: a fresh register of
+    one light mode and one atom per site, the photon on the atoms, and the
+    transverse spin spec of each atom."""
+    sites = [Site.A, Site.B, Site.O, Site.GLOBAL]
+    reg = build_register([boson(f"light{k}", 1, s) for k, s in enumerate(sites)]
+                         + [two_level(f"atom{k}", s) for k, s in enumerate(sites)])
+    amps = np.zeros(reg.dim, dtype=complex)
+    for k, phi in enumerate(phis):
+        amps[reg.index_of([0] * 4 + [int(j == k) for j in range(4)])] = np.exp(1j * phi)
+    specs = [spin_direction_measurement(reg, f"atom{k}", math.pi / 2.0) for k in range(4)]
+    return from_amplitudes(reg, amps, normalize=True), specs
+
+
+def test_a_repeated_swap_pipeline_validates_and_multiplies_nothing(monkeypatch,
+                                                                    fresh_specs):
+    psi, specs = _swap_pipeline_specs([0.1, 0.7, 1.9, 4.0])
+    first = joint_distribution(psi, specs)
+    calls = []
+    post_init, sums = MeasurementSpec.__post_init__, operators._sums
+
+    def counted_post_init(spec):
+        calls.append("__post_init__")
+        post_init(spec)
+
+    def counted_sums(*args):
+        calls.append("_sums")
+        return sums(*args)
+
+    monkeypatch.setattr(MeasurementSpec, "__post_init__", counted_post_init)
+    monkeypatch.setattr(operators, "_sums", counted_sums)
+    # another phi on a fresh register and state: the same specs come back,
+    # and their pairs have passed the commuting check
+    psi, again = _swap_pipeline_specs([2.5, 0.3, 5.1, 1.2])
+    law = joint_distribution(psi, again)
+    assert calls == []
+    assert all(a is b for a, b in zip(again, specs))
+    assert law.keys() == first.keys() and law != first
+
+
+#: The bytes of a spin spec at MAX_REGISTER_DIM, row layouts included: two
+#: projectors of 2 entries per row. No public constructor's spec holds more
+#: there (a quadrature or a vacuum-one spec of a cutoff-1 mode holds as
+#: much).
+WORST_SPEC_BYTES = 655_376
+
+
+def test_the_memo_keeps_its_most_recent_specs_within_its_bound(fresh_specs):
+    reg = _atoms(12)
+    assert reg.dim == MAX_REGISTER_DIM
+    bound = measurement._KEPT_SPECS
+    thetas = [0.1 * k for k in range(bound + 2)]
+    specs = [spin_direction_measurement(reg, "t0", theta) for theta in thetas]
+    assert max(_distinct_bytes(_spec_arrays(s)) for s in specs) == WORST_SPEC_BYTES
+    # the two least recently used are dropped
+    info = measurement._memo.cache_info()
+    assert info.currsize == info.maxsize == bound
+    kept = [spin_direction_measurement(reg, "t0", theta) for theta in thetas[2:]]
+    assert all(a is b for a, b in zip(kept, specs[2:]))
+    assert measurement._memo.cache_info().misses == info.misses
+    assert _distinct_bytes(a for s in kept for a in _spec_arrays(s)) <= (
+        bound * WORST_SPEC_BYTES)
+    # reading the oldest kept spec again keeps it past the next build, which
+    # drops the next oldest instead
+    assert spin_direction_measurement(reg, "t0", thetas[2]) is specs[2]
+    spin_direction_measurement(reg, "t0", 9.0)
+    assert spin_direction_measurement(reg, "t0", thetas[2]) is specs[2]
+    assert spin_direction_measurement(reg, "t0", thetas[3]) is not specs[3]
 
 
 def test_every_constructor_keeps_its_specs():

@@ -234,7 +234,7 @@ def test_spec_reads_a_kept_pattern_for_hermiticity():
 
 
 def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
-        monkeypatch, tmp_path):
+        monkeypatch, tmp_path, fresh_specs):
     seen, built = [], []
     post_init, eigh = MeasurementSpec.__post_init__, OperatorMatrix.eigh
     op_post_init = OperatorMatrix.__post_init__
@@ -255,7 +255,8 @@ def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
     monkeypatch.setattr(MeasurementSpec, "__post_init__", recorded_post_init)
     monkeypatch.setattr(OperatorMatrix, "eigh", recorded_eigh)
     monkeypatch.setattr(OperatorMatrix, "__post_init__", recorded_op_post_init)
-    # the setups that do not depend on phi build their specs afresh
+    # the setups that do not depend on phi build their specs afresh, and
+    # the spec constructors' memo starts empty (fresh_specs)
     for setup in (protocols._photon_swap_setup, protocols._bell_setup,
                   protocols._aux_setup, protocols._collective_setup,
                   protocols._rabi_setup, protocols._fermion_nogo_setup):

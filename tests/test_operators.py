@@ -558,7 +558,7 @@ def test_operator_copies_caller_arrays():
         assert arr.flags.writeable
 
 
-def test_builders_hand_over_one_read_only_c_contiguous_matrix(monkeypatch):
+def test_builders_hand_over_one_read_only_c_contiguous_matrix(monkeypatch, fresh_specs):
     from qwave import (OperatorMatrix, plus_minus_basis, quadrature_basis,
                        spin_direction_measurement, vacuum_one_superposition_basis)
 
