@@ -19,7 +19,9 @@ class InvalidCutoffError(SimulationError):
 
 
 class DimensionBudgetError(SimulationError):
-    """Register dimension exceeds the dense-simulation budget."""
+    """A register's dimension exceeds ``fock.MAX_REGISTER_DIM``, or one
+    pass of the exact operator product needs more scalar products than
+    ``operators._MAX_PRODUCTS``."""
 
 
 class UnknownModeError(SimulationError):

@@ -31,8 +31,11 @@ from .errors import (
 #: Tolerance for state normalization and hermiticity checks.
 NORM_ATOL = 1e-10
 
-#: Largest register dimension accepted. Operators are dense complex
-#: matrices, so a register of this dimension needs 256 MiB per operator.
+#: Largest register dimension accepted. Operators keep only their nonzero
+#: entries; the limit bounds what grows with the dimension: a state vector
+#: (64 KiB at the limit), ``occupation_table`` (dim x modes int64), a kept spec
+#: (655 376 B with its row layouts, measurement._KEPT_SPECS) and a kept rabi
+#: setup (196 KiB, protocols._RABI_SETUPS).
 MAX_REGISTER_DIM = 4096
 
 

@@ -103,7 +103,7 @@ class MeasurementSpec:
             _check_same_register(reg, p.register)
         ops = [p for _, p in self.projectors]
         for label, p in zip(labels, ops):
-            check_within(p._hermiticity_gap()[0], PROJECTOR_ATOL,
+            check_within(p._hermiticity_gap(), PROJECTOR_ATOL,
                          "projector %r of %r not hermitian", label, self.name)
         # P_k P_k - P_k for each k, P_i P_j for each i < j, sum_k P_k - I
         n = len(ops)

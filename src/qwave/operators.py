@@ -43,29 +43,20 @@ from .fock import (
 )
 
 
-def _sparse(
-    register: ModeRegister, pattern: np.ndarray, values: np.ndarray
-) -> "OperatorMatrix":
-    """Operator on ``register`` kept as its entries: ``values[k]`` at the
-    flat index ``pattern[k]``, the indices distinct and in any order, and
-    the values nonzero."""
-    order = pattern.argsort()
-    return OperatorMatrix._of(
-        register, pattern[order], values[order].astype(complex, copy=False))
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class OperatorMatrix:
     """Complex matrix acting on a register's Hilbert space, kept as its
     nonzero entries: their flat indices ``row * dim + col``, ascending (its
     pattern), and their values, both read-only. ``OperatorMatrix(register,
     array)`` scans a caller's array once for them (a NaN entry is nonzero);
-    every other operator comes from entries: of ``identity``, ``embed`` and
-    the builders on it, and of sums, differences, products, scalar
-    multiples, ``-x`` and ``dag()``, less what comes out exactly 0.
-    ``elements`` builds the dense read-only matrix afresh on each read and
-    keeps nothing; everything else reads the entries, and only this module
-    reads or writes them. Operators compare and hash by identity."""
+    every other operator comes from entries by one rule, :meth:`_of`'s:
+    the entries of ``identity``, ``embed`` and the builders on it, and of
+    sums, differences, products, scalar multiples, ``-x`` and ``dag()``,
+    are sorted by index, summed at equal indices in the order given, and
+    kept less the sums that are exactly 0. ``elements`` builds the dense
+    read-only matrix afresh on each read and keeps nothing; everything else
+    reads the entries, and only this module reads or writes them. Operators
+    compare and hash by identity."""
 
     register: ModeRegister
 
@@ -83,9 +74,15 @@ class OperatorMatrix:
     @classmethod
     def _of(cls, register: ModeRegister, pattern: np.ndarray,
             values: np.ndarray) -> "OperatorMatrix":
-        """The operator with ``values`` at the ascending ``pattern``."""
+        """The operator on ``register`` whose entry at each flat index is
+        the sum of the ``values`` given at it in ``pattern``: the indices in
+        any order, the values summed in the order given by :func:`_summed`,
+        and the sums that are exactly 0 dropped (a NaN stays)."""
+        pattern, values = _summed(pattern, values.astype(complex, copy=False))
+        keep = values != 0
         op = object.__new__(cls)
-        op.__dict__.update(register=register, _pattern=pattern, _values=values)
+        op.__dict__.update(register=register, _pattern=pattern[keep],
+                           _values=values[keep])
         op.__post_init__()
         return op
 
@@ -105,24 +102,18 @@ class OperatorMatrix:
     def dag(self) -> "OperatorMatrix":
         d = self.register.dim
         rows, cols = np.divmod(self._pattern, d)
-        return _sparse(self.register, cols * d + rows, self._values.conj())
+        return OperatorMatrix._of(self.register, cols * d + rows, self._values.conj())
 
-    def _hermiticity_gap(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """max |H[r, c] - conj(H[c, r])| over the pattern (r, c), and the
-        pattern as row and column index arrays. Each entry's mirror is found
-        in the sorted pattern. The gap equals the dense scan max |H - H^H|:
-        an entry outside the pattern and its mirror contribute 0 when both
-        are zero and are read at the mirror otherwise, and a NaN gap
-        carries through."""
-        pattern = self._pattern
+    def _hermiticity_gap(self) -> float:
+        """max |H[r, c] - conj(H[c, r])|, the dense scan max |H - H^H|: the
+        entries and their mirrored, negated conjugates summed as
+        :meth:`_of` sums them, without building an operator. An index that
+        neither reaches gives 0, and a NaN gap carries through."""
         d = self.register.dim
-        rows, cols = np.divmod(pattern, d)
-        mirror = cols * d + rows
-        at = pattern.searchsorted(mirror)
-        found = pattern.take(at, mode="clip") == mirror
-        mirrored = np.where(found, self._values.take(at, mode="clip"), 0.0)
-        gap = np.abs(self._values - mirrored.conj()).max(initial=0.0)
-        return gap, rows, cols
+        rows, cols = np.divmod(self._pattern, d)
+        _, sums = _summed(np.concatenate((self._pattern, cols * d + rows)),
+                          np.concatenate((self._values, -self._values.conj())))
+        return np.abs(sums).max(initial=0.0)
 
     def _laid_out(self) -> tuple:
         """The row layout of :func:`_row_layout`, built on the first call
@@ -155,10 +146,10 @@ class OperatorMatrix:
         read-only."""
         spectrum = self.__dict__.get("_spectrum")
         if spectrum is None:
-            gap, rows, cols = self._hermiticity_gap()
-            check_within(gap, NORM_ATOL,
+            check_within(self._hermiticity_gap(), NORM_ATOL,
                          "eigendecomposition requires a hermitian operator",
                          error=NotHermitianError)
+            rows, cols = np.divmod(self._pattern, self.register.dim)
             # like np.linalg.eigh, the blocks read the lower triangle
             lower = rows > cols
             label = _connected_components(self.register.dim, rows[lower], cols[lower])
@@ -168,42 +159,29 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return self._kept(*_sums(self.register.dim, [(0, 1.0, self, other)]))
+        return OperatorMatrix._of(self.register,
+                                  *_sums(self.register.dim, [(0, 1.0, self, other)]))
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_register(self.register, other.register)
-        return self._combined(other, np.add)
+        return OperatorMatrix._of(self.register,
+                                  np.concatenate((self._pattern, other._pattern)),
+                                  np.concatenate((self._values, other._values)))
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        # where both hold an entry, a + (-b) is a - b in IEEE arithmetic
         _check_same_register(self.register, other.register)
-        return self._combined(other, np.subtract)
-
-    def _combined(self, other: "OperatorMatrix", op: np.ufunc) -> "OperatorMatrix":
-        """The sum or difference ``op`` of the two operators: the union of
-        their entries, each combined as the dense ``op`` combines it, less
-        those that came out exactly 0."""
-        p, q = self._pattern, other._pattern
-        pattern = np.sort(np.concatenate((p, q)))
-        pattern = pattern[_firsts(pattern)]
-        a = np.zeros(len(pattern), dtype=complex)
-        b = np.zeros(len(pattern), dtype=complex)
-        a[pattern.searchsorted(p)] = self._values
-        b[pattern.searchsorted(q)] = other._values
-        return self._kept(pattern, op(a, b))
+        return OperatorMatrix._of(self.register,
+                                  np.concatenate((self._pattern, other._pattern)),
+                                  np.concatenate((self._values, -other._values)))
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return self._kept(self._pattern, self._values * scalar)
+        return OperatorMatrix._of(self.register, self._pattern, self._values * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "OperatorMatrix":
         return OperatorMatrix._of(self.register, self._pattern, -self._values)
-
-    def _kept(self, pattern: np.ndarray, values: np.ndarray) -> "OperatorMatrix":
-        """Operator on this register with ``values`` at the ascending
-        ``pattern``, less those that are exactly 0."""
-        keep = values != 0
-        return OperatorMatrix._of(self.register, pattern[keep], values[keep])
 
 
 def _row_layout(pattern: np.ndarray, dim: int) -> tuple:
@@ -226,12 +204,19 @@ def _row_layout(pattern: np.ndarray, dim: int) -> tuple:
     return cols, bounds, rows, starts
 
 
-def _firsts(a: np.ndarray) -> np.ndarray:
-    """Where each run of equal values of the sorted ``a`` starts, as a mask."""
-    first = np.empty(len(a), dtype=bool)
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, ascending, and the sum of the ``values`` at
+    each by ``np.add.reduceat`` in the order given, which a stable sort
+    keeps: a run of one sums to its value, a run of two to their IEEE
+    sum, and a longer run in the fixed grouping of numpy's add-reduce."""
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    # where each run of equal keys starts
+    first = np.empty(len(keys), dtype=bool)
     first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return first
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.add.reduceat(values[order], starts)
 
 
 #: The most scalar products that one pass of :func:`_sums` may form, at
@@ -244,7 +229,7 @@ def _sums(dim: int, products, terms=()) -> tuple[np.ndarray, np.ndarray]:
     + row * dim + col`` and ascending: R_s sums ``sign * a @ b`` for each
     ``(s, sign, a, b)`` of ``products``, then ``sign * a`` for each ``(s,
     sign, a)`` of ``terms``. Entry (i, k) of a times entry (k, j) of b is a
-    term; each entry sums its terms product by product, in a's pattern
+    term; :func:`_summed` sums each entry's terms, given in a's pattern
     order, in b's column order, then the ``terms``. Above ``_MAX_PRODUCTS``
     terms (over k, a's entries in column k times b's in row k) it raises
     DimensionBudgetError before forming any."""
@@ -273,10 +258,7 @@ def _sums(dim: int, products, terms=()) -> tuple[np.ndarray, np.ndarray]:
     values = np.concatenate([
         np.repeat(left, count) * np.concatenate([b._values for b in rights])[take],
         *(sign * a._values for _, sign, a in terms)])
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(_firsts(keys))
-    return keys[starts], np.add.reduceat(values[order], starts)
+    return _summed(keys, values)
 
 
 def _residuals(dim: int, slots: int, products, terms=()) -> np.ndarray:
@@ -420,7 +402,7 @@ def _coefficients(amplitudes: np.ndarray, index: np.ndarray, v: np.ndarray) -> n
 
 def identity(register: ModeRegister) -> OperatorMatrix:
     d = register.dim
-    return _sparse(register, np.arange(0, d * d, d + 1), np.ones(d))
+    return OperatorMatrix._of(register, np.arange(0, d * d, d + 1), np.ones(d))
 
 
 #: One mode's factor as (dim, rows, cols, vals): the nonzero entries of a
@@ -455,7 +437,8 @@ def embed(register: ModeRegister, factors: dict[str, np.ndarray]) -> OperatorMat
 def _embed(register: ModeRegister, factors: dict[int, _Factor]) -> OperatorMatrix:
     """:func:`embed` of per-mode factors given by their nonzero entries and
     keyed by mode position."""
-    return _sparse(register, *_scatter(register, *_scatter_pattern(register, factors)))
+    return OperatorMatrix._of(register,
+                              *_scatter(register, *_scatter_pattern(register, factors)))
 
 
 def _scatter(
@@ -463,11 +446,7 @@ def _scatter(
     cols: np.ndarray, vals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices and values of the entries that
-    :func:`_scatter_pattern` gives, less those whose value is 0."""
-    # strength 0, or a product of nonzeros that underflows
-    if np.count_nonzero(vals) < len(vals):
-        keep = vals != 0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    :func:`_scatter_pattern` gives."""
     pattern = diagonal + (rows * register.dim + cols)
     values = np.empty(pattern.shape, dtype=complex)
     values[...] = vals
@@ -526,7 +505,7 @@ def _ladder_hermitian(
     diagonal, rows, cols, vals = _scatter_pattern(register, factors)
     upper = _scatter(register, diagonal, rows, cols, strength * vals)
     lower = _scatter(register, diagonal, cols, rows, strength * np.conj(vals))
-    return _sparse(register, *map(np.concatenate, zip(upper, lower)))
+    return OperatorMatrix._of(register, *map(np.concatenate, zip(upper, lower)))
 
 
 def _dense(factor: _Factor) -> np.ndarray:

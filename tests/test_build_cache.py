@@ -446,8 +446,8 @@ def test_a_second_run_lays_out_adds_and_kicks_nothing(first, second, monkeypatch
     # the operators its setup holds, so it builds no operator, no row
     # layout, no sum of operators and no phase kick
     calls = []
-    patched = [(operators, "_row_layout"), (OperatorMatrix, "_combined"),
-               (OperatorMatrix, "__post_init__")]
+    patched = [(operators, "_row_layout"), (OperatorMatrix, "__add__"),
+               (OperatorMatrix, "__sub__"), (OperatorMatrix, "__post_init__")]
     patched += [(module, "phase_kick") for module in (operators, protocols)
                 if hasattr(module, "phase_kick")]
     for owner, name in patched:

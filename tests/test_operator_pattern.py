@@ -2,8 +2,10 @@
 
 Every operator keeps the flat indices of its nonzero entries, ascending,
 and their values: ``embed``, the hermitian couplers and ``identity`` from
-their builders, sums, differences, scalar multiples, ``-x`` and ``dag()``
-from their operands, and a caller's array by scanning it once. ``eigh``
+their builders, sums, differences, products, scalar multiples, ``-x`` and
+``dag()`` from their operands, all by ``OperatorMatrix._of``'s one rule
+(sort, sum at equal indices, drop exact zeros), and a caller's array by
+scanning it once. ``eigh``
 and ``MeasurementSpec`` read the kept pattern instead of scanning all
 dim^2 entries, products read the kept entries, and ``elements`` is built
 afresh on each read and never kept.
@@ -14,6 +16,8 @@ operator that reaches ``eigh`` and every spec projector of the golden batch
 and of a 9-fermion chain keeps one.
 """
 
+import ast
+import inspect
 import json
 import math
 import re
@@ -197,7 +201,7 @@ def _couplers():
 def test_pattern_read_equals_dense_read(name, op):
     assert _pattern(op) is not None
     dense = OperatorMatrix(op.register, op.elements)
-    assert op._hermiticity_gap()[0] == dense._hermiticity_gap()[0]
+    assert op._hermiticity_gap() == dense._hermiticity_gap()
     got, want = op.eigh(), dense.eigh()
     assert len(got.groups) == len(want.groups)
     for g, w in zip(got.groups, want.groups):
@@ -284,12 +288,78 @@ def test_every_projector_and_every_decomposed_operator_keeps_its_pattern(
             _assert_pattern_is_nonzero_set(op)
 
 
-def test_only_the_operators_module_handles_a_pattern():
-    from qwave import fock, measurement
+#: The names of an operator's entries.
+ENTRIES = {"_pattern", "_values"}
 
-    for module in (measurement, protocols):
-        assert "_sparse" not in vars(module), module.__name__
-    assert not hasattr(fock, "_hermiticity_gap")
+
+def _entry_setters(tree: ast.AST) -> set[str]:
+    """The functions of a module's syntax tree that name an operator's
+    entries as a keyword, a string or an attribute assigned to."""
+    setters = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if (isinstance(node, ast.keyword) and node.arg in ENTRIES
+                    or isinstance(node, ast.Constant) and node.value in ENTRIES
+                    or isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                    and any(getattr(t, "attr", None) in ENTRIES for t in targets)):
+                setters.add(fn.name)
+    return setters
+
+
+def test_only_the_operators_module_handles_a_pattern():
+    from qwave import cli, fock, measurement
+
+    for module in (fock, measurement, protocols, cli):
+        source = inspect.getsource(module)
+        for name in ("._pattern", "._values", "._of(", "_summed"):
+            assert name not in source, (module.__name__, name)
+    # inside the module, the scan of a caller's array and the one entry
+    # rule are all that set an operator's entries
+    tree = ast.parse(inspect.getsource(operators))
+    assert _entry_setters(tree) == {"__init__", "_of"}
+    assert not hasattr(operators, "_sparse")
+    for name in ("_kept", "_combined"):
+        assert not hasattr(OperatorMatrix, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reg=_registers(), seed=st.integers(0, 2**32 - 1))
+def test_of_sums_repeated_indices_as_a_dense_accumulation(reg, seed):
+    # small integer parts sum exactly in any order, so runs that cancel
+    # leave exactly 0, and the dense accumulation is the oracle bit for bit
+    # but for the sign of a zero part
+    rng = np.random.default_rng(seed)
+    d2 = reg.dim ** 2
+    n = int(rng.integers(0, 200))
+    keys = rng.integers(0, min(d2, max(n // 3, 1)), size=n)
+    values = rng.integers(-2, 3, size=n) + 1j * rng.integers(-2, 3, size=n)
+    order = rng.permutation(n)
+    op = OperatorMatrix._of(reg, keys[order], values[order])
+    dense = np.zeros(d2, dtype=complex)
+    np.add.at(dense, keys, values)
+    assert np.array_equal(_pattern(op), np.flatnonzero(dense))
+    assert _same_bits(op.elements.reshape(-1) + 0.0, dense + 0.0)
+    _assert_pattern_is_nonzero_set(op)
+    # a NaN stays, whatever it is summed with
+    nan = OperatorMatrix._of(reg, np.array([d2 - 1, 0, d2 - 1]),
+                             np.array([1.0, 0.0, math.nan]))
+    assert np.array_equal(_pattern(nan), [d2 - 1]) and np.isnan(nan.__dict__["_values"]).all()
+    # a - a and 0 * a leave no entry, and a + b and a - b are the dense
+    # sum and difference
+    labels = [m.label for m in reg.modes]
+    mode, other = (labels[k] for k in rng.integers(len(labels), size=2))
+    ops = [annihilation(reg, mode), creation(reg, other), quadrature(reg, mode),
+           identity(reg), embed(reg, {other: _random_factor(rng, reg.mode(other).dim)})]
+    for a in ops:
+        assert len(_pattern(a - a)) == 0 and len(_pattern(0 * a)) == 0
+        for b in ops:
+            for got, want in ((a + b, a.elements + b.elements),
+                              (a - b, a.elements - b.elements)):
+                _assert_pattern_is_nonzero_set(got)
+                assert _same_bits(got.elements + 0.0, want + 0.0)
 
 
 def _kept_entries_only(op: OperatorMatrix) -> bool:

@@ -334,7 +334,7 @@ def test_hermiticity_gap_equals_the_dense_scan(d, kind, seed):
         m[r, c] = complex(bad, 0.0) if rng.random() < 0.5 else complex(0.0, bad)
     reg = build_register([boson("a", d - 1)])
     with np.errstate(invalid="ignore"):  # inf - inf
-        gap = OperatorMatrix(reg, m)._hermiticity_gap()[0]
+        gap = OperatorMatrix(reg, m)._hermiticity_gap()
         dense = _dense_gap(m)
     assert gap == dense or (np.isnan(gap) and np.isnan(dense))
 
