@@ -323,6 +323,8 @@ def test_only_the_operators_module_handles_a_pattern():
     assert not hasattr(operators, "_sparse")
     for name in ("_kept", "_combined"):
         assert not hasattr(OperatorMatrix, name)
+    # and no second hermiticity scan lives beside the data it reads
+    assert not hasattr(fock, "_hermiticity_gap")
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,7 +332,8 @@ def test_only_the_operators_module_handles_a_pattern():
 def test_of_sums_repeated_indices_as_a_dense_accumulation(reg, seed):
     # small integer parts sum exactly in any order, so runs that cancel
     # leave exactly 0, and the dense accumulation is the oracle bit for bit
-    # but for the sign of a zero part
+    # but for the sign of a zero part, which a run of one keeps and
+    # np.add.at's sum onto +0 does not
     rng = np.random.default_rng(seed)
     d2 = reg.dim ** 2
     n = int(rng.integers(0, 200))
@@ -347,19 +350,25 @@ def test_of_sums_repeated_indices_as_a_dense_accumulation(reg, seed):
     nan = OperatorMatrix._of(reg, np.array([d2 - 1, 0, d2 - 1]),
                              np.array([1.0, 0.0, math.nan]))
     assert np.array_equal(_pattern(nan), [d2 - 1]) and np.isnan(nan.__dict__["_values"]).all()
-    # a - a and 0 * a leave no entry, and a + b and a - b are the dense
-    # sum and difference
+    # a - a and 0 * a leave no entry. a + b and a - b have the bits of the
+    # dense sum and difference where both hold an entry; where one alone
+    # does, the entry keeps the bits of a, of b, or of -b, signed zero
+    # parts included (the dense 0 - b would give a +0 where -b has a -0)
     labels = [m.label for m in reg.modes]
     mode, other = (labels[k] for k in rng.integers(len(labels), size=2))
     ops = [annihilation(reg, mode), creation(reg, other), quadrature(reg, mode),
            identity(reg), embed(reg, {other: _random_factor(rng, reg.mode(other).dim)})]
     for a in ops:
         assert len(_pattern(a - a)) == 0 and len(_pattern(0 * a)) == 0
+        in_a = np.isin(np.arange(d2), _pattern(a)).reshape(a.elements.shape)
         for b in ops:
-            for got, want in ((a + b, a.elements + b.elements),
-                              (a - b, a.elements - b.elements)):
+            in_b = np.isin(np.arange(d2), _pattern(b)).reshape(in_a.shape)
+            for got, dense, right in ((a + b, a.elements + b.elements, b.elements),
+                                      (a - b, a.elements - b.elements, -b.elements)):
                 _assert_pattern_is_nonzero_set(got)
-                assert _same_bits(got.elements + 0.0, want + 0.0)
+                want = np.where(in_a & in_b, dense, np.where(in_a, a.elements, right))
+                want[want == 0] = 0  # a dropped sum reads +0
+                assert _same_bits(got.elements, want)
 
 
 def _kept_entries_only(op: OperatorMatrix) -> bool:
