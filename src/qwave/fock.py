@@ -205,7 +205,7 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.register.dim},)"
             )
-        check_within(abs(np.linalg.norm(amps) - 1.0), NORM_ATOL,
+        check_within(abs(math.sqrt(_sq_norm(amps)) - 1.0), NORM_ATOL,
                      "state not normalized, |norm - 1|")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -213,7 +213,7 @@ class StateVector:
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
         _check_same_register(self.register, other.register)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return complex(np.add.reduce(self.amplitudes.conj() * other.amplitudes))
 
     def fidelity(self, other: "StateVector") -> float:
         """|<self|other>|^2, i.e. agreement up to a global phase."""
@@ -226,7 +226,7 @@ def from_amplitudes(
     """Wrap raw amplitudes as a StateVector, optionally renormalizing."""
     amps = np.asarray(amplitudes, dtype=complex)
     if normalize:
-        nrm = np.linalg.norm(amps)
+        nrm = math.sqrt(_sq_norm(amps))
         if nrm < 1e-12:
             raise ValueError("cannot normalize a (numerically) zero vector")
         amps = amps / nrm
@@ -288,9 +288,12 @@ class DensityMatrix:
         object.__setattr__(self, "elements", mat)
 
     def expectation(self, vector: np.ndarray) -> float:
-        """<v| rho |v> for a raw complex vector of matching dimension."""
+        """<v| rho |v> for a raw complex vector of matching dimension: the
+        elementwise products summed by numpy's add-reduce, along each row of
+        rho and then over the rows, so no BLAS kernel chooses the order."""
         v = np.asarray(vector, dtype=complex)
-        return float(np.real(np.vdot(v, self.elements @ v)))
+        row_sums = np.add.reduce(self.elements * v, axis=1)
+        return float(np.add.reduce(v.conj() * row_sums).real)
 
 
 def partial_trace(state: StateVector, keep: Iterable[str]) -> DensityMatrix:
@@ -304,6 +307,14 @@ def partial_trace(state: StateVector, keep: Iterable[str]) -> DensityMatrix:
     that sign, the reduced state would depend on where the dropped modes
     were declared; with it, the reduced states of one state declared in any
     two orders differ only by the order of the kept modes.
+
+    The signed amplitudes, kept axes in front, form the (kept x dropped)
+    matrix m, and rho = m m^H: each entry's products are summed over the
+    dropped index by numpy's add-reduce, without BLAS, so every kernel gives
+    the same bits. The products are formed a block of kept rows at a time,
+    at most 2 kept^2 entries or one row's kept x dropped (the register's
+    dimension) per block, so the peak stays near the size of rho or of the
+    state; a row's sums do not depend on the block it falls in.
 
     Parameters
     ----------
@@ -329,9 +340,11 @@ def partial_trace(state: StateVector, keep: Iterable[str]) -> DensityMatrix:
                    if t < k and {t, k} <= fermions)
     if np.ndim(exponent):
         tensor = np.where(exponent % 2 == 1, -tensor, tensor)
-    rho = np.tensordot(tensor, tensor.conj(), axes=(drop_pos, drop_pos))
-    # tensordot leaves kept axes of ket then bra; flatten each side
-    rho = rho.reshape(sub.dim, sub.dim)
+    m = np.moveaxis(tensor, keep_pos, range(len(keep_pos))).reshape(sub.dim, -1)
+    bra = m.conj()
+    step = max(1, 2 * sub.dim // m.shape[1])
+    rho = np.concatenate([np.add.reduce(m[i:i + step, None] * bra, axis=2)
+                          for i in range(0, sub.dim, step)])
     return DensityMatrix(sub, rho)
 
 
@@ -340,6 +353,14 @@ def _occupation_axis(register: ModeRegister, position: int) -> np.ndarray:
     its axis of the register's amplitude tensor."""
     return np.arange(2).reshape(
         [2 if q == position else 1 for q in range(len(register.modes))])
+
+
+def _sq_norm(v: np.ndarray) -> float:
+    """sum |v_i|^2 of a complex vector without BLAS: numpy's add-reduce over
+    the squares of its real and imaginary parts in memory order, so every
+    kernel gives the same bits."""
+    w = np.ascontiguousarray(v, dtype=complex).view(np.float64)
+    return float(np.add.reduce(w * w))
 
 
 def _check_same_register(a: ModeRegister, b: ModeRegister) -> None:

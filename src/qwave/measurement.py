@@ -44,6 +44,7 @@ from .fock import (
     Site,
     StateVector,
     _check_same_register,
+    _sq_norm,
 )
 from .operators import OperatorMatrix, _ladder_hermitian, _residuals, embed, identity
 
@@ -328,7 +329,7 @@ def joint_distribution(
     for s in specs:
         prefixes = [(labels + (label,), p._dot(v))
                     for labels, v in prefixes for label, p in s.projectors]
-    law = {labels: float(np.real(np.vdot(v, v))) for labels, v in prefixes}
+    law = {labels: _sq_norm(v) for labels, v in prefixes}
     object.__setattr__(state, "_joint", (key, law))
     return dict(law)
 
@@ -409,7 +410,7 @@ def post_select(
     _check_same_register(state.register, spec.register)
     p = spec.projector(outcome)
     v = p._dot(state.amplitudes)
-    prob = float(np.real(np.vdot(v, v)))
+    prob = _sq_norm(v)
     if prob < 1e-12:
         raise ImpossibleOutcomeError(
             f"outcome {outcome!r} of {spec.name!r} has probability {prob:.3e}"

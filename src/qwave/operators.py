@@ -39,6 +39,7 @@ from .fock import (
     ModeRegister,
     StateVector,
     _check_same_register,
+    _sq_norm,
     from_amplitudes,
 )
 
@@ -225,12 +226,13 @@ _MAX_PRODUCTS = 1 << 21
 
 
 def _sums(dim: int, products, terms=()) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of matrices R_s of dimension ``dim``, keyed ``s * dim**2
-    + row * dim + col`` and ascending: R_s sums ``sign * a @ b`` for each
-    ``(s, sign, a, b)`` of ``products``, then ``sign * a`` for each ``(s,
-    sign, a)`` of ``terms``. Entry (i, k) of a times entry (k, j) of b is a
-    term; :func:`_summed` sums each entry's terms, given in a's pattern
-    order, in b's column order, then the ``terms``. Above ``_MAX_PRODUCTS``
+    """The terms of matrices R_s of dimension ``dim``, keyed ``s * dim**2
+    + row * dim + col`` and not yet summed: R_s sums ``sign * a @ b`` for
+    each ``(s, sign, a, b)`` of ``products``, then ``sign * a`` for each
+    ``(s, sign, a)`` of ``terms``. Entry (i, k) of a times entry (k, j) of b
+    is a term, given in a's pattern order, in b's column order, then the
+    ``terms``; :func:`_summed` (or :meth:`OperatorMatrix._of`, which ends in
+    it) sums each entry's terms in that order. Above ``_MAX_PRODUCTS``
     terms (over k, a's entries in column k times b's in row k) it raises
     DimensionBudgetError before forming any."""
     d2 = dim * dim
@@ -258,12 +260,12 @@ def _sums(dim: int, products, terms=()) -> tuple[np.ndarray, np.ndarray]:
     values = np.concatenate([
         np.repeat(left, count) * np.concatenate([b._values for b in rights])[take],
         *(sign * a._values for _, sign, a in terms)])
-    return _summed(keys, values)
+    return keys, values
 
 
 def _residuals(dim: int, slots: int, products, terms=()) -> np.ndarray:
     """max |R_s| over the entries of each of the ``slots`` R_s of :func:`_sums`."""
-    keys, values = _sums(dim, products, terms)
+    keys, values = _summed(*_sums(dim, products, terms))
     d2 = dim * dim
     return np.array([np.abs(v).max(initial=0.0) for v in
                      np.split(values, keys.searchsorted(np.arange(d2, slots * d2, d2)))])
@@ -724,7 +726,7 @@ def coherent_state(
         raise KindMismatchError(f"{mode!r} must be bosonic for a coherent state")
     check_tail_bound(alpha, mspec.cutoff, tail_bound)
     mode_amps = coherent_amplitudes(alpha, mspec.cutoff)
-    mode_amps = mode_amps / np.linalg.norm(mode_amps)
+    mode_amps = mode_amps / math.sqrt(_sq_norm(mode_amps))
     amps = np.zeros(register.dims, dtype=complex)
     only_this_mode = [0] * len(register.dims)
     only_this_mode[p] = slice(None)

@@ -783,8 +783,8 @@ def coherent_factorization(
 
     fidelity = delocalized.fidelity(product)
     amps, occ = delocalized.amplitudes, reg.occupation_table()
-    mean_a = float(np.vdot(amps, occ[:, 0] * amps).real)
-    mean_b = float(np.vdot(amps, occ[:, 1] * amps).real)
+    mean_a = float(np.add.reduce(amps.conj() * (occ[:, 0] * amps)).real)
+    mean_b = float(np.add.reduce(amps.conj() * (occ[:, 1] * amps)).real)
     expected_mean = abs(alpha) ** 2 / 2.0
 
     report = ExperimentReport(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qwave import measurement, protocols
+from qwave.fock import _sq_norm
 from qwave.measurement import PROJECTOR_ATOL
 from qwave import (
     MeasurementSpec,
@@ -257,7 +258,7 @@ def test_joint_distribution_extends_prefixes_in_product_order():
     for (l1, l2, l3), prob in dist.items():
         p1, p2, p3 = (s.projector(l) for s, l in zip(specs, (l1, l2, l3)))
         v = p3.elements @ (p2.elements @ (p1.elements @ psi.amplitudes))
-        assert prob == np.vdot(v, v).real
+        assert prob == _sq_norm(v)
         assert (prob == 0.0) == (l1 == "-1")
 
 
