@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qwave import (
     two_level,
     vacuum_state,
 )
+from qwave.fock import _sq_norm
 
 
 def test_register_dimensions():
@@ -297,3 +299,89 @@ def test_reduced_states_do_not_depend_on_the_declaration_order(data, kinds):
                 got = np.trace(rho.elements @ reduced)
                 assert abs(got - want) < 1e-12, (order, keep, i, j)
     assert np.abs(spectra[0] - spectra[1]).max() < 1e-12
+
+
+# --- reductions without BLAS -------------------------------------------------
+
+_PARTS = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_PARTS, _PARTS), max_size=200))
+def test_sq_norm_adds_the_squared_parts_in_memory_order(pairs):
+    v = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    want = np.add.reduce(v.view(np.float64) ** 2)
+    assert np.float64(_sq_norm(v)).tobytes() == want.tobytes()
+    # a strided view sums its elements, not the memory between them
+    spaced = np.zeros(2 * len(v), dtype=complex)
+    spaced[::2] = v
+    assert np.float64(_sq_norm(spaced[::2])).tobytes() == want.tobytes()
+    # BLAS sums in another order, a few ulps away
+    blas = np.vdot(v, v).real
+    assert abs(_sq_norm(v) - blas) <= 8 * np.spacing(blas)
+
+
+def _tensordot_partial_trace(state: StateVector, keep: set) -> np.ndarray:
+    """The reduced density matrix by np.tensordot over the dropped axes,
+    after the sign (-1)^(n_t n_k) of every dropped fermion mode t declared
+    before a kept fermion mode k."""
+    reg = state.register
+    keep_pos = sorted(reg.position(l) for l in keep)
+    drop_pos = [p for p in range(len(reg.modes)) if p not in keep_pos]
+    fermions = [p for p, m in enumerate(reg.modes) if m.kind is ModeKind.FERMION]
+    occ = reg.occupation_table()
+    flips = sum(occ[:, t] * occ[:, k] for k in keep_pos for t in drop_pos
+                if t < k and t in fermions and k in fermions)
+    tensor = (state.amplitudes * (-1.0) ** flips).reshape(reg.dims)
+    rho = np.tensordot(tensor, tensor.conj(), axes=(drop_pos, drop_pos))
+    d = reg.sub_register(keep).dim
+    return rho.reshape(d, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kinds=st.lists(st.sampled_from(sorted(_MODES)),
+                                      min_size=1, max_size=6))
+def test_partial_trace_matches_the_tensordot_route(data, kinds):
+    labels = [f"m{i}" for i in range(len(kinds))]
+    specs = {l: _MODES[k](l) for l, k in zip(labels, kinds)}
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kept = data.draw(st.lists(st.booleans(), min_size=len(labels),
+                              max_size=len(labels)))
+    keep = {l for l, k in zip(labels, kept) if k}
+    for order in (labels, data.draw(st.permutations(labels))):
+        reg = build_register([specs[l] for l in order])
+        v = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
+        psi = from_amplitudes(reg, v, normalize=True)
+        got = partial_trace(psi, keep).elements
+        assert np.abs(got - _tensordot_partial_trace(psi, keep)).max() <= 1e-15
+
+
+def _random_qubits(n: int, seed: int) -> StateVector:
+    reg = build_register([two_level(f"q{i}") for i in range(n)])
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
+    return from_amplitudes(reg, v, normalize=True)
+
+
+def test_partial_trace_rows_do_not_depend_on_their_block():
+    # 64 kept by 64 dropped basis states: four blocks of 16 kept rows
+    psi = _random_qubits(12, 7)
+    kept = [1, 2, 4, 7, 9, 10]
+    m = np.moveaxis(psi.amplitudes.reshape(psi.register.dims), kept,
+                    range(6)).reshape(64, 64)
+    whole = np.add.reduce(m[:, None] * m.conj(), axis=2)
+    got = partial_trace(psi, {f"q{i}" for i in kept}).elements
+    assert got.tobytes() == whole.tobytes()
+
+
+def test_partial_trace_peak_stays_far_below_one_broadcast_of_all_products():
+    # kept 256 x dropped 16: all kept^2 x dropped products at once would
+    # take 16 MiB, and rho takes 1 MiB
+    psi = _random_qubits(12, 8)
+    tracemalloc.start()
+    try:
+        partial_trace(psi, {f"q{i}" for i in range(8)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
