@@ -38,8 +38,8 @@ NORM_ATOL = 1e-10
 #: setup (196 KiB, protocols._RABI_SETUPS).
 MAX_REGISTER_DIM = 4096
 
-#: The products one block of :func:`partial_trace` may form (1 MiB) when
-#: 2 kept^2, about twice its result, is fewer.
+#: The most products one block of :func:`partial_trace` forms (1 MiB),
+#: unless one kept row alone needs more.
 _TRACE_BLOCK = 1 << 16
 
 
@@ -316,9 +316,9 @@ def partial_trace(state: StateVector, keep: Iterable[str]) -> DensityMatrix:
     matrix m, and rho = m m^H: each entry's products are summed over the
     dropped index by numpy's add-reduce, without BLAS, so every kernel gives
     the same bits. The products are formed a block of kept rows at a time,
-    at most max(2 kept^2, ``_TRACE_BLOCK``) of them, or one row's kept x
-    dropped (the register's dimension), per block; so the peak stays near
-    twice the size of rho, and a row's sums do not depend on its block.
+    at most ``_TRACE_BLOCK`` of them per block (or one row's, kept x
+    dropped, the register's dimension), so the peak stays near the size of
+    rho at every shape; a row's sums do not depend on its block.
 
     Parameters
     ----------
@@ -346,7 +346,7 @@ def partial_trace(state: StateVector, keep: Iterable[str]) -> DensityMatrix:
         tensor = np.where(exponent % 2 == 1, -tensor, tensor)
     m = np.moveaxis(tensor, keep_pos, range(len(keep_pos))).reshape(sub.dim, -1)
     bra = m.conj()
-    step = max(1, max(2 * sub.dim**2, _TRACE_BLOCK) // register.dim)
+    step = max(1, _TRACE_BLOCK // register.dim)
     rho = np.concatenate([np.add.reduce(m[i:i + step, None] * bra, axis=2)
                           for i in range(0, sub.dim, step)])
     return DensityMatrix(sub, rho)
