@@ -17,14 +17,14 @@ REPORT = {"analytic": {"fidelity": 0.9999999999984319, "zero": 0.0},
           "seed": 3, "shots": 10}
 
 
-def _dirs(tmp_path, after: dict, before: dict = REPORT, name: str = "toy.json"):
+def _dirs(tmp_path, after: dict, before: dict = REPORT):
     """A before and an after directory holding one report each, and an
     unchanged second report and help text."""
     dirs = []
     for side, report in (("before", before), ("after", after)):
         d = tmp_path / side
         d.mkdir(parents=True)
-        (d / name).write_text(json.dumps(report, indent=2))
+        (d / "toy.json").write_text(json.dumps(report, indent=2))
         (d / "same.json").write_text(json.dumps(REPORT))
         (d / "help.txt").write_text("usage: toy\n")
         dirs.append(str(d))
