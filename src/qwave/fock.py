@@ -35,7 +35,7 @@ NORM_ATOL = 1e-10
 #: entries; the limit bounds what grows with the dimension: a state vector
 #: (64 KiB at the limit), ``occupation_table`` (dim x modes int64), a kept spec
 #: (655 376 B with its row layouts, measurement._KEPT_SPECS) and a kept rabi
-#: setup (196 KiB, protocols._RABI_SETUPS).
+#: setup (208 KiB, protocols._RABI_SETUPS).
 MAX_REGISTER_DIM = 4096
 
 #: The most products one block of :func:`partial_trace` forms (1 MiB),

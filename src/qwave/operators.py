@@ -306,16 +306,32 @@ class BlockSpectrum:
     v[k]^H``. Like ``np.linalg.eigh``, it reads each block's lower triangle.
     Spectra compare and hash by identity.
 
-    :meth:`propagated` is the one propagation. It goes through BLAS only
-    for groups of blocks larger than 2 x 2, by a batched ``np.matmul``. A
-    1 x 1 block's eigenvector is 1, so its coefficient is its amplitude and
-    its output its phase times that. A 2 x 2 block's coefficients and
-    output components are each two products and a sum, read from views of
-    the block's eigenvector columns, so the spectrum holds nothing more.
+    ``order`` is the block order: the groups' ``index`` arrays, which are
+    views of it, laid end to end, so by block size, then block, then basis
+    index. :meth:`propagated`, the one propagation, yields amplitudes in
+    that order: column j holds basis index ``order[j]``, each group fills
+    its own contiguous columns, and ``amps[order] = row`` restores the
+    basis order.
+
+    A phase exp(-iwt) is ``cos(y) + i sin(y)`` with ``y = 0.0 - w t``,
+    which has the bits of ``np.exp(-1j * w * t)`` for finite w t:
+    ``-1j * w * t`` has a zero real part and the imaginary part y, and
+    glibc's cexp of ``(±0, y)`` is ``(cos y, sin y)``. In a 2 x 2 group
+    where every block's eigenvalues mirror, ``w[k, 0] == -w[k, 1]`` (as
+    rabi's ±sqrt(n) do), the second column's phase is the conjugate of the
+    first's, so one cos and one sin serve both.
+
+    Only groups of blocks larger than 2 x 2 go through BLAS, by a batched
+    ``np.matmul``. A 1 x 1 block's eigenvector is 1, so its coefficient is
+    its amplitude and its output its phase times that. A 2 x 2 block's
+    coefficients and output components are each two products and a sum,
+    read from views of the block's eigenvector columns, so the spectrum
+    holds nothing more.
     """
 
     dim: int
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    order: np.ndarray
 
     @classmethod
     def of(
@@ -356,7 +372,8 @@ class BlockSpectrum:
             for a in (index, w, v):
                 a.flags.writeable = False
             groups.append((index, w, v))
-        return cls(d, tuple(groups))
+        order.flags.writeable = False
+        return cls(d, tuple(groups), order)
 
     @property
     def max_abs_eigenvalue(self) -> float:
@@ -364,29 +381,62 @@ class BlockSpectrum:
         return max(float(np.abs(w).max()) for _, w, _ in self.groups)
 
     def propagated(self, amplitudes: np.ndarray, times, rows: int):
-        """exp(-iHt) applied to ``amplitudes`` at ``times``, yielded for
-        successive slices of at most ``rows`` times as arrays of shape
-        ``(len(slice), dim)``, row i at the slice's i-th time. Each block's
-        coefficients v^H amplitudes are computed once, before the first
-        slice."""
-        times = np.asarray(times, dtype=float).reshape(-1, 1, 1)
+        """exp(-iHt) applied to ``amplitudes`` at ``times``, in block order
+        (column j is basis index ``order[j]``), yielded for successive
+        slices of at most ``rows`` times as arrays of shape ``(len(slice),
+        dim)``, row i at the slice's i-th time. Each block's coefficients
+        v^H amplitudes are computed once, before the first slice, and the
+        slices share one buffer of angles, of phases and of products."""
+        times = np.asarray(times, dtype=float).reshape(-1, 1)
         coeffs = [_coefficients(amplitudes, index, v) for index, _, v in self.groups]
+        mirrored = [index.shape[1] == 2 and np.array_equal(w[:, 0], -w[:, 1])
+                    for index, w, _ in self.groups]
+        most = min(rows, len(times)) * max(index.size for index, _, _ in self.groups)
+        angles = np.empty(most)
+        phases, terms = np.empty(most, dtype=complex), np.empty(most, dtype=complex)
         for start in range(0, len(times), rows):
             at = times[start:start + rows]
             out = np.empty((len(at), self.dim), dtype=complex)
-            for (index, w, v), c in zip(self.groups, coeffs):
-                phases = np.exp(-1j * w * at)
-                phases *= c
-                s = index.shape[1]
-                if s == 1:  # v is 1
-                    out[:, index] = phases
-                elif s == 2:  # two products and a sum per component
+            col = 0
+            for (index, w, v), c, mirror in zip(self.groups, coeffs, mirrored):
+                blocks, s = index.shape
+                # this group's columns, one row of blocks per time
+                here = out[:, col:col + index.size].reshape(len(at), blocks, s)
+                col += index.size
+                # a 1 x 1 block's output is its phase times its coefficient
+                ph = here if s == 1 else phases[:here.size].reshape(here.shape)
+                _phases(w, at, mirror, angles, ph)
+                ph *= c
+                if s == 2:  # two products and a sum per component
+                    t = terms[:here.size].reshape(here.shape)
                     for i in range(2):
-                        terms = v[:, i] * phases
-                        out[:, index[:, i]] = terms[..., 0] + terms[..., 1]
-                else:
-                    out[:, index] = np.matmul(v, phases[..., None])[..., 0]
+                        np.multiply(v[:, i], ph, out=t)
+                        np.add(t[..., 0], t[..., 1], out=here[..., i])
+                elif s > 2:
+                    here[...] = np.matmul(v, ph[..., None])[..., 0]
             yield out
+
+
+def _phases(w: np.ndarray, at: np.ndarray, mirrored: bool, angles: np.ndarray,
+            out: np.ndarray) -> None:
+    """exp(-iwt) at each time of the column ``at`` into ``out``, of shape
+    ``(len(at), *w.shape)``, with the bits of ``np.exp(-1j * w * at[...,
+    None])`` wherever w t is finite: cos and sin of ``0.0 - w t``. If
+    ``mirrored`` (w has two columns and ``w[:, 0] == -w[:, 1]``), the second
+    column's phase is the conjugate of the first's, with the imaginary part
+    ``0.0 - sin``. ``angles`` is scratch of at least ``out.size`` floats."""
+    if mirrored:
+        y = angles[:out.size // 2].reshape(out.shape[:2])
+        np.subtract(0.0, np.multiply(w[:, 0], at, out=y), out=y)
+        np.cos(y, out=out.real[..., 0])
+        out.real[..., 1] = out.real[..., 0]
+        np.sin(y, out=out.imag[..., 0])
+        np.subtract(0.0, out.imag[..., 0], out=out.imag[..., 1])
+    else:
+        y = angles[:out.size].reshape(out.shape)
+        np.subtract(0.0, np.multiply(w, at[..., None], out=y), out=y)
+        np.cos(y, out=out.real)
+        np.sin(y, out=out.imag)
 
 
 def _coefficients(amplitudes: np.ndarray, index: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -749,7 +799,10 @@ def evolve(state: StateVector, hamiltonian: OperatorMatrix, t: float) -> StateVe
     """Exact exp(-iHt)|psi> through the eigendecomposition of each connected
     block of H, which ``OperatorMatrix.eigh`` computes once per operator."""
     _check_same_register(state.register, hamiltonian.register)
-    (amps,), = hamiltonian.eigh().propagated(state.amplitudes, [t], 1)
+    spectrum = hamiltonian.eigh()
+    (row,), = spectrum.propagated(state.amplitudes, [t], 1)
+    amps = np.empty_like(row)
+    amps[spectrum.order] = row
     return StateVector(state.register, amps)
 
 

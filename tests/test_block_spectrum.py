@@ -5,6 +5,8 @@ pattern. The dense ``np.linalg.eigh`` propagation it replaced is kept here
 as the oracle: exp(-iHt) applied both ways agrees to 1e-12.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from qwave import (
     swap_coupler,
     two_level,
 )
-from qwave import protocols
+from qwave import operators, protocols
 
 TIMES = [0.0, 0.3, 1.7, 5.0]
 
@@ -45,18 +47,63 @@ def _assert_matches_dense(op: OperatorMatrix, seed: int = 0):
     d = op.register.dim
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi = from_amplitudes(op.register, amps, normalize=True)
-    (got,) = op.eigh().propagated(psi.amplitudes, TIMES, len(TIMES))
-    assert got.shape == (len(TIMES), d)
+    spectrum = op.eigh()
+    (blocked,) = spectrum.propagated(psi.amplitudes, TIMES, len(TIMES))
+    assert blocked.shape == (len(TIMES), d)
+    # the rows come in block order; column j is basis index order[j]
+    got = np.empty_like(blocked)
+    got[:, spectrum.order] = blocked
     dense = _dense_propagate(op.elements, psi.amplitudes, TIMES)
     assert np.abs(got - dense).max() < 1e-12
     # slices of fewer times give the same rows, and evolve is the same
     # propagation at one time (a batched matmul of a group larger than
     # 2 x 2 may round differently in a longer array)
-    sliced = list(op.eigh().propagated(psi.amplitudes, TIMES, 3))
+    sliced = list(spectrum.propagated(psi.amplitudes, TIMES, 3))
     assert [len(rows) for rows in sliced] == [3, 1]
-    assert np.abs(np.concatenate(sliced) - got).max() < 1e-15
+    assert np.abs(np.concatenate(sliced) - blocked).max() < 1e-15
     for t, row in zip(TIMES, got):
         assert np.abs(evolve(psi, op, t).amplitudes - row).max() < 1e-15
+
+
+#: Eigenvalues whose phases lose bits most easily: signed zeros, the least
+#: subnormal, rabi's sqrt(n), large ones and any in between
+EIGENVALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e3, -1e3]),
+    st.integers(1, 4096).map(math.sqrt),
+    st.floats(-1e3, 1e3),
+)
+#: Times at which every phase w t stays finite; evolve takes negative ones
+PHASE_TIMES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(EIGENVALUES, min_size=1, max_size=12), size=st.integers(1, 3),
+       times=st.lists(PHASE_TIMES, min_size=1, max_size=4))
+def test_phases_have_the_bits_of_the_complex_exponential(w, size, times):
+    blocks = max(1, len(w) // size)
+    w = np.resize(np.array(w), (blocks, size))
+    at = np.array(times).reshape(-1, 1)
+    want = np.exp(-1j * w * at[..., None])
+    got = np.empty(want.shape, dtype=complex)
+    operators._phases(w, at, False, np.empty(got.size), got)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(EIGENVALUES, min_size=1, max_size=8),
+       flip_zeros=st.booleans(), times=st.lists(PHASE_TIMES, min_size=1, max_size=4))
+def test_mirrored_phases_have_the_bits_of_the_complex_exponential(w, flip_zeros, times):
+    # rabi's 2 x 2 blocks have eigenvalues -sqrt(n) and sqrt(n); a zero
+    # mirrors a zero of either sign
+    second = np.array(w)
+    first = np.where((second == 0) & flip_zeros, second, -second)
+    w = np.stack([first, second], axis=1)
+    assert np.array_equal(w[:, 0], -w[:, 1])
+    at = np.array(times).reshape(-1, 1)
+    want = np.exp(-1j * w * at[..., None])
+    got = np.empty(want.shape, dtype=complex)
+    operators._phases(w, at, True, np.empty(got.size), got)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _hermitian(rng, s):
@@ -150,6 +197,7 @@ def test_spectrum_is_computed_once_per_operator(monkeypatch):
     assert [index.shape for index, _, _ in spectrum.groups] == [(2, 1), (24, 2)]
     # the one spectrum every caller shares cannot be written through
     assert not any(a.flags.writeable for group in spectrum.groups for a in group)
+    assert not spectrum.order.flags.writeable
 
 
 def test_collective_chain_decomposes_its_hamiltonian_once_per_order(monkeypatch):

@@ -7,7 +7,7 @@ private setups in ``qwave.protocols``. Five are kept by
 checked before the setup is reached), four aux-phase keys (two statistics
 by two declaration orders), two collective-chain keys (two declaration
 orders) and one fermion-nogo key, 15 in all. rabi's setup, its register,
-coupler spectrum and excited-atom mask, is kept per cutoff by
+coupler spectrum and excited-atom places, is kept per cutoff by
 ``functools.lru_cache``, for at most ``_RABI_SETUPS`` cutoffs. The
 aux-phase and collective-chain setups hold creation operators and the
 states a run splits its particle on, so a second run builds no operator.
@@ -482,7 +482,7 @@ def test_a_setup_held_operator_cannot_be_written():
                 entries[0] = entries[-1]
     # every other array a setup holds, once every experiment has run: the
     # row layouts of the creation operators that a run's splits read, the
-    # states they split on, spectra and rabi's excited-atom masks
+    # states they split on, spectra and rabi's excited-atom places
     for run_once in RUNS + [lambda: ab_gauge_check(0.4, 0.3, 0, 1)]:
         assert run_once().passed
     arrays = list(_held_arrays(tuple(setup(*args) for setup, args in SETUP_KEYS)))
@@ -494,7 +494,7 @@ def test_a_setup_held_operator_cannot_be_written():
     assert {id(s.amplitudes) for s in states} <= {id(a) for a in arrays}
     for _, cutoff in RABI_CONFIGS:
         _, spectrum, excited = protocols._rabi_setup(cutoff)
-        assert {id(a) for group in spectrum.groups for a in group} | {id(excited)} <= {
+        assert {id(a) for a in _spectrum_arrays(spectrum)} | {id(excited)} <= {
             id(a) for a in arrays}
     for a in arrays:
         if a.size:
@@ -534,8 +534,7 @@ def _held_arrays(value):
     elif isinstance(value, StateVector):
         yield value.amplitudes
     elif isinstance(value, operators.BlockSpectrum):
-        # its split 2 x 2 columns are views of these
-        yield from (a for group in value.groups for a in group)
+        yield from _spectrum_arrays(value)
     elif isinstance(value, np.ndarray):
         yield value
 
@@ -545,10 +544,17 @@ def _op_arrays(op):
     entries, their row layout and its spectrum."""
     held = op.__dict__
     spectrum = held.get("_spectrum")
-    groups = spectrum.groups if spectrum is not None else ()
     layout = [a for a in held.get("_layout", ()) if a is not None]
     return [held["_pattern"], held["_values"], *layout,
-            *(a for group in groups for a in group)]
+            *(_spectrum_arrays(spectrum) if spectrum is not None else ())]
+
+
+def _spectrum_arrays(spectrum):
+    """A spectrum's block order and its groups' eigenvalues and
+    eigenvectors; the groups' index arrays are views of the block order,
+    and its split 2 x 2 columns views of the eigenvectors."""
+    assert all(index.base is spectrum.order for index, _, _ in spectrum.groups)
+    return [spectrum.order, *(a for _, w, v in spectrum.groups for a in (w, v))]
 
 
 def _spec_arrays(spec):

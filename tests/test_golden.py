@@ -61,6 +61,17 @@ def test_report_matches_golden_bytes(entry, tmp_path):
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_every_golden_report_passes():
+    # regenerating the goldens writes each run's bytes, so the byte
+    # comparisons alone would keep a report whose pass flag had flipped
+    reports = {Path(e["out"]).name for e in ENTRIES}
+    assert reports == {p.name for p in GOLDEN.glob("*.json")} - {
+        "batch.json", "catalog.json"}
+    failed = [name for name in sorted(reports)
+              if json.loads((GOLDEN / name).read_text())["pass"] is not True]
+    assert failed == []
+
+
 def test_catalog_matches_golden_bytes():
     result = CliRunner().invoke(main, ["list"])
     assert result.exit_code == EXIT_OK

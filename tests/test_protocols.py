@@ -41,7 +41,7 @@ from qwave import (
     two_level,
 )
 from qwave import OperatorMatrix, protocols
-from qwave.fock import MAX_REGISTER_DIM
+from qwave.fock import MAX_REGISTER_DIM, StateVector
 from qwave.measurement import PROJECTOR_ATOL
 from qwave.protocols import MAX_RABI_TIMES
 
@@ -187,7 +187,10 @@ def _unchunked_rabi(alpha, cutoff, times):
     psi0 = coherent_state(reg, "field", alpha, 1e-7)
     spectrum = swap_coupler(reg, "field", "atom", 1.0).eigh()
     (amps,) = spectrum.propagated(psi0.amplitudes, times, len(times))
-    excited = amps[:, reg.occupation_table()[:, reg.position("atom")] == 1]
+    # the rows come in block order; basis index order[j] is column j
+    place = np.empty(reg.dim, dtype=np.intp)
+    place[spectrum.order] = np.arange(reg.dim)
+    excited = amps[:, place[reg.occupation_table()[:, reg.position("atom")] == 1]]
     del amps  # 256 MB at dim 4096 with 4096 times
     populations = [float(np.sum(row)) for row in np.abs(excited) ** 2]
     t_end = math.pi / (2.0 * alpha)
@@ -781,3 +784,33 @@ def test_sampled_check_fails_a_hit_on_an_impossible_outcome():
 def test_phi_canonicalized_mod_two_pi():
     r = photon_swap_experiment(2.0 * math.pi + 0.3, shots=0, seed=0)
     assert r.params["phi"] == pytest.approx(0.3)
+
+
+# a fidelity lies in [0, 1], so its check fails on either side of its
+# closed form: above 1 as below 0
+@pytest.mark.parametrize("fidelity", [-0.5, 1.5])
+@pytest.mark.parametrize("run, key", [
+    (lambda: photon_swap_experiment(0.3, shots=0, seed=1), "swap_fidelity"),
+    (lambda: coherent_factorization(2.0, 30), "fidelity"),
+], ids=["photon-swap", "coherent-factorization"])
+def test_a_state_fidelity_out_of_range_fails(monkeypatch, run, key, fidelity):
+    monkeypatch.setattr(StateVector, "fidelity", lambda self, other: fidelity)
+    report = run()
+    assert report.analytic[key] == fidelity
+    assert not report.passed
+
+
+@pytest.mark.parametrize("fidelity", [-0.5, 1.5])
+@pytest.mark.parametrize("key", ["direct_photon_fidelity", "positron_fidelity_exchange",
+                                 "positron_fidelity_naive", "stage3_phase_pi_fidelity"])
+def test_a_collective_chain_fidelity_out_of_range_fails(monkeypatch, key, fidelity):
+    exact = protocols._collective_exact
+
+    def off(*args):
+        out, *rest = exact(*args)
+        return {**out, key: fidelity}, *rest
+
+    monkeypatch.setattr(protocols, "_collective_exact", off)
+    report = collective_chain(0.3, 0, 1)
+    assert report.analytic[key] == fidelity
+    assert not report.passed
