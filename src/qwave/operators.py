@@ -325,8 +325,8 @@ class BlockSpectrum:
     ``np.matmul``. A 1 x 1 block's eigenvector is 1, so its coefficient is
     its amplitude and its output its phase times that. A 2 x 2 block's
     coefficients and output components are each two products and a sum,
-    read from views of the block's eigenvector columns, so the spectrum
-    holds nothing more.
+    read from the block's eigenvector columns and, copied once per call,
+    its rows, so the spectrum holds nothing more.
     """
 
     dim: int
@@ -391,6 +391,10 @@ class BlockSpectrum:
         coeffs = [_coefficients(amplitudes, index, v) for index, _, v in self.groups]
         mirrored = [index.shape[1] == 2 and np.array_equal(w[:, 0], -w[:, 1])
                     for index, w, _ in self.groups]
+        # a 2 x 2 group's eigenvectors by rows: row i of every block, made
+        # contiguous, multiplies the phases in one loop over the group
+        vecs = [v.transpose(1, 0, 2).copy() if index.shape[1] == 2 else v
+                for index, _, v in self.groups]
         most = min(rows, len(times)) * max(index.size for index, _, _ in self.groups)
         angles = np.empty(most)
         phases, terms = np.empty(most, dtype=complex), np.empty(most, dtype=complex)
@@ -398,7 +402,7 @@ class BlockSpectrum:
             at = times[start:start + rows]
             out = np.empty((len(at), self.dim), dtype=complex)
             col = 0
-            for (index, w, v), c, mirror in zip(self.groups, coeffs, mirrored):
+            for (index, w, _), v, c, mirror in zip(self.groups, vecs, coeffs, mirrored):
                 blocks, s = index.shape
                 # this group's columns, one row of blocks per time
                 here = out[:, col:col + index.size].reshape(len(at), blocks, s)
@@ -410,7 +414,7 @@ class BlockSpectrum:
                 if s == 2:  # two products and a sum per component
                     t = terms[:here.size].reshape(here.shape)
                     for i in range(2):
-                        np.multiply(v[:, i], ph, out=t)
+                        np.multiply(v[i], ph, out=t)
                         np.add(t[..., 0], t[..., 1], out=here[..., i])
                 elif s > 2:
                     here[...] = np.matmul(v, ph[..., None])[..., 0]

@@ -551,8 +551,7 @@ def _op_arrays(op):
 
 def _spectrum_arrays(spectrum):
     """A spectrum's block order and its groups' eigenvalues and
-    eigenvectors; the groups' index arrays are views of the block order,
-    and its split 2 x 2 columns views of the eigenvectors."""
+    eigenvectors; the groups' index arrays are views of the block order."""
     assert all(index.base is spectrum.order for index, _, _ in spectrum.groups)
     return [spectrum.order, *(a for _, w, v in spectrum.groups for a in (w, v))]
 
