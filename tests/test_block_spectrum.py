@@ -2,7 +2,9 @@
 
 ``eigh`` decomposes each connected block of a hermitian matrix's nonzero
 pattern. The dense ``np.linalg.eigh`` propagation it replaced is kept here
-as the oracle: exp(-iHt) applied both ways agrees to 1e-12.
+as the oracle: exp(-iHt) applied both ways agrees to 1e-12. The block
+propagation by ``np.exp`` phases that ``propagated`` replaced is kept as
+the oracle of its bits.
 """
 
 import math
